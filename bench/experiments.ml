@@ -511,11 +511,18 @@ let extrap () =
 (* Ablations of the generator's design choices                          *)
 
 let ablation () =
-  (* 1. wildcard resolution strategy: paper's untimed Algorithm 2 vs the
-     timed (replay-based) variant, on LU *)
+  (* 1. wildcard resolution strategy: paper's untimed Algorithm 2, the
+     timed (replay-based) variant, and the default certified traversal,
+     on LU *)
   let lu = Option.get (Apps.Registry.find "lu") in
   let trace, orig = Scalatrace.Tracer.trace_run ~nranks:16 (lu.program ~cls ()) in
-  let strategies = [ ("traversal (Alg.2)", `Traversal); ("timed (replay)", `Timed) ] in
+  let strategies =
+    [
+      ("traversal (Alg.2)", `Traversal);
+      ("timed (replay)", `Timed);
+      ("auto (certified)", `Auto);
+    ]
+  in
   let rows =
     List.map
       (fun (name, strategy) ->

@@ -6,18 +6,17 @@ exception Wildcard_error of string
 (* A pending (unmatched) point-to-point operation instance. *)
 type entry = {
   owner : int;
-  is_send : bool;
-  peer : int option; (* None: wildcard receive *)
+  peer : int option; (* None: wildcard receive; always Some on sends *)
   tag : int; (* -1 on receives: any tag *)
   comm : int;
+  seq : int; (* position in the owner's program order *)
   ev : Event.t; (* physical RSD event, for resolution recording *)
 }
 
 type blocked_reason =
   | B_send of entry
-  | B_recv of { e : entry; mutable tried : int }
-      (* [tried] cycles over candidate unblockers for wildcard receives *)
-  | B_wait of { mutable tried : int (* proxy pointer into pending list *) }
+  | B_recv of entry
+  | B_wait
   | B_coll of (int * string * int)
       (* (comm, participant signature, slot); the signature is "" for
          full-communicator collectives and the comma-joined declared
@@ -30,9 +29,68 @@ type node_state = {
   mutable after : Traversal.cursor; (* cursor past the blocking event *)
   mutable finished : bool;
   mutable blocked : blocked_reason option;
-  mutable pending : entry list; (* L1: own unmatched ops, oldest first *)
+  mutable n_pending : int; (* L1: own unmatched ops *)
   coll_seq : (int * string, int) Hashtbl.t;
 }
+
+(* Runnable ranks in a binary min-heap on (operations consumed, rank): the
+   scheduler's least-progressed-first order.  A rank is in the heap at
+   most once, so [nranks] slots suffice; operations allocate nothing,
+   which keeps the traversal from promoting garbage into the major heap. *)
+module Runnable = struct
+  type t = { consumed : int array; rank : int array; mutable size : int }
+
+  let create n = { consumed = Array.make n 0; rank = Array.make n 0; size = 0 }
+
+  let less t i j =
+    t.consumed.(i) < t.consumed.(j)
+    || (t.consumed.(i) = t.consumed.(j) && t.rank.(i) < t.rank.(j))
+
+  let swap t i j =
+    let c = t.consumed.(i) and r = t.rank.(i) in
+    t.consumed.(i) <- t.consumed.(j);
+    t.rank.(i) <- t.rank.(j);
+    t.consumed.(j) <- c;
+    t.rank.(j) <- r
+
+  let rec sift_up t i =
+    let parent = (i - 1) / 2 in
+    if i > 0 && less t i parent then begin
+      swap t i parent;
+      sift_up t parent
+    end
+
+  let rec sift_down t i =
+    let l = (2 * i) + 1 and r = (2 * i) + 2 in
+    let m = if l < t.size && less t l i then l else i in
+    let m = if r < t.size && less t r m then r else m in
+    if m <> i then begin
+      swap t i m;
+      sift_down t m
+    end
+
+  let push t ~consumed ~rank =
+    let i = t.size in
+    t.consumed.(i) <- consumed;
+    t.rank.(i) <- rank;
+    t.size <- i + 1;
+    sift_up t i
+
+  (* The least (consumed, rank) entry's rank, or -1 when empty. *)
+  let pop t =
+    if t.size = 0 then -1
+    else begin
+      let top = t.rank.(0) in
+      t.size <- t.size - 1;
+      swap t 0 t.size;
+      sift_down t 0;
+      top
+    end
+end
+
+(* Certificate ledger of one (src, dst, comm, tag) channel: program-order
+   positions of the last send and the last receive matched on it. *)
+type channel = { mutable last_send : int; mutable last_recv : int }
 
 let psig_of (e : Event.t) =
   match e.Event.parts with
@@ -46,16 +104,27 @@ type coll_wait = {
   mutable arrivals : (int * Event.t * Traversal.cursor) list;
 }
 
-let tag_accepts ~recv_tag ~send_tag = recv_tag = -1 || recv_tag = send_tag
+let matches ~(send : entry) ~(recv : entry) =
+  recv.comm = send.comm
+  && (recv.tag = -1 || recv.tag = send.tag)
+  && match recv.peer with None -> true | Some p -> p = send.owner
 
-let describe_entry e =
-  Printf.sprintf "%s by rank %d (peer %s, comm %d)"
-    (if e.is_send then "send" else "receive")
+let describe_entry what e =
+  Printf.sprintf "%s by rank %d (peer %s, comm %d)" what
     e.owner
     (match e.peer with Some p -> string_of_int p | None -> "ANY")
     e.comm
 
 type strategy = [ `Traversal | `Timed | `Auto ]
+
+type verdict = Certified | Refused of string
+
+let id_in (trace : Trace.t) =
+  let leaf_id = Trace.leaf_index trace in
+  fun e ->
+    match leaf_id e with
+    | Some i -> i
+    | None -> raise (Wildcard_error "internal: event not part of the trace")
 
 (* Phase 2 shared by both strategies: rewrite the trace, pinning each
    wildcard receive *instance* to its matched sender.  [queues] maps
@@ -69,20 +138,7 @@ type strategy = [ `Traversal | `Timed | `Auto ]
    ones fold back to the original structure. *)
 let rebuild_resolved (trace : Trace.t) queues =
   let nranks = Trace.nranks trace in
-  let leaf_ids =
-    let ids = ref [] and n = ref 0 in
-    Tnode.iter_leaves
-      (fun e ->
-        ids := (e, !n) :: !ids;
-        incr n)
-      (Trace.nodes trace);
-    !ids
-  in
-  let id_of e =
-    match List.find_opt (fun (e', _) -> e' == e) leaf_ids with
-    | Some (_, i) -> i
-    | None -> raise (Wildcard_error "internal: event not part of the trace")
-  in
+  let id_of = id_in trace in
   let pop ~leaf ~rank =
     match Hashtbl.find_opt queues (leaf, rank) with
     | Some q -> (
@@ -139,7 +195,8 @@ let rebuild_resolved (trace : Trace.t) queues =
   Trace.with_nodes trace (Compress.contents out)
 
 (* Phase 1, untimed: the paper's Algorithm 2 traversal.  Returns the
-   resolution queues. *)
+   resolution queues and, for the certificate (see [certify]), the reason
+   the traversal's own matching cannot vouch for them, if any. *)
 let traversal_resolve (trace : Trace.t) =
   let nranks = Trace.nranks trace in
   let comms = Trace.comms trace in
@@ -156,64 +213,75 @@ let traversal_resolve (trace : Trace.t) =
           after = Traversal.start [];
           finished = false;
           blocked = None;
-          pending = [];
+          n_pending = 0;
           coll_seq = Hashtbl.create 8;
         })
   in
-  (* L2: operations awaiting a match, indexed by the rank that must match
-     them.  pending_sends.(d) are sends destined for d; pending_recvs.(r)
-     are receives posted by r (so a send to r scans them). *)
-  let pending_sends = Array.make nranks ([] : entry list) in
-  let pending_recvs = Array.make nranks ([] : entry list) in
+  (* L2: operations awaiting a match in posting order, indexed by the rank
+     that must match them.  pending_sends.(d) are sends destined for d;
+     pending_recvs.(r) are receives posted by r (so a send to r scans
+     them). *)
+  let pending_sends = Array.init nranks (fun _ -> Util.Deque.create ~capacity:4 ()) in
+  let pending_recvs = Array.init nranks (fun _ -> Util.Deque.create ~capacity:4 ()) in
   let waits : (int * string * int, coll_wait) Hashtbl.t = Hashtbl.create 64 in
   (* RSD identity: structural hashing would conflate distinct-but-equal
      events, so leaves get explicit ids by physical identity. *)
-  let leaf_ids =
-    let ids = ref [] and n = ref 0 in
-    Tnode.iter_leaves
-      (fun e ->
-        ids := (e, !n) :: !ids;
-        incr n)
-      (Trace.nodes trace);
-    !ids
-  in
-  let id_of e =
-    match List.find_opt (fun (e', _) -> e' == e) leaf_ids with
-    | Some (_, i) -> i
-    | None -> raise (Wildcard_error "internal: event not part of the trace")
-  in
+  let id_of = id_in trace in
   (* Matching senders per (wildcard RSD, receiving rank), one per instance
-     in match order — which equals instance order, since receives of one
-     RSD are posted and matched FIFO. *)
-  let resolutions : (int * int, int list ref) Hashtbl.t = Hashtbl.create 64 in
-  let push_resolution key src =
+     in match order, with the program-order position of the last matched
+     instance.  Match order equals instance order because a pending
+     receive and a compatible pending send never coexist; the position
+     check turns that argument into a certificate condition. *)
+  let resolutions : (int * int, int list ref * int ref) Hashtbl.t =
+    Hashtbl.create 64
+  in
+  let ledger : (int * int * int * int, channel) Hashtbl.t = Hashtbl.create 256 in
+  let in_order = ref true in
+  let push_resolution key (recv : entry) src =
     match Hashtbl.find_opt resolutions key with
-    | Some q -> q := src :: !q
-    | None -> Hashtbl.replace resolutions key (ref [ src ])
+    | Some (q, last) ->
+        if recv.seq <= !last then in_order := false;
+        q := src :: !q;
+        last := recv.seq
+    | None -> Hashtbl.replace resolutions key (ref [ src ], ref recv.seq)
   in
-  let remove_entry arr idx e =
-    arr.(idx) <- List.filter (fun x -> x != e) arr.(idx)
+  (* Certificate condition 3: on every channel the k-th send in sender
+     program order meets the k-th receive in receiver program order.  With
+     every operation eventually matched, monotone positions on both sides
+     are exactly that. *)
+  let record_channel (send : entry) (recv : entry) =
+    let key = (send.owner, recv.owner, send.comm, send.tag) in
+    match Hashtbl.find_opt ledger key with
+    | Some c ->
+        if send.seq <= c.last_send || recv.seq <= c.last_recv then
+          in_order := false;
+        c.last_send <- send.seq;
+        c.last_recv <- recv.seq
+    | None -> Hashtbl.add ledger key { last_send = send.seq; last_recv = recv.seq }
   in
+  let runnable = Runnable.create nranks in
+  let make_runnable s =
+    Runnable.push runnable ~consumed:(Traversal.consumed s.cursor) ~rank:s.rank
+  in
+  Array.iter make_runnable states;
   let unblock s =
     s.blocked <- None;
-    s.cursor <- s.after
+    s.cursor <- s.after;
+    make_runnable s
   in
-  (* Both sides of a match are removed from all lists; blocked owners whose
-     condition is now satisfied resume past their blocking event. *)
-  let do_match (send : entry) (recv : entry) =
-    remove_entry pending_sends recv.owner send;
-    remove_entry pending_recvs recv.owner recv;
-    let strip s e = s.pending <- List.filter (fun x -> x != e) s.pending in
-    strip states.(send.owner) send;
-    strip states.(recv.owner) recv;
+  (* [waiting] is the side that sat in L2; blocked owners whose condition
+     is now satisfied resume past their blocking event. *)
+  let do_match ~(waiting : entry) (send : entry) (recv : entry) =
+    let w = states.(waiting.owner) in
+    w.n_pending <- w.n_pending - 1;
+    record_channel send recv;
     (if recv.ev.Event.peer = Event.P_any then
-       push_resolution (id_of recv.ev, recv.owner) send.owner);
+       push_resolution (id_of recv.ev, recv.owner) recv send.owner);
     let maybe_unblock owner (matched : entry) =
       let s = states.(owner) in
       match s.blocked with
-      | Some (B_send e) when e == matched -> unblock s
-      | Some (B_recv { e; _ }) when e == matched -> unblock s
-      | Some (B_wait _) when s.pending = [] -> unblock s
+      | Some (B_send e | B_recv e) when e == matched -> unblock s
+      | Some B_wait when s.n_pending = 0 -> unblock s
       | _ -> ()
     in
     maybe_unblock send.owner send;
@@ -230,51 +298,43 @@ let traversal_resolve (trace : Trace.t) =
   (* Matching attempts for a newly traversed op (the L2 lookup). *)
   let try_match_send (send : entry) =
     let dst = Option.get send.peer in
-    let candidate =
-      List.find_opt
-        (fun (r : entry) ->
-          r.comm = send.comm
-          && tag_accepts ~recv_tag:r.tag ~send_tag:send.tag
-          && match r.peer with None -> true | Some p -> p = send.owner)
-        pending_recvs.(dst)
-    in
-    match candidate with
+    match Util.Deque.remove_first (fun recv -> matches ~send ~recv) pending_recvs.(dst) with
     | Some recv ->
         if recv.peer = None then bump_channel send.owner recv.owner;
-        do_match send recv;
+        do_match ~waiting:recv send recv;
         true
     | None -> false
   in
   let try_match_recv (recv : entry) =
-    let compatible (s : entry) =
-      s.comm = recv.comm
-      && tag_accepts ~recv_tag:recv.tag ~send_tag:s.tag
-      && match recv.peer with None -> true | Some p -> p = s.owner
-    in
+    let queue = pending_sends.(recv.owner) in
     let candidate =
       match recv.peer with
-      | Some _ -> List.find_opt compatible pending_sends.(recv.owner)
-      | None ->
+      | Some _ -> Util.Deque.remove_first (fun send -> matches ~send ~recv) queue
+      | None -> (
           (* wildcard: prefer the sender least used on this channel so
              far, breaking ties by pending order *)
-          List.fold_left
-            (fun best (s : entry) ->
-              if not (compatible s) then best
-              else
-                let c =
-                  Option.value ~default:0
-                    (Hashtbl.find_opt channel_counts (s.owner, recv.owner))
-                in
-                match best with
-                | Some (_, bc) when bc <= c -> best
-                | _ -> Some (s, c))
-            None pending_sends.(recv.owner)
-          |> Option.map fst
+          let best =
+            Util.Deque.fold
+              (fun best (send : entry) ->
+                if not (matches ~send ~recv) then best
+                else
+                  let c =
+                    Option.value ~default:0
+                      (Hashtbl.find_opt channel_counts (send.owner, recv.owner))
+                  in
+                  match best with
+                  | Some (_, bc) when bc <= c -> best
+                  | _ -> Some (send, c))
+              None queue
+          in
+          match best with
+          | Some (send, _) -> Util.Deque.remove_first (fun s -> s == send) queue
+          | None -> None)
     in
     match candidate with
     | Some send ->
         if recv.peer = None then bump_channel send.owner recv.owner;
-        do_match send recv;
+        do_match ~waiting:send send recv;
         true
     | None -> false
   in
@@ -287,33 +347,39 @@ let traversal_resolve (trace : Trace.t) =
              (Printf.sprintf "rank %d: unresolvable peer in %s" rank
                 (Event.kind_name e.kind)))
   in
+  let n_finished = ref 0 in
   (* Advance rank [r] until it blocks or finishes.  Returns unit; the
      caller inspects the state. *)
   let advance r =
     let s = states.(r) in
     let running = ref true in
+    let block reason after =
+      s.blocked <- Some reason;
+      s.after <- after;
+      running := false
+    in
+    let post queue entry =
+      Util.Deque.push_back queue entry;
+      s.n_pending <- s.n_pending + 1
+    in
     while !running do
       match Traversal.peek s.cursor with
       | None ->
           s.finished <- true;
+          incr n_finished;
           running := false
       | Some (e, after) -> (
+          let seq = Traversal.consumed s.cursor in
           match e.kind with
           | Event.E_send | Event.E_isend ->
               let dst = world_peer e r in
               let entry =
-                { owner = r; is_send = true; peer = Some dst; tag = e.tag;
-                  comm = e.comm; ev = e }
+                { owner = r; peer = Some dst; tag = e.tag; comm = e.comm; seq; ev = e }
               in
               if try_match_send entry then s.cursor <- after
               else begin
-                pending_sends.(dst) <- pending_sends.(dst) @ [ entry ];
-                s.pending <- s.pending @ [ entry ];
-                if e.kind = Event.E_send then begin
-                  s.blocked <- Some (B_send entry);
-                  s.after <- after;
-                  running := false
-                end
+                post pending_sends.(dst) entry;
+                if e.kind = Event.E_send then block (B_send entry) after
                 else s.cursor <- after
               end
           | Event.E_recv | Event.E_irecv ->
@@ -324,28 +390,15 @@ let traversal_resolve (trace : Trace.t) =
                 | Event.P_any -> None
                 | _ -> Some (world_peer e r)
               in
-              let entry =
-                { owner = r; is_send = false; peer; tag = e.tag; comm = e.comm;
-                  ev = e }
-              in
+              let entry = { owner = r; peer; tag = e.tag; comm = e.comm; seq; ev = e } in
               if try_match_recv entry then s.cursor <- after
               else begin
-                pending_recvs.(r) <- pending_recvs.(r) @ [ entry ];
-                s.pending <- s.pending @ [ entry ];
-                if e.kind = Event.E_recv then begin
-                  s.blocked <- Some (B_recv { e = entry; tried = 0 });
-                  s.after <- after;
-                  running := false
-                end
+                post pending_recvs.(r) entry;
+                if e.kind = Event.E_recv then block (B_recv entry) after
                 else s.cursor <- after
               end
           | Event.E_wait | Event.E_waitall _ ->
-              if s.pending = [] then s.cursor <- after
-              else begin
-                s.blocked <- Some (B_wait { tried = 0 });
-                s.after <- after;
-                running := false
-              end
+              if s.n_pending = 0 then s.cursor <- after else block B_wait after
           | _ when Event.is_collective e.kind ->
               let psig = psig_of e in
               let seq_key = (e.comm, psig) in
@@ -383,15 +436,12 @@ let traversal_resolve (trace : Trace.t) =
                   (fun (r', _, after') ->
                     let s' = states.(r') in
                     s'.blocked <- None;
-                    s'.cursor <- after')
+                    s'.cursor <- after';
+                    if r' <> r then make_runnable s')
                   w.arrivals
                 (* s.cursor updated through the loop above; keep running *)
               end
-              else begin
-                s.blocked <- Some (B_coll key);
-                s.after <- after;
-                running := false
-              end
+              else block (B_coll key) after
           | _ ->
               raise (Wildcard_error "unhandled event kind in traversal"))
     done
@@ -404,10 +454,10 @@ let traversal_resolve (trace : Trace.t) =
         if not s.finished then begin
           let what =
             match s.blocked with
-            | Some (B_send e) -> "blocking " ^ describe_entry e
-            | Some (B_recv { e; _ }) -> "blocking " ^ describe_entry e
-            | Some (B_wait _) ->
-                Printf.sprintf "a wait on %d pending operations" (List.length s.pending)
+            | Some (B_send e) -> "blocking " ^ describe_entry "send" e
+            | Some (B_recv e) -> "blocking " ^ describe_entry "receive" e
+            | Some B_wait ->
+                Printf.sprintf "a wait on %d pending operations" s.n_pending
             | Some (B_coll (c, _, slot)) ->
                 Printf.sprintf "a collective on communicator %d (slot %d)" c slot
             | None -> "<runnable>"
@@ -417,37 +467,68 @@ let traversal_resolve (trace : Trace.t) =
       states;
     Buffer.contents buf
   in
-  (* Scheduling: always advance the least-progressed runnable rank.  This
-     keeps the per-rank traversals in near-lockstep, so wildcard receives
-     match sends from the same logical phase (approximating the real
-     arrival order) instead of letting one sender run iterations ahead —
-     the property that keeps the resolved receive assignment *valid* (the
-     generated benchmark cannot starve an iteration).  Matching unblocks
-     ranks eagerly, so "every unfinished rank is blocked" is exactly the
-     paper's sufficient deadlock condition: the traversal has returned to
-     a blocked node with no unblocking event possible. *)
-  let all_done () = Array.for_all (fun s -> s.finished) states in
-  while not (all_done ()) do
-    let candidate = ref None in
-    Array.iter
-      (fun s ->
-        if (not s.finished) && s.blocked = None then
-          match !candidate with
-          | Some (best : node_state)
-            when Traversal.consumed best.cursor <= Traversal.consumed s.cursor ->
-              ()
-          | _ -> candidate := Some s)
-      states;
-    match !candidate with
-    | Some s -> advance s.rank
-    | None -> raise (Potential_deadlock (deadlock_message ()))
-  done;
-  Hashtbl.fold
-    (fun k q acc ->
-      Hashtbl.replace acc k (ref (List.rev !q));
-      acc)
-    resolutions
-    (Hashtbl.create (Hashtbl.length resolutions))
+  (* Scheduling: always advance the least-progressed runnable rank, lowest
+     rank first on ties.  This keeps the per-rank traversals in
+     near-lockstep, so wildcard receives match sends from the same logical
+     phase (approximating the real arrival order) instead of letting one
+     sender run iterations ahead.  Matching unblocks ranks eagerly, so
+     "every unfinished rank is blocked" is exactly the paper's sufficient
+     deadlock condition: the traversal has returned to a blocked node with
+     no unblocking event possible. *)
+  let rec schedule () =
+    match Runnable.pop runnable with
+    | -1 ->
+        if !n_finished < nranks then raise (Potential_deadlock (deadlock_message ()))
+    | r ->
+        advance r;
+        schedule ()
+  in
+  schedule ();
+  let refusal =
+    if not !in_order then Some "a channel matched out of program order"
+    else if Array.exists (fun s -> s.n_pending > 0) states then
+      Some "operations left unmatched at the end of the traversal"
+    else None
+  in
+  let queues = Hashtbl.create (Hashtbl.length resolutions) in
+  Hashtbl.iter (fun k (q, _) -> Hashtbl.replace queues k (ref (List.rev !q))) resolutions;
+  (queues, refusal)
+
+(* Certificate condition 2: with MPI_ANY_TAG a receive is not bound to one
+   channel.  Replay sends a negative tag as tag 0, which the traversal
+   would not match the same way, so any negative p2p tag refuses. *)
+let uses_negative_tag trace =
+  let found = ref false in
+  Tnode.iter_leaves
+    (fun e -> if Event.is_p2p e.Event.kind && e.Event.tag < 0 then found := true)
+    (Trace.nodes trace);
+  !found
+
+(* Soundness of [Certified]: with every source pinned and every tag
+   concrete, MPI matching is per-channel FIFO and so independent of the
+   schedule.  The ledger shows the traversal paired exactly those FIFO
+   partners and left nothing unmatched, so it is one complete execution of
+   the pinned program — under blocking rules at least as strict as the
+   engine's: a blocking send waits for its match (rendezvous), a wait
+   waits for all of the rank's pending operations, and every collective
+   synchronizes all its members.  The engine never blocks where
+   zero-buffer semantics would not (post_recv forces a parked matching
+   send in), so [Replay.run] of the resolved trace completes too.  The
+   exact-consumption check ties the rebuilt trace to that execution. *)
+let certify trace =
+  let queues, refusal = traversal_resolve trace in
+  let resolved = rebuild_resolved trace queues in
+  let verdict =
+    if uses_negative_tag trace then
+      Refused "a point-to-point event uses MPI_ANY_TAG or a negative tag"
+    else
+      match refusal with
+      | Some reason -> Refused reason
+      | None ->
+          if Hashtbl.fold (fun _ q ok -> ok && !q = []) queues true then Certified
+          else Refused "the rebuild left resolutions unconsumed"
+  in
+  (resolved, verdict)
 
 let timed_resolve ?net (trace : Trace.t) =
   let result =
@@ -463,10 +544,10 @@ let timed_resolve ?net (trace : Trace.t) =
 
 let run ?(strategy = `Auto) ?net ?(on_fallback = fun _ -> ()) (trace : Trace.t) =
   match strategy with
-  | `Traversal -> rebuild_resolved trace (traversal_resolve trace)
+  | `Traversal -> rebuild_resolved trace (fst (traversal_resolve trace))
   | `Timed -> rebuild_resolved trace (timed_resolve ?net trace)
   | `Auto -> (
-      match traversal_resolve trace with
+      match certify trace with
       | exception Potential_deadlock msg ->
           (* The untimed traversal wedged.  Replaying the trace decides
              whether that is a genuine hazard: a hanging replay re-raises
@@ -476,12 +557,10 @@ let run ?(strategy = `Auto) ?net ?(on_fallback = fun _ -> ()) (trace : Trace.t) 
             ("untimed traversal reported a potential deadlock; falling back \
               to timed resolution: " ^ msg);
           rebuild_resolved trace (timed_resolve ?net trace)
-      | queues -> (
-          let resolved = rebuild_resolved trace queues in
-          (* Validity check: an assignment is acceptable only if the
-             resolved trace actually executes.  Untimed matching can
-             occasionally pick an unrealizable sender order in pipelined
-             codes. *)
+      | resolved, Certified -> resolved
+      | resolved, Refused _ -> (
+          (* Outside the certificate an assignment is acceptable only if
+             the resolved trace actually executes. *)
           match Replay.run ?net resolved with
           | _ -> resolved
           | exception Mpisim.Engine.Deadlock _ ->
@@ -489,7 +568,6 @@ let run ?(strategy = `Auto) ?net ?(on_fallback = fun _ -> ()) (trace : Trace.t) 
                 "untimed wildcard assignment failed replay validation; \
                  falling back to timed resolution";
               rebuild_resolved trace (timed_resolve ?net trace)))
-
 
 let resolve_if_needed ?strategy ?net ?on_fallback trace =
   if Trace.has_wildcards trace then (run ?strategy ?net ?on_fallback trace, true)

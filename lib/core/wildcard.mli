@@ -27,22 +27,45 @@ exception Wildcard_error of string
 
 (** How to choose the concrete sender for each wildcard instance:
 
-    - [`Traversal] — the paper's untimed Algorithm 2 exactly.  Sufficient
-      deadlock detection included; however, for deeply pipelined wavefront
-      codes the untimed matching can occasionally produce an assignment no
-      real execution could realize (one neighbor's future-iteration sends
-      consumed early), yielding a generated benchmark that hangs.
+    - [`Traversal] — the paper's untimed Algorithm 2 exactly, including
+      its sufficient deadlock detection: it reports rather than resolves
+      the paper's Figure 5 program.
     - [`Timed] — replay the trace on the simulator and record which sender
       each wildcard matched: the assignment is an actual execution, hence
       always valid.
-    - [`Auto] (default) — run [`Traversal]; validate its output by
-      replaying the resolved trace; fall back to [`Timed] when validation
-      fails or when the untimed traversal itself wedges on a program that
-      a real execution completes (the fallback replay re-raises
-      {!Potential_deadlock} when the hazard is genuine).  Use
-      [`Traversal] directly for the paper's exact Figure 5 behaviour,
-      which reports rather than resolves. *)
+    - [`Auto] (default) — run [`Traversal] and keep its assignment when
+      the traversal's own state certifies it (see {!certify}); no replay
+      runs then.  A refused certificate falls back to today's check:
+      replay the resolved trace and switch to [`Timed] if that hangs.
+      When the untimed traversal itself wedges, [`Auto] switches to
+      [`Timed] at once; that replay re-raises {!Potential_deadlock} when
+      the hazard is genuine.  The replay check has not been seen to
+      reject an assignment: every wildcard-bearing [Check.Gen] program of
+      seeds 1–1500 and LU at 2–64 ranks replays cleanly. *)
 type strategy = [ `Traversal | `Timed | `Auto ]
+
+(** The certificate's decision on an untimed assignment. *)
+type verdict = Certified | Refused of string  (** why it cannot vouch *)
+
+(** [certify trace] — the [`Traversal] resolution of [trace] and the
+    certificate's verdict on it.  The certificate holds when the
+    traversal completed, no point-to-point event uses [MPI_ANY_TAG] (or
+    any negative tag), every operation was matched, a per-channel ledger
+    keyed (src, dst, comm, tag) saw the k-th send of each channel in
+    sender program order meet the k-th receive in receiver program order,
+    and the rebuild consumed every resolution queue exactly.
+
+    Soundness: with sources pinned and tags concrete, matching is
+    per-channel FIFO and so does not depend on the schedule.  The
+    traversal is then one complete execution of the pinned program under
+    blocking rules at least as strict as the simulator's — a blocking
+    send waits for its match (rendezvous), a wait waits for all of the
+    rank's pending operations, and every collective synchronizes all its
+    members — while the simulator never blocks where zero-buffer
+    semantics would not (a posted receive forces a parked matching send
+    in).  Hence replaying a [Certified] resolution completes.
+    @raise Potential_deadlock as [`Traversal] does. *)
+val certify : Scalatrace.Trace.t -> Scalatrace.Trace.t * verdict
 
 (** [?on_fallback] is invoked (with a human-readable reason) each time the
     [`Auto] strategy abandons the untimed traversal for the timed replay —

@@ -23,19 +23,10 @@ let run ?(net = Mpisim.Netmodel.bluegene_l) ?(hooks = []) ?fault ?max_events
     trace =
   let nranks = Trace.nranks trace in
   let comm_table = List.filter (fun (id, _) -> id <> 0) (Trace.comms trace) in
-  (* leaf index by physical identity (iter_leaves order) *)
-  let leaf_ids =
-    let ids = ref [] and n = ref 0 in
-    Tnode.iter_leaves
-      (fun e ->
-        ids := (e, !n) :: !ids;
-        incr n)
-      (Trace.nodes trace);
-    !ids
-  in
+  let leaf_id = Trace.leaf_index trace in
   let id_of e =
-    match List.find_opt (fun (e', _) -> e' == e) leaf_ids with
-    | Some (_, i) -> i
+    match leaf_id e with
+    | Some i -> i
     | None -> raise (Replay_error "event not part of the trace")
   in
   let matches : (int * int, int list ref) Hashtbl.t = Hashtbl.create 32 in
@@ -75,16 +66,17 @@ let run ?(net = Mpisim.Netmodel.bluegene_l) ?(hooks = []) ?fault ?max_events
       | Some l -> l
       | None -> raise (Replay_error "peer outside communicator during replay")
     in
-    let outstanding : pending list ref = ref [] in
-    let push p = outstanding := !outstanding @ [ p ] in
+    let outstanding : pending Util.Deque.t = Util.Deque.create () in
+    let push p = Util.Deque.push_back outstanding p in
     let pop_oldest k =
-      let rec go k acc rest =
-        if k = 0 then (List.rev acc, rest)
-        else match rest with [] -> (List.rev acc, []) | p :: tl -> go (k - 1) (p :: acc) tl
+      let rec go k acc =
+        if k = 0 then List.rev acc
+        else
+          match Util.Deque.pop_front outstanding with
+          | None -> List.rev acc
+          | Some p -> go (k - 1) (p :: acc)
       in
-      let taken, rest = go k [] !outstanding in
-      outstanding := rest;
-      taken
+      go k []
     in
     let record_status (p : pending) (st : Mpisim.Call.status) comm =
       match p.wild_leaf with

@@ -20,6 +20,23 @@ let event_count t = Tnode.event_count t.nodes
 
 let project t ~rank = Tnode.project t.nodes ~rank
 
+(* Buckets keyed by [Event.hash], each holding (event, id) pairs newest
+   first, so a physical event that occurs twice resolves to its last id. *)
+let leaf_index t =
+  let buckets = Hashtbl.create 64 and n = ref 0 in
+  Tnode.iter_leaves
+    (fun e ->
+      let h = Event.hash e in
+      let bucket = Option.value ~default:[] (Hashtbl.find_opt buckets h) in
+      Hashtbl.replace buckets h ((e, !n) :: bucket);
+      incr n)
+    t.nodes;
+  fun e ->
+    match Hashtbl.find_opt buckets (Event.hash e) with
+    | None -> None
+    | Some bucket ->
+        List.find_map (fun (e', i) -> if e' == e then Some i else None) bucket
+
 let has_wildcards t =
   let found = ref false in
   Tnode.iter_leaves

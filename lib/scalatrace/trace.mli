@@ -34,6 +34,12 @@ val text_size : t -> int
 (** [project t ~rank] — the event-node sequence rank [rank] executes. *)
 val project : t -> rank:int -> Tnode.t list
 
+(** [leaf_index t] numbers the leaves of [t] in {!Tnode.iter_leaves}
+    order and returns an O(1) lookup by physical identity: [Some id] for a
+    leaf of [t] (the last id when one physical event occurs twice), [None]
+    for any other event.  Structurally equal leaves keep distinct ids. *)
+val leaf_index : t -> Event.t -> int option
+
 (** True if any receive event uses MPI_ANY_SOURCE — the O(r) pre-check of
     Section 4.4. *)
 val has_wildcards : t -> bool

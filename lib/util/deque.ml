@@ -56,11 +56,20 @@ let remove_first pred t =
   | Some i ->
       let cap = Array.length t.buf in
       let x = get t i in
-      (* shift the elements after [i] down by one slot *)
-      for j = i to t.len - 2 do
-        t.buf.((t.head + j) mod cap) <- t.buf.((t.head + j + 1) mod cap)
-      done;
-      t.buf.((t.head + t.len - 1) mod cap) <- None;
+      (* close the gap from the shorter side *)
+      if i < t.len / 2 then begin
+        for j = i downto 1 do
+          t.buf.((t.head + j) mod cap) <- t.buf.((t.head + j - 1) mod cap)
+        done;
+        t.buf.(t.head) <- None;
+        t.head <- (t.head + 1) mod cap
+      end
+      else begin
+        for j = i to t.len - 2 do
+          t.buf.((t.head + j) mod cap) <- t.buf.((t.head + j + 1) mod cap)
+        done;
+        t.buf.((t.head + t.len - 1) mod cap) <- None
+      end;
       t.len <- t.len - 1;
       Some x
 

@@ -4,8 +4,9 @@
     unexpected messages, flow-controlled senders) append at the tail and
     consume from the head; a ring buffer makes both ends O(1) amortized
     where the previous list representation paid O(n) per tail append.
-    Order of insertion is preserved; [remove_first] exists for the rare
-    mid-queue extraction (wildcard and flow-control matching) and is O(n). *)
+    Order of insertion is preserved; [remove_first] exists for mid-queue
+    extraction (wildcard and flow-control matching) and costs the scan to
+    the element plus the shorter of the two shifts around it. *)
 
 type 'a t
 
@@ -25,7 +26,8 @@ val pop_front : 'a t -> 'a option
 val peek_front : 'a t -> 'a option
 
 (** [remove_first pred t] removes and returns the first (oldest) element
-    satisfying [pred], shifting later elements up; O(n). *)
+    satisfying [pred]; O(i) for the element at position [i], since the gap
+    is closed from whichever end is nearer. *)
 val remove_first : ('a -> bool) -> 'a t -> 'a option
 
 (** [find_first pred t] — first element satisfying [pred], not removed. *)

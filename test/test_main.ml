@@ -11,6 +11,7 @@ let () =
       ("merge_diff", Test_merge_diff.suite);
       ("conceptual", Test_conceptual.suite);
       ("benchgen", Test_benchgen.suite);
+      ("wildcert", Test_wildcard_cert.suite);
       ("pipeline", Test_pipeline.suite);
       ("extrap", Test_extrap.suite);
       ("codegen", Test_codegen.suite);
