@@ -5,9 +5,14 @@
     whose body matches the new tail and (b) to fold the last [2w] nodes
     into a new 2-iteration PRSD when the two halves are equivalent, for
     window sizes [w = 1..window].  Successful folds cascade, so nested
-    source loops become nested PRSDs.  Compression is O(window · depth)
-    per event, which is what lets traces be collected greedily without
-    buffering the whole event stream. *)
+    source loops become nested PRSDs.
+
+    Per push, each compression round costs O(window) integer arithmetic:
+    every candidate window is screened by an O(1) prefix-hash test, and
+    only a window that passes pays the O(w) structural comparison.  The
+    node's hash is computed once, when it is appended; the tail is an
+    array, so no round walks or copies a list.  That is what lets traces
+    be collected greedily without buffering the whole event stream. *)
 
 type t
 

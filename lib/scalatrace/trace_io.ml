@@ -241,7 +241,7 @@ let parse_event ?src lineno rest =
               Util.Histogram.of_stats ~count:(int_of_string c)
                 ~sum:(float_of_string s) ~min:(float_of_string mn)
                 ~max:(float_of_string mx) ~first:(float_of_string fs)
-            with Failure _ -> fail ?src lineno "bad dt field")
+            with Failure _ | Invalid_argument _ -> fail ?src lineno "bad dt field")
         | _ -> fail ?src lineno "bad dt field"
       in
       {

@@ -6,6 +6,11 @@ let n_buckets = 128
 let base = 1e-9
 let log_ratio = 0.5 *. log 2.
 
+(* Only the occupied bucket range is stored: [buckets.(k)] counts bucket
+   [blo + k], both ends are nonzero, and an empty summary holds [||].
+   Every recorded MPI call owns one summary and most hold a single
+   sample, so a dense 128-slot array per summary would dominate the
+   memory of a trace. *)
 type t = {
   mutable count : int;
   mutable sum : float;
@@ -13,18 +18,33 @@ type t = {
   mutable min_v : float;
   mutable max_v : float;
   mutable first : float;
-  mutable blo : int; (* lowest possibly-nonzero bucket; n_buckets when none *)
-  mutable bhi : int; (* highest possibly-nonzero bucket; -1 when none *)
-  buckets : int array; (* bucket 0 additionally holds all x < base *)
+  mutable blo : int; (* bucket index of [buckets.(0)]; unused when empty *)
+  mutable buckets : int array; (* bucket 0 additionally holds all x < base *)
 }
 
 let create () =
   { count = 0; sum = 0.; sumsq = 0.; min_v = infinity; max_v = neg_infinity;
-    first = 0.; blo = n_buckets; bhi = -1; buckets = Array.make n_buckets 0 }
+    first = 0.; blo = 0; buckets = [||] }
 
-let note_bucket t i =
-  if i < t.blo then t.blo <- i;
-  if i > t.bhi then t.bhi <- i
+(* Widen the stored range to cover buckets [lo..hi]. *)
+let widen t lo hi =
+  let n = Array.length t.buckets in
+  if n = 0 then begin
+    t.blo <- lo;
+    t.buckets <- Array.make (hi - lo + 1) 0
+  end
+  else if lo < t.blo || hi >= t.blo + n then begin
+    let nlo = Int.min lo t.blo and nhi = Int.max hi (t.blo + n - 1) in
+    let b = Array.make (nhi - nlo + 1) 0 in
+    Array.blit t.buckets 0 b (t.blo - nlo) n;
+    t.blo <- nlo;
+    t.buckets <- b
+  end
+
+let bump t i n =
+  widen t i i;
+  let k = i - t.blo in
+  t.buckets.(k) <- t.buckets.(k) + n
 
 let bucket_index x =
   if x < base then 0
@@ -44,9 +64,7 @@ let add t x =
   t.sumsq <- t.sumsq +. (x *. x);
   if x < t.min_v then t.min_v <- x;
   if x > t.max_v then t.max_v <- x;
-  let i = bucket_index x in
-  t.buckets.(i) <- t.buckets.(i) + 1;
-  note_bucket t i
+  bump t (bucket_index x) 1
 
 let count t = t.count
 let sum t = t.sum
@@ -61,25 +79,27 @@ let variance t =
     let v = (t.sumsq /. float_of_int t.count) -. (m *. m) in
     if v < 0. then 0. else v
 
-let stddev t = sqrt (variance t)
-
 let first_sample t = t.first
 
 let rest_mean t =
   if t.count <= 1 then mean t
   else (t.sum -. t.first) /. float_of_int (t.count - 1)
 
+(* Buckets outside the stored range are empty: below it the running count
+   stays 0 (< target, since q > 0), above it the count never grows again,
+   so the walk over the range decides exactly as a walk over all 128. *)
 let quantile t q =
   if t.count = 0 then 0.
   else if q <= 0. then min_value t
   else if q >= 1. then max_value t
   else begin
     let target = q *. float_of_int t.count in
-    let rec find i seen =
-      if i >= n_buckets then max_value t
+    let n = Array.length t.buckets in
+    let rec find k seen =
+      if k >= n then max_value t
       else
-        let seen' = seen +. float_of_int t.buckets.(i) in
-        if seen' >= target then bucket_mid i else find (i + 1) seen'
+        let seen' = seen +. float_of_int t.buckets.(k) in
+        if seen' >= target then bucket_mid (t.blo + k) else find (k + 1) seen'
     in
     let v = find 0 0. in
     Float.min (Float.max v (min_value t)) (max_value t)
@@ -92,6 +112,11 @@ let draw t ~u =
     quantile t u
 
 let of_stats ~count ~sum ~min ~max ~first =
+  let ok x = Float.is_finite x && x >= 0. in
+  if count < 0 || not (ok sum && ok min && ok max && ok first) then
+    invalid_arg
+      "Histogram.of_stats: count must be >= 0 and sum/min/max/first finite \
+       and non-negative";
   let t = create () in
   if count > 0 then begin
     t.count <- count;
@@ -101,9 +126,7 @@ let of_stats ~count ~sum ~min ~max ~first =
     t.min_v <- min;
     t.max_v <- max;
     t.first <- first;
-    let i = bucket_index mean in
-    t.buckets.(i) <- count;
-    note_bucket t i
+    bump t (bucket_index mean) count
   end;
   t
 
@@ -115,47 +138,16 @@ let merge_into t other =
     t.sumsq <- t.sumsq +. other.sumsq;
     if other.min_v < t.min_v then t.min_v <- other.min_v;
     if other.max_v > t.max_v then t.max_v <- other.max_v;
-    (* only the other side's occupied bucket range needs touching — merge
-       runs once per absorbed RSD instance, so a full 128-bucket walk here
-       dominates inter-node merging of high-RSD traces *)
-    for i = other.blo to other.bhi do
-      t.buckets.(i) <- t.buckets.(i) + other.buckets.(i)
-    done;
-    if other.blo < t.blo then t.blo <- other.blo;
-    if other.bhi > t.bhi then t.bhi <- other.bhi
+    let ob = other.buckets and olo = other.blo in
+    let n = Array.length ob in
+    widen t olo (olo + n - 1);
+    let off = olo - t.blo in
+    for k = 0 to n - 1 do
+      t.buckets.(off + k) <- t.buckets.(off + k) + ob.(k)
+    done
   end
 
 let copy t = { t with buckets = Array.copy t.buckets }
-
-let scale t k =
-  if k < 0. then invalid_arg "Histogram.scale: negative factor";
-  let s = create () in
-  if t.count > 0 then begin
-    s.count <- t.count;
-    s.sum <- t.sum *. k;
-    s.sumsq <- t.sumsq *. k *. k;
-    s.min_v <- t.min_v *. k;
-    s.max_v <- t.max_v *. k;
-    s.first <- t.first *. k;
-    (* Rebucket by shifting: scaling by k moves log(x) by log(k). *)
-    let shift = if k = 0. then - n_buckets else int_of_float (Float.round (log k /. log_ratio)) in
-    Array.iteri
-      (fun i n ->
-        if n > 0 then begin
-          let j = i + shift in
-          let j = if j < 0 then 0 else if j >= n_buckets then n_buckets - 1 else j in
-          s.buckets.(j) <- s.buckets.(j) + n;
-          note_bucket s j
-        end)
-      t.buckets
-  end;
-  s
-
-let equal_stats a b =
-  a.count = b.count
-  && Float.abs (a.sum -. b.sum) <= 1e-9 *. (1. +. Float.abs a.sum)
-  && Float.abs (min_value a -. min_value b) <= 1e-12
-  && Float.abs (max_value a -. max_value b) <= 1e-12
 
 let pp ppf t =
   Format.fprintf ppf "{n=%d mean=%.3es min=%.3es max=%.3es}"

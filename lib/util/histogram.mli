@@ -2,11 +2,15 @@
 
     ScalaTrace does not store one duration per call instance; it compresses
     all durations observed at a call path — across loop iterations and
-    ranks — into a small fixed-size summary (Ratn et al., ICS'08).  This
-    module provides that summary: exact count/sum/min/max/mean/variance plus
-    a bounded exponential-bucket histogram, and separate tracking of the
+    ranks — into a small summary (Ratn et al., ICS'08).  This module
+    provides that summary: exact count/sum/min/max/mean/variance plus a
+    bounded exponential-bucket histogram, and separate tracking of the
     first sample (the paper notes the first loop iteration usually differs
-    from the rest). *)
+    from the rest).
+
+    Memory follows the occupied bucket span, not a fixed size: a summary
+    stores counts only from its lowest to its highest occupied bucket (at
+    most 128 buckets), so a one-sample summary holds a single count. *)
 
 type t
 
@@ -28,8 +32,6 @@ val mean : t -> float
 (** Population variance; 0. when empty. *)
 val variance : t -> float
 
-val stddev : t -> float
-
 (** Value of the first sample added; 0. when empty. *)
 val first_sample : t -> float
 
@@ -48,7 +50,9 @@ val draw : t -> u:float -> float
 
 (** Reconstruct a summary from serialized statistics (count/sum/min/max/
     first).  Bucket detail is approximated: all mass lands at the mean, so
-    means and extremes are exact but interior quantiles are not. *)
+    means and extremes are exact but interior quantiles are not.
+    @raise Invalid_argument unless [count >= 0] and [sum], [min], [max]
+    and [first] are finite and [>= 0.]. *)
 val of_stats :
   count:int -> sum:float -> min:float -> max:float -> first:float -> t
 
@@ -57,11 +61,5 @@ val of_stats :
 val merge_into : t -> t -> unit
 
 val copy : t -> t
-
-(** Multiply all recorded magnitudes by [k >= 0.] (what-if scaling of
-    compute phases, Section 5.4). *)
-val scale : t -> float -> t
-
-val equal_stats : t -> t -> bool
 
 val pp : Format.formatter -> t -> unit

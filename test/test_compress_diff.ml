@@ -1,0 +1,194 @@
+(* Differential tests for the array-backed tail compressor.
+
+   {!Compress_ref} is the list-based compressor it replaced.  Both see the
+   same event streams — every push takes its own {!Event.copy}, because
+   absorbing mutates the surviving event — and must produce the same
+   nodes: identical {!Tnode.pp_list}, and identical compute-time
+   statistics, peers and participants on every leaf.  A retention guard
+   checks that absorbed events are not kept alive by the compressor. *)
+
+open Scalatrace
+
+let t name f = Alcotest.test_case name `Quick f
+
+(* Per-rank event streams exactly as the tracer would push them. *)
+let record_streams ~nranks program =
+  let streams = Array.make nranks [] and last = Array.make nranks 0. in
+  let hook =
+    {
+      Mpisim.Hooks.nil with
+      on_enter =
+        (fun ~world_rank ~time call ->
+          let time_gap = time -. last.(world_rank) in
+          match Event.of_call ~world_rank ~time_gap call with
+          | None -> ()
+          | Some e -> streams.(world_rank) <- e :: streams.(world_rank));
+      on_return =
+        (fun ~world_rank ~time (call : Mpisim.Call.t) _ ->
+          match call.op with
+          | Compute _ | Wtime -> ()
+          | _ -> last.(world_rank) <- time);
+    }
+  in
+  ignore (Mpisim.Mpi.run ~hooks:[ hook ] ~nranks program);
+  Array.map List.rev streams
+
+(* What [pp_list] abbreviates, exactly: the compute-time statistics
+   bit for bit, and the full peer (a [P_map] prints only its length) and
+   participant set of every leaf. *)
+let leaf_details nodes =
+  let acc = ref [] in
+  Tnode.iter_leaves
+    (fun e ->
+      let h = e.Event.dtime in
+      let bits = Int64.bits_of_float in
+      acc :=
+        ( ( Util.Histogram.count h,
+            bits (Util.Histogram.sum h),
+            bits (Util.Histogram.min_value h),
+            bits (Util.Histogram.max_value h),
+            bits (Util.Histogram.first_sample h) ),
+          e.Event.peer,
+          e.Event.ranks )
+        :: !acc)
+    nodes;
+  List.rev !acc
+
+let check_same ~what got want =
+  let pp = Format.asprintf "%a" Tnode.pp_list in
+  Alcotest.(check string) (what ^ ": pp_list") (pp want) (pp got);
+  Alcotest.(check bool) (what ^ ": leaf details") true
+    (leaf_details got = leaf_details want)
+
+let compress_both ?window ?foldable ~nranks stream =
+  let a = Compress.create ?window ?foldable ~nranks ()
+  and b = Compress_ref.create ?window ?foldable ~nranks () in
+  List.iter
+    (fun e ->
+      Compress.push a (Event.copy e);
+      Compress_ref.push b (Event.copy e))
+    stream;
+  (Compress.contents a, Compress_ref.contents b)
+
+let windows = [ 1; 2; 64 ]
+
+let check_streams ?(windows = windows) ~what ~nranks streams =
+  List.iter
+    (fun window ->
+      Array.iteri
+        (fun r stream ->
+          let got, want = compress_both ~window ~nranks stream in
+          check_same ~what:(Printf.sprintf "%s rank %d window %d" what r window)
+            got want)
+        streams)
+    windows
+
+let app_streams name ~wanted =
+  let app = Option.get (Apps.Registry.find name) in
+  let nranks = Apps.Registry.fit_nranks app ~wanted in
+  (nranks, record_streams ~nranks (app.program ~cls:Apps.Params.S ()))
+
+let registry_tests =
+  [
+    t "registry apps at 16 ranks match the list compressor" (fun () ->
+        List.iter
+          (fun (app : Apps.Registry.app) ->
+            let nranks, streams = app_streams app.name ~wanted:16 in
+            check_streams ~what:app.name ~nranks streams)
+          Apps.Registry.all);
+    t "lu and mg at 64 ranks match the list compressor" (fun () ->
+        List.iter
+          (fun name ->
+            let nranks, streams = app_streams name ~wanted:64 in
+            check_streams ~what:name ~nranks streams)
+          [ "lu"; "mg" ]);
+    t "random programs match the list compressor" (fun () ->
+        (* 1000 programs; each seed takes one of the three windows *)
+        List.iter
+          (fun mode ->
+            for seed = 0 to 499 do
+              let prog = Check.Gen.generate_with ~mode ~seed in
+              let nranks = prog.Check.Gen.nranks in
+              check_streams
+                ~windows:[ List.nth windows (seed mod List.length windows) ]
+                ~what:(Printf.sprintf "gen seed %d" seed)
+                ~nranks
+                (record_streams ~nranks (Check.Gen.to_app prog))
+            done)
+          [ `Mixed; `Neighbor ]);
+    t "foldable predicate: same rejections" (fun () ->
+        let nranks, streams = app_streams "cg" ~wanted:16 in
+        let foldable e = not (Event.is_collective e.Event.kind) in
+        Array.iteri
+          (fun r stream ->
+            let got, want = compress_both ~foldable ~nranks stream in
+            check_same ~what:(Printf.sprintf "cg rank %d" r) got want)
+          streams);
+    t "compress_list over a merged trace" (fun () ->
+        List.iter
+          (fun name ->
+            let app = Option.get (Apps.Registry.find name) in
+            let nranks = Apps.Registry.fit_nranks app ~wanted:16 in
+            let trace, _ =
+              Tracer.trace_run ~nranks (app.program ~cls:Apps.Params.S ())
+            in
+            let nodes = Trace.nodes trace in
+            List.iter
+              (fun window ->
+                let got =
+                  Compress.compress_list ~window ~nranks (List.map Tnode.copy nodes)
+                and want =
+                  Compress_ref.compress_list ~window ~nranks
+                    (List.map Tnode.copy nodes)
+                in
+                check_same
+                  ~what:(Printf.sprintf "%s merged window %d" name window)
+                  got want)
+              windows)
+          [ "lu"; "mg"; "sweep3d" ]);
+  ]
+
+(* Pushing [a b a b] folds the second pair into the first; the absorbed
+   events must become garbage, not linger in vacated tail slots. *)
+let retention_tests =
+  [
+    t "absorbed events are collectable" (fun () ->
+        let c = Compress.create ~nranks:1 () in
+        let weak = Weak.create 2 in
+        let event site =
+          let h = Util.Histogram.create () in
+          Util.Histogram.add h 1e-6;
+          {
+            Event.site = Util.Callsite.synthetic site;
+            kind = Event.E_barrier;
+            peer = Event.P_none;
+            bytes = 0;
+            vec = None;
+            tag = 0;
+            comm = 0;
+            parts = None;
+            dtime = h;
+            ranks = Util.Rank_set.singleton 0;
+            hcache = 0;
+          }
+        in
+        let[@inline never] push_all () =
+          Compress.push c (event "a");
+          Compress.push c (event "b");
+          let a2 = event "a" and b2 = event "b" in
+          Weak.set weak 0 (Some a2);
+          Weak.set weak 1 (Some b2);
+          Compress.push c a2;
+          Compress.push c b2
+        in
+        push_all ();
+        Gc.full_major ();
+        Alcotest.(check bool) "second a collected" false (Weak.check weak 0);
+        Alcotest.(check bool) "second b collected" false (Weak.check weak 1);
+        match Compress.contents c with
+        | [ Tnode.Loop { count = 2; l_len = 2; _ } ] -> ()
+        | nodes ->
+            Alcotest.failf "expected one 2x2 loop, got %d nodes" (List.length nodes));
+  ]
+
+let suite = registry_tests @ retention_tests

@@ -9,6 +9,7 @@ let () =
       ("collalg", Test_collalg.suite);
       ("scalatrace", Test_scalatrace.suite);
       ("merge_diff", Test_merge_diff.suite);
+      ("compress", Test_compress_diff.suite);
       ("conceptual", Test_conceptual.suite);
       ("benchgen", Test_benchgen.suite);
       ("wildcert", Test_wildcard_cert.suite);

@@ -99,6 +99,61 @@ let unit_tests =
         Alcotest.(check bool) "still wild" true (Trace.has_wildcards trace'));
   ]
 
+(* A v1 ring trace with one statistic of every [dt=count;sum;min;max;first]
+   field rewritten.  Accepted, such a trace silently loses every COMPUTE
+   statement (nan or negative sum, negative count) or emits [COMPUTE FOR
+   inf] (infinite sum), so strict loading must refuse it. *)
+let corrupt_dt ~stat ~value text =
+  let rewrite stats =
+    String.split_on_char ';' stats
+    |> List.mapi (fun i x -> if i = stat then value else x)
+    |> String.concat ";"
+  in
+  String.split_on_char '\n' text
+  |> List.map (fun line ->
+         String.split_on_char ' ' line
+         |> List.map (fun field ->
+                if String.starts_with ~prefix:"dt=" field then
+                  "dt=" ^ rewrite (String.sub field 3 (String.length field - 3))
+                else field)
+         |> String.concat " ")
+  |> String.concat "\n"
+
+let dt_corruption_tests =
+  let ring =
+    lazy
+      (let app = Option.get (Apps.Registry.find "ring") in
+       let trace, _ = Tracer.trace_run ~nranks:4 (app.program ~cls:Apps.Params.S ()) in
+       Trace_io.to_text trace)
+  in
+  List.map
+    (fun (what, stat, value) ->
+      t ("corrupt dt rejected: " ^ what) (fun () ->
+          let text = corrupt_dt ~stat ~value (Lazy.force ring) in
+          Alcotest.(check bool) "corrupted" true (text <> Lazy.force ring);
+          let path = Filename.temp_file "corrupt" ".trace" in
+          Fun.protect
+            ~finally:(fun () -> Sys.remove path)
+            (fun () ->
+              Out_channel.with_open_bin path (fun oc ->
+                  Out_channel.output_string oc text);
+              match
+                Benchgen.Pipeline.run Benchgen.Pipeline.default
+                  (Benchgen.Pipeline.From_file path)
+              with
+              | Error (Benchgen.Pipeline.E_trace_format msg) ->
+                  Alcotest.(check bool) msg true
+                    (Test_fault.contains ~sub:"bad dt field" msg)
+              | Error e -> Alcotest.fail (Benchgen.Pipeline.error_to_string e)
+              | Ok _ -> Alcotest.fail "corrupt trace accepted")))
+    (* stat: 0 count, 1 sum *)
+    [
+      ("nan sum", 1, "nan");
+      ("negative sum", 1, "-1");
+      ("negative count", 0, "-5");
+      ("infinite sum", 1, "inf");
+    ]
+
 let suite =
   List.map app_roundtrip [ "bt"; "cg"; "ep"; "ft"; "is"; "lu"; "mg"; "sp"; "sweep3d" ]
-  @ unit_tests
+  @ unit_tests @ dt_corruption_tests
