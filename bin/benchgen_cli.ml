@@ -867,13 +867,13 @@ let fuzz_cmd =
              trace files, checking that every outcome is typed and that \
              best-effort recovery still yields replayable benchmarks), \
              $(b,serve) (seeded scenarios of clean/corrupt/hanging/crashing/\
-             oversized jobs against the serve-mode supervisor, checking typed \
-             responses only, no lost jobs, bounded queue, clean drain, and \
-             same-seed byte-identical transcripts), or $(b,coll) (every \
-             collective algorithm schedule vs the monolithic reference: the \
-             whole app registry plus seeded random programs, checking \
-             identical communication and exactly one completion event per \
-             logical collective).")
+             oversized jobs against a simulated serve-mode worker pool, \
+             checking typed responses only, no lost jobs, bounded queue, \
+             clean drain, and same-seed byte-identical transcripts), or \
+             $(b,coll) (every collective algorithm schedule vs the \
+             monolithic reference: the whole app registry plus seeded random \
+             programs, checking identical communication and exactly one \
+             completion event per logical collective).")
   in
   let workers_arg =
     Arg.(
@@ -881,10 +881,11 @@ let fuzz_cmd =
       & info [ "workers" ] ~docv:"N"
           ~doc:
             "Serve mode only: scenarios drive a simulated worker pool of \
-             $(docv) persistent workers (crashing/hanging jobs across \
-             workers, worker-kill injection, restart backoff, breaker trips, \
-             poison-job quarantine).  1 (the default) keeps the single-worker \
-             supervisor scenarios.")
+             $(docv) persistent workers.  1 (the default) plays the \
+             single-worker job kinds (in-process raises, oversized and \
+             garbage request lines); more workers play crashing/hanging jobs \
+             across workers, worker-kill injection, restart backoff, breaker \
+             trips, and poison-job quarantine.")
   in
   let parse_defect s =
     match Pipeline.defect_of_string s with

@@ -1,29 +1,25 @@
-(** Seeded service fuzzer for the serve-mode supervisor and worker
-    pool ([benchgen fuzz --mode serve [--workers N]]).
+(** Seeded service fuzzer for the serve-mode worker pool
+    ([benchgen fuzz --mode serve [--workers N]]).
 
-    With [workers = 1] each seed builds a deterministic single-worker
-    scenario: a supervisor on a virtual clock with a small random
-    queue bound and retry policy, a synthetic job runner (the serve
-    analogue of the pipeline [defect] seam) drawing jobs from six
-    kinds — clean, flaky (fails until recovery escalates to
-    best-effort), fatal (always fails), hanging (exceeds its deadline
-    and is killed), crashing (raises into the supervisor), and
-    oversized/garbage request lines — and a random interleaving of
-    submissions, job executions, health probes, and a final drain or
-    shutdown.
+    Each seed builds a deterministic timeline of external inputs —
+    submissions in bursts, health probes, and a final drain or
+    shutdown — and plays it against a {!Serve.Pool} of [workers] slots
+    through {!Serve.Pool.Sim} on virtual time, with a small random
+    admission bound and retry policy.  Scripted workers (the serve
+    analogue of the pipeline [defect] seam) play each job's kind.
 
-    With [workers > 1] each seed drives a {!Serve.Pool} through
-    {!Serve.Pool.Sim} on virtual time: crashing and hanging jobs
-    interleaved across workers (including [C_crash_once], which kills
-    its first worker and then succeeds on the retry, and [C_poison],
-    which kills every worker it touches and must be quarantined),
-    out-of-band worker-kill injections, health probes, and a final
-    drain or shutdown.  The transcript is timestamped, so determinism
-    also pins the virtual schedule (dispatch order, restart backoff,
-    breaker trips).
+    With [workers = 1] the kinds are clean, flaky (fails until recovery
+    escalates to best-effort), fatal (always fails), hanging (killed at
+    its deadline), raising in-process (the worker survives), and
+    oversized or garbage request lines (rejected before admission).
+    With [workers > 1] raising jobs and bad lines give way to process
+    deaths — [K_crash_once] kills its first worker and then succeeds on
+    the retry, [K_poison] kills every worker it touches and must be
+    quarantined — and the timeline adds out-of-band worker kills.  The
+    transcript is timestamped, so determinism also pins the virtual
+    schedule (dispatch order, restart backoff, breaker trips).
 
-    The contract asserted on the full transcript is the same in both
-    modes:
+    The contract asserted on the full transcript:
     - {b typed responses only}: every emitted line re-parses as a
       {!Serve.Protocol.response} and round-trips byte-identically;
     - {b no lost jobs}: every accepted submission gets exactly one
@@ -39,7 +35,9 @@
 type config = {
   seed_start : int;
   seeds : int;
-  workers : int;  (** 1 = single-worker supervisor; >1 = pool scenarios *)
+  workers : int;
+      (** pool slots (>= 1); 1 draws the single-worker job kinds, more
+          draw worker deaths and kill injections *)
   log : string -> unit;
 }
 
@@ -56,7 +54,7 @@ type summary = {
 
 val run : config -> summary
 
-(** The response transcript of one seed's scenario (one line per
-    response, ["\n"]-terminated; timestamped when [workers > 1]) —
-    exposed so tests can assert same-seed byte-equality directly. *)
+(** The response transcript of one seed's scenario (one timestamped,
+    ["\n"]-terminated line per response) — exposed so tests can assert
+    same-seed byte-equality directly. *)
 val transcript : ?workers:int -> seed:int -> unit -> string

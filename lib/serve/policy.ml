@@ -80,6 +80,22 @@ let override_from_json t j =
     | Some d when d <= 0. -> Error "deadline_s must be > 0"
     | _ -> Ok ()
   in
+  (* A request may shorten its retry delays but never stretch them past
+     the server's cap: a drain, and SIGTERM, wait for every pending
+     retry. *)
+  let* () =
+    match jitter with
+    | Some j when not (j >= 0. && j <= 1.) -> Error "jitter must be in [0, 1]"
+    | _ -> Ok ()
+  in
+  let* () =
+    match cap with
+    | Some c when not (c >= 0. && c <= t.backoff_max_s) ->
+        Error
+          (Printf.sprintf "backoff_max_s must be in [0, %g], the server's cap"
+             t.backoff_max_s)
+    | _ -> Ok ()
+  in
   Ok
     {
       deadline_s = (match deadline with None -> t.deadline_s | d -> d);

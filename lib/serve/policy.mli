@@ -8,8 +8,8 @@
     runnable — if shorter — benchmark instead of failing hard).
 
     All randomness (jitter) flows through an explicit {!Util.Rng.t}, so
-    a supervisor with a fixed seed produces a bit-identical backoff
-    schedule — the serve fuzzer and the unit tests rely on this. *)
+    a pool with a fixed seed produces a bit-identical backoff schedule —
+    the serve fuzzer and the unit tests rely on this. *)
 
 type t = {
   deadline_s : float option;
@@ -51,5 +51,7 @@ val recovery_for_attempt : t -> attempt:int -> Benchgen.Pipeline.recovery
     submit request object ([deadline_s], [max_retries],
     [backoff_base_s], [backoff_factor], [backoff_max_s], [jitter],
     [escalate], [recovery]) on top of [t].  Unknown recovery spellings
-    and ill-typed fields are errors. *)
+    and ill-typed fields are errors, and so are a [jitter] outside 0..1
+    and a [backoff_max_s] below 0 or above [t.backoff_max_s]: a request
+    may lower the server's backoff cap but not raise it. *)
 val override_from_json : t -> Obs.Json.t -> (t, string) result

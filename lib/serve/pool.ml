@@ -36,9 +36,15 @@ type action =
   | Respond of Protocol.response
   | Note of string
 
+type attempt_outcome =
+  | A_ok of Protocol.ok_info
+  | A_error of Protocol.error_info
+  | A_timeout
+  | A_crashed of string
+
 type event =
   | E_spawned of { wid : int }
-  | E_result of { wid : int; outcome : Supervisor.attempt_outcome }
+  | E_result of { wid : int; outcome : attempt_outcome }
   | E_died of { wid : int; detail : string }
 
 type job = {
@@ -310,13 +316,38 @@ let resolve_failure t ~now job (error : Protocol.error_info) =
     ]
   end
 
+(* The wire error of a failed attempt: [A_timeout] becomes
+   ["deadline_exceeded"] and [A_crashed] ["crashed"], both retryable. *)
+let attempt_error ~(policy : Policy.t) ~path ~recovery = function
+  | A_error e -> e
+  | A_timeout ->
+      {
+        Protocol.e_tag = "deadline_exceeded";
+        e_path = path;
+        e_retryable = true;
+        e_detail =
+          Printf.sprintf
+            "attempt exceeded its %.3f s wall-clock deadline (recovery %s) \
+             and was killed"
+            (Option.value ~default:0. policy.Policy.deadline_s)
+            (Pipeline.recovery_to_string recovery);
+      }
+  | A_crashed msg ->
+      {
+        Protocol.e_tag = "crashed";
+        e_path = path;
+        e_retryable = true;
+        e_detail = "worker died abnormally: " ^ msg;
+      }
+  | A_ok _ -> invalid_arg "Pool.attempt_error: A_ok is not a failure"
+
 let classify t ~now job ~recovery outcome =
   (match outcome with
-  | Supervisor.A_timeout -> Obs.Metrics.inc t.metrics "serve.deadline_kills"
-  | Supervisor.A_crashed _ -> Obs.Metrics.inc t.metrics "serve.crashes"
+  | A_timeout -> Obs.Metrics.inc t.metrics "serve.deadline_kills"
+  | A_crashed _ -> Obs.Metrics.inc t.metrics "serve.crashes"
   | _ -> ());
   match outcome with
-  | Supervisor.A_ok info ->
+  | A_ok info ->
       t.completed <- t.completed + 1;
       Obs.Metrics.inc t.metrics ~labels:[ ("class", "ok") ] "serve.outcomes";
       let info =
@@ -336,7 +367,7 @@ let classify t ~now job ~recovery outcome =
       ]
   | outcome ->
       let error =
-        Supervisor.attempt_error
+        attempt_error
           ~policy:job.j_sub.Protocol.sub_policy
           ~path:(Protocol.submit_path job.j_sub)
           ~recovery outcome
@@ -462,10 +493,10 @@ let handle t ~now event =
                 end
                 else
                   let error =
-                    Supervisor.attempt_error
+                    attempt_error
                       ~policy:job.j_sub.Protocol.sub_policy
                       ~path:(Protocol.submit_path job.j_sub)
-                      ~recovery (Supervisor.A_crashed detail)
+                      ~recovery (A_crashed detail)
                   in
                   resolve_failure t ~now job error
             | _ -> []
@@ -497,7 +528,7 @@ let tick t ~now =
                   "pool: worker %d killed at job %s's deadline; respawning"
                   w.wid job.j_sub.Protocol.sub_id));
           job.j_attempt <- job.j_attempt + 1;
-          List.iter push (classify t ~now job ~recovery Supervisor.A_timeout)
+          List.iter push (classify t ~now job ~recovery A_timeout)
       | _ -> ())
     t.ws;
   (* 3. restart-backoff and breaker-cooldown expiries *)
@@ -586,6 +617,7 @@ module Sim = struct
     | B_ok of { dur : float; statements : int }
     | B_error of { dur : float; error : Protocol.error_info }
     | B_crash of { dur : float; detail : string }
+    | B_raise of { dur : float; detail : string }
     | B_hang
 
   type script =
@@ -596,12 +628,13 @@ module Sim = struct
 
   type input =
     | I_submit of Protocol.submit
+    | I_reject of string option * Protocol.reject_reason
     | I_kill of int
     | I_health
     | I_drain
     | I_shutdown
 
-  type op = O_complete of Supervisor.attempt_outcome | O_die of string
+  type op = O_complete of attempt_outcome | O_die of string
 
   let run ?(spawn_delay_s = 0.01) ~pool ~script ~timeline () =
     let nw = Array.length pool.ws in
@@ -631,13 +664,13 @@ module Sim = struct
                       ok_out = None;
                     }
                   in
-                  ops.(wid) <-
-                    Some (!now +. dur, O_complete (Supervisor.A_ok info))
+                  ops.(wid) <- Some (!now +. dur, O_complete (A_ok info))
               | B_error { dur; error } ->
-                  ops.(wid) <-
-                    Some (!now +. dur, O_complete (Supervisor.A_error error))
+                  ops.(wid) <- Some (!now +. dur, O_complete (A_error error))
               | B_crash { dur; detail } ->
                   ops.(wid) <- Some (!now +. dur, O_die detail)
+              | B_raise { dur; detail } ->
+                  ops.(wid) <- Some (!now +. dur, O_complete (A_crashed detail))
               | B_hang -> ops.(wid) <- None)
           | Respond r -> record r
           | Note _ -> ())
@@ -706,6 +739,7 @@ module Sim = struct
                   let resp, acts = submit pool ~now:!now sub in
                   record resp;
                   perform acts
+              | I_reject (id, reason) -> record (reject pool ?id reason)
               | I_kill wid ->
                   ops.(wid) <- None;
                   spawns := List.filter (fun (_, w) -> w <> wid) !spawns;

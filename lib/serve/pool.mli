@@ -1,5 +1,5 @@
-(** The concurrent worker-pool scheduler: a deterministic, I/O-free
-    state machine that supervises N persistent worker slots.
+(** The serve-mode scheduler: a deterministic, I/O-free state machine
+    that supervises N persistent worker slots.
 
     This module never forks, reads, writes, sleeps, or looks at a
     clock.  Every call takes [~now] and returns a list of {!action}s
@@ -11,12 +11,13 @@
       processes and feeds events from its [select] loop;
     - {!Sim} performs them against scripted synthetic workers on a
       virtual clock, which is how every policy below is unit-tested
-      and how [Check.Servefuzz]'s concurrent scenarios run —
-      same seed, byte-identical transcript.
+      and how every [Check.Servefuzz] scenario runs — same seed,
+      byte-identical transcript.
 
-    Supervision semantics on top of the single-worker {!Supervisor}
-    policies (per-attempt deadline, bounded retries with seeded
-    exponential backoff, recovery escalation):
+    Each job runs under its submit's {!Policy.t}: a per-attempt
+    deadline, bounded retries with seeded exponential backoff, and
+    recovery escalation.  On top of that the pool supervises its
+    worker slots:
 
     - {e Dispatch}: FIFO job order onto the lowest-numbered idle
       worker.
@@ -74,10 +75,17 @@ type action =
       (** deliver to the job's submitter (terminal responses only) *)
   | Note of string  (** log line (never part of the wire transcript) *)
 
+(** How one attempt ended, as reported by a live worker. *)
+type attempt_outcome =
+  | A_ok of Protocol.ok_info
+  | A_error of Protocol.error_info
+  | A_timeout  (** the attempt hit its wall-clock deadline and was killed *)
+  | A_crashed of string  (** the attempt raised; the worker survived *)
+
 (** What the environment observed. *)
 type event =
   | E_spawned of { wid : int }  (** the slot's worker process is up *)
-  | E_result of { wid : int; outcome : Supervisor.attempt_outcome }
+  | E_result of { wid : int; outcome : attempt_outcome }
       (** the worker returned an attempt result (it survives; an
           [A_crashed] here means the attempt raised, not that the
           process died) *)
@@ -153,9 +161,8 @@ val worker_state_name : t -> int -> string
 (** {2 Simulated environment}
 
     Drives a pool entirely on virtual time against scripted worker
-    behaviors — the concurrent analogue of [Supervisor.sim_clock].
-    Deterministic: same pool seed + script + timeline produce the same
-    timestamped outcomes, byte for byte. *)
+    behaviors.  Deterministic: same pool seed + script + timeline
+    produce the same timestamped outcomes, byte for byte. *)
 module Sim : sig
   (** How a scripted worker handles one dispatched attempt. *)
   type behavior =
@@ -163,6 +170,9 @@ module Sim : sig
     | B_error of { dur : float; error : Protocol.error_info }
     | B_crash of { dur : float; detail : string }
         (** the worker process dies [dur] after dispatch *)
+    | B_raise of { dur : float; detail : string }
+        (** the attempt raises [dur] after dispatch; the worker survives
+            and the pool sees [E_result (A_crashed detail)] *)
     | B_hang  (** never answers; only a deadline kill frees the slot *)
 
   type script =
@@ -173,6 +183,9 @@ module Sim : sig
 
   type input =
     | I_submit of Protocol.submit
+    | I_reject of string option * Protocol.reject_reason
+        (** a request line the protocol layer refused (parse failure,
+            oversized line): {!reject} records it and its response *)
     | I_kill of int  (** kill slot [wid]'s worker out of band *)
     | I_health
     | I_drain

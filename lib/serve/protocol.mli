@@ -78,7 +78,7 @@ type error_info = {
           ["bad_class"] *)
   e_path : string option;  (** input trace file, when the job had one *)
   e_retryable : bool;
-      (** whether the supervisor considers this failure worth retrying
+      (** whether the pool considers this failure worth retrying
           (with escalated recovery) *)
   e_detail : string;  (** human-readable diagnostic *)
 }

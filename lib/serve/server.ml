@@ -442,22 +442,10 @@ let serve_loop st =
                         match Worker.read_step w with
                         | `Again -> ()
                         | `Eof -> worker_died st wid "worker process died"
-                        | `Reply (Worker.R_result r) ->
-                            let outcome =
-                              match r with
-                              | Isolate.R_ok info -> Supervisor.A_ok info
-                              | Isolate.R_error e -> Supervisor.A_error e
-                            in
+                        | `Reply outcome ->
                             perform_actions st
                               (Pool.handle st.pool ~now:(now ())
                                  (Pool.E_result { wid; outcome }))
-                        | `Reply (Worker.R_raised msg) ->
-                            (* the attempt raised in-process; the worker
-                               itself is alive and reusable *)
-                            perform_actions st
-                              (Pool.handle st.pool ~now:(now ())
-                                 (Pool.E_result
-                                    { wid; outcome = Supervisor.A_crashed msg }))
                         | exception _ ->
                             worker_died st wid "garbled worker reply")
                     | None -> (

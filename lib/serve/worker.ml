@@ -4,10 +4,6 @@ module Pipeline = Benchgen.Pipeline
    recovery level are closure-free by construction. *)
 type request = { rq_sub : Protocol.submit; rq_recovery : Pipeline.recovery }
 
-type reply =
-  | R_result of Isolate.worker_result
-  | R_raised of string
-
 type t = {
   wid : int;
   pid : int;
@@ -59,18 +55,73 @@ let read_value_blocking fd =
   end
 
 (* ------------------------------------------------------------------ *)
-(* Child loop                                                          *)
+(* The attempt and the child loop                                      *)
+
+let attempt (sub : Protocol.submit) ~recovery : Pool.attempt_outcome =
+  let non_retryable tag detail =
+    Pool.A_error
+      { Protocol.e_tag = tag; e_path = None; e_retryable = false;
+        e_detail = detail }
+  in
+  let run_pipeline ?path cfg source =
+    match Pipeline.run cfg source with
+    | Error e -> Pool.A_error (Protocol.error_of_gen_error ?path e)
+    | Ok (artifact, warnings) -> (
+        let report = artifact.Pipeline.report in
+        let write out =
+          Out_channel.with_open_text out (fun oc ->
+              Out_channel.output_string oc report.Pipeline.text)
+        in
+        match Option.iter write sub.sub_out with
+        | exception Sys_error msg ->
+            Pool.A_error
+              (Protocol.error_of_gen_error ?path:sub.sub_out (Pipeline.E_io msg))
+        | () ->
+            Pool.A_ok
+              {
+                Protocol.ok_statements = report.Pipeline.statements;
+                ok_final_rsds = report.Pipeline.final_rsds;
+                (* overwritten by the pool with the attempt's level *)
+                ok_recovery = Pipeline.recovery_to_string recovery;
+                ok_warnings =
+                  List.map
+                    (fun w ->
+                      (Pipeline.warning_tag w, Pipeline.warning_to_string w))
+                    warnings;
+                ok_text =
+                  (if sub.sub_emit_text then Some report.Pipeline.text
+                   else None);
+                ok_out = sub.sub_out;
+              })
+  in
+  let cfg = { Pipeline.default with recovery; name = Some sub.sub_id } in
+  match sub.sub_source with
+  | Protocol.J_file path -> run_pipeline ~path cfg (Pipeline.From_file path)
+  | Protocol.J_app { app; nranks; cls } -> (
+      match Apps.Registry.find app with
+      | None ->
+          non_retryable "unknown_app"
+            (Printf.sprintf "no registered application named %S" app)
+      | Some a -> (
+          match Apps.Params.cls_of_string cls with
+          | None ->
+              non_retryable "bad_class"
+                (Printf.sprintf "unknown problem class %S (S|W|A|B|C)" cls)
+          | Some cls ->
+              let nranks = Apps.Registry.fit_nranks a ~wanted:nranks in
+              run_pipeline cfg
+                (Pipeline.From_app { nranks; app = a.program ~cls () })))
 
 let child_loop rd wr : unit =
   let rec loop () =
     match (read_value_blocking rd : request option) with
     | None -> Unix._exit 0
     | Some { rq_sub; rq_recovery } ->
-        let reply =
-          try R_result (Isolate.attempt rq_sub ~recovery:rq_recovery)
-          with exn -> R_raised (Printexc.to_string exn)
+        let outcome =
+          try attempt rq_sub ~recovery:rq_recovery
+          with exn -> Pool.A_crashed (Printexc.to_string exn)
         in
-        (try write_value wr (reply : reply)
+        (try write_value wr (outcome : Pool.attempt_outcome)
          with _ -> Unix._exit 0);
         loop ()
   in
@@ -128,12 +179,12 @@ let read_step t =
         let total = Marshal.header_size + Marshal.data_size data 0 in
         if len < total then `Again
         else begin
-          let reply : reply = Marshal.from_bytes data 0 in
+          let outcome : Pool.attempt_outcome = Marshal.from_bytes data 0 in
           Buffer.clear t.rbuf;
           (* one reply per request; anything beyond is a protocol bug *)
           if len > total then
             Buffer.add_subbytes t.rbuf data total (len - total);
-          `Reply reply
+          `Reply outcome
         end)
 
 let kill t =

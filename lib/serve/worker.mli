@@ -1,22 +1,26 @@
 (** A persistent forked pool worker.
 
-    Unlike {!Isolate.run_forked} (a fresh fork per attempt), a pool
-    worker is forked once per {!Pool.Spawn} and then loops: read one
-    marshaled request from its request pipe, run {!Isolate.attempt} in
-    its own process, marshal the reply back, repeat.  The fork cost is
-    paid per worker lifetime instead of per attempt; crash isolation is
-    unchanged (a segfaulting or [exit]ing job kills only the worker,
-    which the pool observes as EOF on the reply pipe and restarts).
+    A worker is forked once per {!Pool.Spawn} and then loops: read one
+    marshaled request from its request pipe, run {!attempt} in its own
+    process, marshal the {!Pool.attempt_outcome} back, repeat.  The
+    fork cost is paid per worker lifetime instead of per attempt, and a
+    segfaulting or [exit]ing job kills only the worker, which the pool
+    observes as EOF on the reply pipe and restarts.
 
-    In-process exceptions raised by an attempt are caught inside the
-    worker and reported as {!R_raised} — the worker {e survives} them;
-    only hard process deaths surface as {!read_step} [`Eof]. *)
-
-type reply =
-  | R_result of Isolate.worker_result
-  | R_raised of string  (** the attempt raised; the worker is still up *)
+    An exception raised by an attempt is caught inside the worker and
+    reported as {!Pool.A_crashed} — the worker {e survives} it; only
+    hard process deaths surface as {!read_step} [`Eof]. *)
 
 type t
+
+(** [attempt sub ~recovery] — one pipeline attempt, run {e in the
+    calling process}: build the {!Benchgen.Pipeline.config} from the
+    job, run it at [recovery], write [sub_out] if requested.  Pipeline
+    errors carry their stable tag and the trace path; a [sub_out] that
+    cannot be written is a non-retryable ["io"] error whose path is
+    [sub_out]. *)
+val attempt :
+  Protocol.submit -> recovery:Benchgen.Pipeline.recovery -> Pool.attempt_outcome
 
 (** [spawn ~wid ~close_fds ()] forks a worker for slot [wid].  The
     child closes every descriptor in [close_fds ()] (client
@@ -45,7 +49,7 @@ val send :
     readable: consume available bytes and return a complete reply once
     one has accumulated.  [`Eof] means the worker died (or exited).
     @raise Failure on an undecodable reply stream. *)
-val read_step : t -> [ `Reply of reply | `Eof | `Again ]
+val read_step : t -> [ `Reply of Pool.attempt_outcome | `Eof | `Again ]
 
 (** [SIGKILL] the worker, reap it, close its pipes.  Idempotent. *)
 val kill : t -> unit

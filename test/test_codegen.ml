@@ -1,8 +1,3 @@
-(* Deliberately exercises the deprecated Benchgen wrappers: they must
-   keep behaving exactly like Pipeline.run until they are removed (the
-   differential check lives in test_obs.ml). *)
-[@@@alert "-deprecated"]
-
 open Scalatrace
 module A = Conceptual.Ast
 
@@ -78,7 +73,7 @@ let cursor_tests =
 (* Code generation: peer grouping, statement shapes                   *)
 
 let stmt_of_trace trace =
-  let report = Benchgen.generate trace in
+  let report = Generate.report (Benchgen.Pipeline.From_trace trace) in
   (* strip the reset/log wrapper *)
   match report.program.A.body with
   | A.Reset _ :: rest -> List.filter (function A.Log _ -> false | _ -> true) rest
@@ -98,7 +93,10 @@ let codegen_tests =
     t "negative offsets print as t - d" (fun () ->
         let e = mk ~kind:Event.E_recv ~peer:(Event.P_rel 7) ~ranks:(Util.Rank_set.all 8) () in
         let fin = mk ~kind:Event.E_finalize ~peer:Event.P_none ~ranks:(Util.Rank_set.all 8) () in
-        let report = Benchgen.generate (trace_of [ Tnode.Leaf e; Tnode.Leaf fin ])
+        let report =
+          Generate.report
+            (Benchgen.Pipeline.From_trace
+               (trace_of [ Tnode.Leaf e; Tnode.Leaf fin ]))
         in
         Alcotest.(check bool) "uses t - 1" true
           (let needle = "(t - 1) MOD 8" in

@@ -44,7 +44,12 @@ let shape_tests =
           Coll_alg.all;
         Alcotest.(check bool)
           "unknown name rejected" true
-          (Result.is_error (Coll_alg.of_string "hypercube")));
+          (Result.is_error (Coll_alg.of_string "hypercube"));
+        (* the reference model stays the pipeline's default, so same-seed
+           artifacts stay byte-identical across releases *)
+        Alcotest.(check string)
+          "pipeline default" "monolithic"
+          (Coll_alg.name Benchgen.Pipeline.default.coll_alg));
     t "ring allreduce: p-1 rounds of p full-vector transfers" (fun () ->
         let sched = expand_exn `Ring ~op:(allreduce 512) ~p:5 in
         Alcotest.(check int) "rounds" 4 (Coll_alg.round_count sched);

@@ -1,8 +1,3 @@
-(* Deliberately exercises the deprecated Benchgen wrappers: they must
-   keep behaving exactly like Pipeline.run until they are removed (the
-   differential check lives in test_obs.ml). *)
-[@@@alert "-deprecated"]
-
 open Mpisim
 open Scalatrace
 
@@ -76,7 +71,7 @@ let extrap_tests =
     t "extrapolated benchmark time tracks the real one" (fun () ->
         let inputs = List.map (fun p -> trace_at p ring) [ 4; 8; 16 ] in
         let ex = Benchgen.Extrap.extrapolate inputs ~target:64 in
-        let report = Benchgen.generate ~name:"ring64(extrapolated)" ex in
+        let report = Generate.report (Benchgen.Pipeline.From_trace ex) in
         let res = Conceptual.Lower.run ~nranks:64 report.program in
         let _, actual = Tracer.trace_run ~nranks:64 ring in
         let err =
@@ -135,7 +130,7 @@ let extrap_tests =
     t "extrapolated trace passes generation round-trip" (fun () ->
         let inputs = List.map (fun p -> trace_at p ring) [ 4; 8; 16 ] in
         let ex = Benchgen.Extrap.extrapolate inputs ~target:32 in
-        let report = Benchgen.generate ex in
+        let report = Generate.report (Benchgen.Pipeline.From_trace ex) in
         Alcotest.(check bool) "parses" true
           (Conceptual.Ast.equal report.program (Conceptual.Parse.program report.text)));
   ]
@@ -181,7 +176,7 @@ let stencil2d_tests =
     t "2-D stencil extrapolated benchmark runs and tracks time" (fun () ->
         let inputs = List.map (fun p -> trace_at p stencil) [ 16; 36; 64 ] in
         let ex = Benchgen.Extrap.extrapolate inputs ~target:100 in
-        let report = Benchgen.generate ex in
+        let report = Generate.report (Benchgen.Pipeline.From_trace ex) in
         let res = Conceptual.Lower.run ~nranks:100 report.program in
         let _, actual = Tracer.trace_run ~nranks:100 stencil in
         let err =

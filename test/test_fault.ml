@@ -1,11 +1,7 @@
-(* Deliberately exercises the deprecated Benchgen wrappers: they must
-   keep behaving exactly like Pipeline.run until they are removed (the
-   differential check lives in test_obs.ml). *)
-[@@@alert "-deprecated"]
-
 (* Fault injection, watchdog, and graceful-degradation tests. *)
 
 open Mpisim
+module Pipeline = Benchgen.Pipeline
 
 let t name f = Alcotest.test_case name `Quick f
 
@@ -153,16 +149,19 @@ let resilience_tests =
           (fun (app : Apps.Registry.app) ->
             let nranks = Apps.Registry.fit_nranks app ~wanted:8 in
             let fault = Fault.make ~seed:11 ~drop_prob:0.05 ~jitter_mean:1e-6 () in
-            let report, outcome =
-              Benchgen.from_app ~name:app.name ~fault ~nranks
-                (app.program ~cls:Apps.Params.S ())
+            let a =
+              Generate.artifact
+                ~cfg:
+                  { Pipeline.default with name = Some app.name; fault = Some fault }
+                (Pipeline.From_app
+                   { nranks; app = app.program ~cls:Apps.Params.S () })
             in
             Alcotest.(check bool)
               (app.name ^ " generates") true
-              (report.Benchgen.statements > 0);
+              (a.Pipeline.report.statements > 0);
             Alcotest.(check bool)
               (app.name ^ " finished") true
-              (outcome.Engine.elapsed > 0.))
+              ((Option.get a.Pipeline.trace_outcome).Engine.elapsed > 0.))
           Apps.Registry.paper_suite);
     t "retry exhaustion raises Stalled naming the budget" (fun () ->
         let fault = Fault.make ~seed:1 ~drop_prob:0.99 ~max_retries:2 () in
@@ -313,11 +312,11 @@ let checked_tests =
   [
     t "generate_checked: clean trace yields Ok with no warnings" (fun () ->
         let trace, _ = Scalatrace.Tracer.trace_run ~nranks:4 ring in
-        match Benchgen.generate_checked trace with
-        | Error e -> Alcotest.fail (Benchgen.error_to_string e)
-        | Ok (report, warnings) ->
+        match Pipeline.run Pipeline.default (Pipeline.From_trace trace) with
+        | Error e -> Alcotest.fail (Pipeline.error_to_string e)
+        | Ok (a, warnings) ->
             Alcotest.(check bool) "has statements" true
-              (report.Benchgen.statements > 0);
+              (a.Pipeline.report.statements > 0);
             Alcotest.(check int) "no warnings" 0 (List.length warnings));
     t "generate_checked: wildcard resolution is reported as a warning"
       (fun () ->
@@ -333,38 +332,43 @@ let checked_tests =
           Mpi.finalize ~site:s4 ctx
         in
         let trace, _ = Scalatrace.Tracer.trace_run ~nranks:3 prog in
-        match Benchgen.generate_checked trace with
-        | Error e -> Alcotest.fail (Benchgen.error_to_string e)
-        | Ok (report, warnings) ->
-            Alcotest.(check bool) "resolved" true report.Benchgen.resolved;
+        match Pipeline.run Pipeline.default (Pipeline.From_trace trace) with
+        | Error e -> Alcotest.fail (Pipeline.error_to_string e)
+        | Ok (a, warnings) ->
+            Alcotest.(check bool) "resolved" true a.Pipeline.report.resolved;
             Alcotest.(check bool) "warned" true
-              (List.mem Benchgen.W_wildcard_resolved warnings));
+              (List.mem Pipeline.W_wildcard_resolved warnings));
     t "generate_checked: Figure 5 comes back as a typed error" (fun () ->
         let trace, _ = Scalatrace.Tracer.trace_run ~nranks:3 figure5 in
-        match Benchgen.generate_checked ~strategy:`Traversal trace with
+        match
+          Pipeline.run
+            { Pipeline.default with strategy = Some `Traversal }
+            (Pipeline.From_trace trace)
+        with
         | Ok _ -> Alcotest.fail "expected E_potential_deadlock"
-        | Error (Benchgen.E_potential_deadlock _) -> ()
-        | Error e -> Alcotest.fail (Benchgen.error_to_string e));
+        | Error (Pipeline.E_potential_deadlock _) -> ()
+        | Error e -> Alcotest.fail (Pipeline.error_to_string e));
     t "generate_checked_file: garbage file is E_trace_format" (fun () ->
         let path = Filename.temp_file "benchgen" ".trace" in
         let oc = open_out path in
         output_string oc "this is not a trace\n";
         close_out oc;
-        let r = Benchgen.generate_checked_file ~path () in
+        let r = Pipeline.run Pipeline.default (Pipeline.From_file path) in
         Sys.remove path;
         match r with
-        | Error (Benchgen.E_trace_format _) -> ()
-        | Error e -> Alcotest.fail (Benchgen.error_to_string e)
+        | Error (Pipeline.E_trace_format _) -> ()
+        | Error e -> Alcotest.fail (Pipeline.error_to_string e)
         | Ok _ -> Alcotest.fail "expected E_trace_format");
     t "generate_checked_file: missing file is E_io" (fun () ->
         match
-          Benchgen.generate_checked_file ~path:"/nonexistent/benchgen.trace" ()
+          Pipeline.run Pipeline.default
+            (Pipeline.From_file "/nonexistent/benchgen.trace")
         with
-        | Error (Benchgen.E_io _) -> ()
-        | Error e -> Alcotest.fail (Benchgen.error_to_string e)
+        | Error (Pipeline.E_io _) -> ()
+        | Error e -> Alcotest.fail (Pipeline.error_to_string e)
         | Ok _ -> Alcotest.fail "expected E_io");
     t "validate_under_noise: reproducible sampled distribution" (fun () ->
-        let report, _ = Benchgen.from_app ~nranks:4 ring in
+        let report = Generate.report (Pipeline.From_app { nranks = 4; app = ring }) in
         let run () =
           Benchgen.validate_under_noise ~trials:3 ~base_seed:5 ~nranks:4 ring
             report
@@ -386,7 +390,7 @@ let checked_tests =
               && s.Benchgen.ns_bandwidth_factor < 1.))
           a.Benchgen.nr_samples);
     t "validate_under_noise rejects trials < 1" (fun () ->
-        let report, _ = Benchgen.from_app ~nranks:4 ring in
+        let report = Generate.report (Pipeline.From_app { nranks = 4; app = ring }) in
         Alcotest.(check bool) "raises" true
           (try
              ignore (Benchgen.validate_under_noise ~trials:0 ~nranks:4 ring report);

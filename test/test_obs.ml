@@ -1,8 +1,5 @@
 (* The observability layer: metrics registry, sink/exporter golden
-   output, hook composition, pipeline spans, and the differential check
-   that the deprecated Benchgen wrappers still behave exactly like
-   Pipeline.run with a nil sink. *)
-[@@@alert "-deprecated"]
+   output, hook composition, and pipeline spans. *)
 
 module Json = Obs.Json
 module Sink = Obs.Sink
@@ -328,105 +325,5 @@ let span_tests =
           [ "replay"; "compare" ]);
   ]
 
-(* ------------------------------------------------------------------ *)
-(* Differential: deprecated wrappers vs Pipeline.run with a nil sink   *)
-
-let differential_tests =
-  [
-    t "generate_checked = Pipeline.run From_trace, whole app registry"
-      (fun () ->
-        List.iter
-          (fun (app : Apps.Registry.app) ->
-            let nranks = Apps.Registry.fit_nranks app ~wanted:8 in
-            let trace, _ =
-              Scalatrace.Tracer.trace_run ~nranks (app.program ())
-            in
-            let old_r = Benchgen.generate_checked ~name:app.name trace in
-            let new_r =
-              Pipeline.run
-                { Pipeline.default with name = Some app.name }
-                (Pipeline.From_trace trace)
-            in
-            match (old_r, new_r) with
-            | Ok (rep, ws), Ok (a, ws') ->
-                Alcotest.(check string)
-                  (app.name ^ ": text") rep.Benchgen.text a.Pipeline.report.text;
-                Alcotest.(check int)
-                  (app.name ^ ": warnings") (List.length ws) (List.length ws')
-            | Error e, Error e' ->
-                Alcotest.(check string)
-                  (app.name ^ ": error")
-                  (Benchgen.error_to_string e)
-                  (Pipeline.error_to_string e')
-            | _ -> Alcotest.failf "%s: wrapper and pipeline disagree" app.name)
-          Apps.Registry.all);
-    t "from_app = Pipeline.run From_app" (fun () ->
-        let report, outcome = Benchgen.from_app ~name:"ring" ~nranks:4 ring_app in
-        match
-          Pipeline.run
-            { Pipeline.default with name = Some "ring" }
-            (Pipeline.From_app { nranks = 4; app = ring_app })
-        with
-        | Ok (a, _) ->
-            Alcotest.(check string) "text" report.Benchgen.text a.Pipeline.report.text;
-            let o = Option.get a.Pipeline.trace_outcome in
-            Alcotest.(check int)
-              "events" outcome.Mpisim.Engine.events o.Mpisim.Engine.events;
-            Alcotest.(check (float 1e-12))
-              "elapsed" outcome.Mpisim.Engine.elapsed o.Mpisim.Engine.elapsed
-        | Error e -> Alcotest.fail (Pipeline.error_to_string e));
-    t "wrappers pin coll_alg to the monolithic default" (fun () ->
-        (* The removal schedule (benchgen.mli) freezes the wrappers: they
-           gain no new config knobs, so they must behave exactly like a
-           pipeline pinned to the `Monolithic default — even while other
-           configs select schedule strategies. *)
-        Alcotest.(check string)
-          "default is monolithic" "monolithic"
-          (Mpisim.Coll_alg.name Pipeline.default.coll_alg);
-        let report, outcome = Benchgen.from_app ~name:"ring" ~nranks:4 ring_app in
-        match
-          Pipeline.run
-            { Pipeline.default with name = Some "ring"; coll_alg = `Monolithic }
-            (Pipeline.From_app { nranks = 4; app = ring_app })
-        with
-        | Ok (a, _) ->
-            Alcotest.(check string)
-              "text" report.Benchgen.text a.Pipeline.report.text;
-            let o = Option.get a.Pipeline.trace_outcome in
-            Alcotest.(check (float 1e-12))
-              "elapsed" outcome.Mpisim.Engine.elapsed o.Mpisim.Engine.elapsed
-        | Error e -> Alcotest.fail (Pipeline.error_to_string e));
-    t "generate raises the documented exception on deadlock input" (fun () ->
-        (* Figure 5's latent-deadlock shape: the wrapper must surface the
-           same exception the historical API threw. *)
-        let f1 = Mpisim.Mpi.site __POS__ and f2 = Mpisim.Mpi.site __POS__ in
-        let f3 = Mpisim.Mpi.site __POS__ and f4 = Mpisim.Mpi.site __POS__ in
-        let fig5 (ctx : Mpisim.Mpi.ctx) =
-          if ctx.rank = 0 then Mpisim.Mpi.compute ctx 1e-3;
-          (if ctx.rank = 1 then begin
-             ignore
-               (Mpisim.Mpi.recv ~site:f1 ctx ~src:Mpisim.Call.Any_source ~bytes:8);
-             ignore (Mpisim.Mpi.recv ~site:f2 ctx ~src:(Mpisim.Call.Rank 0) ~bytes:8)
-           end
-           else if ctx.rank = 0 || ctx.rank = 2 then
-             Mpisim.Mpi.send ~site:f3 ctx ~dst:1 ~bytes:8);
-          Mpisim.Mpi.finalize ~site:f4 ctx
-        in
-        let trace, _ = Scalatrace.Tracer.trace_run ~nranks:3 fig5 in
-        (match Benchgen.generate_checked ~strategy:`Traversal trace with
-        | Error (Benchgen.E_potential_deadlock _) -> ()
-        | Ok _ -> Alcotest.fail "generate_checked missed the deadlock"
-        | Error e -> Alcotest.failf "wrong error: %s" (Benchgen.error_to_string e));
-        match
-          Pipeline.run
-            { Pipeline.default with strategy = Some `Traversal }
-            (Pipeline.From_trace trace)
-        with
-        | Error (Pipeline.E_potential_deadlock _) -> ()
-        | Ok _ -> Alcotest.fail "Pipeline.run missed the deadlock"
-        | Error e -> Alcotest.failf "wrong error: %s" (Pipeline.error_to_string e));
-  ]
-
 let suite =
   json_tests @ exporter_tests @ metrics_tests @ hooks_tests @ span_tests
-  @ differential_tests

@@ -1,12 +1,11 @@
 (* Serve mode: supervision policy (backoff schedule, recovery
-   escalation), wire protocol round-trips, admission control, the
-   supervisor's retry/deadline/crash-isolation behavior on a virtual
-   clock, the seeded service fuzzer, and domain-safety of the metrics
-   registry the server aggregates into. *)
+   escalation), wire protocol round-trips, per-job retry/escalation/
+   admission behavior on a one-slot pool, the worker pool's concurrent
+   supervision on virtual time, the seeded service fuzzer, and
+   domain-safety of the metrics registry the server aggregates into. *)
 
 module Policy = Serve.Policy
 module P = Serve.Protocol
-module Sup = Serve.Supervisor
 module Pipeline = Benchgen.Pipeline
 
 let t name f = Alcotest.test_case name `Quick f
@@ -102,16 +101,27 @@ let policy_tests =
             Alcotest.(check bool) "escalate" false p.Policy.escalate);
         (match
            Policy.override_from_json Policy.default
-             (Obs.Json.parse {|{"max_retries":-1}|})
+             (Obs.Json.parse {|{"backoff_max_s":0.5}|})
          with
-        | Error _ -> ()
-        | Ok _ -> Alcotest.fail "negative max_retries accepted");
-        match
-          Policy.override_from_json Policy.default
-            (Obs.Json.parse {|{"recovery":"yolo"}|})
-        with
-        | Error _ -> ()
-        | Ok _ -> Alcotest.fail "unknown recovery accepted");
+        | Ok p ->
+            Alcotest.(check (float 0.)) "cap lowered" 0.5 p.Policy.backoff_max_s
+        | Error m -> Alcotest.failf "lowering the cap rejected: %s" m);
+        (* a retry delay beyond the server's cap would stall its drain *)
+        List.iter
+          (fun fields ->
+            match
+              Policy.override_from_json Policy.default (Obs.Json.parse fields)
+            with
+            | Error _ -> ()
+            | Ok _ -> Alcotest.failf "accepted %s" fields)
+          [
+            {|{"max_retries":-1}|};
+            {|{"recovery":"yolo"}|};
+            {|{"jitter":-0.1}|};
+            {|{"jitter":1e9}|};
+            {|{"backoff_max_s":-1}|};
+            {|{"backoff_base_s":1e9,"backoff_max_s":1e9,"max_retries":1}|};
+          ]);
   ]
 
 (* ------------------------------------------------------------------ *)
@@ -280,7 +290,9 @@ let protocol_tests =
   ]
 
 (* ------------------------------------------------------------------ *)
-(* Supervisor on a virtual clock                                       *)
+(* Per-job policy on a one-slot pool, on virtual time                  *)
+
+module Pool = Serve.Pool
 
 let ok_info =
   {
@@ -301,187 +313,205 @@ let submit_of ?(policy = Policy.default) id =
     sub_emit_text = false;
   }
 
-let sup_of ?(queue_limit = 8) runner =
-  Sup.create ~queue_limit ~seed:1 ~runner ~clock:(Sup.sim_clock ()) ()
+let ok_behavior ?(dur = 0.01) () =
+  Pool.Sim.B_ok { dur; statements = 4 }
 
-let supervisor_tests =
+let always_ok _ ~attempt:_ ~recovery:_ = ok_behavior ()
+
+let sim_pool ?queue_limit ?metrics ~workers () =
+  Pool.create ?queue_limit ?metrics
+    ~wpolicy:{ Pool.default_wpolicy with workers }
+    ()
+
+(* Play [timeline] on a fresh one-slot pool. *)
+let play ?queue_limit ?metrics ~script timeline =
+  Pool.Sim.run ~pool:(sim_pool ?queue_limit ?metrics ~workers:1 ()) ~script
+    ~timeline ()
+
+let results rs =
+  List.filter
+    (fun r -> match r with P.Result_ok _ | P.Result_error _ -> true | _ -> false)
+    (List.map snd rs)
+
+let lines rs = String.concat " | " (List.map P.response_to_line rs)
+
+let failing ?(retryable = true) ?path tag =
+  Pool.Sim.B_error
+    {
+      dur = 0.01;
+      error =
+        { P.e_tag = tag; e_path = path; e_retryable = retryable; e_detail = tag };
+    }
+
+let policy_on_pool_tests =
   [
     t "clean job: accepted then one ok result" (fun () ->
-        let sup = sup_of (fun _ ~recovery:_ ~deadline_s:_ -> Sup.A_ok ok_info) in
-        (match Sup.submit sup (submit_of "a") with
-        | P.Accepted { id = "a"; queue_depth = 1 } -> ()
-        | r -> Alcotest.failf "unexpected: %s" (P.response_to_line r));
-        match Sup.run_next sup with
-        | Some (P.Result_ok { id = "a"; attempts = 1; _ }) ->
-            Alcotest.(check int) "queue empty" 0 (Sup.queue_length sup)
-        | Some r -> Alcotest.failf "unexpected: %s" (P.response_to_line r)
-        | None -> Alcotest.fail "no response");
+        match
+          play ~script:always_ok
+            [ (0.0, Pool.Sim.I_submit (submit_of "a")); (0.0, Pool.Sim.I_drain) ]
+        with
+        | [
+         (_, P.Accepted { id = "a"; queue_depth = 1 });
+         (_, P.Result_ok { id = "a"; attempts = 1; info });
+         (_, P.Drained { jobs_run = 1; cancelled = 0 });
+        ] ->
+            Alcotest.(check string) "recovery" "strict" info.P.ok_recovery
+        | rs -> Alcotest.failf "unexpected transcript: %s" (lines (List.map snd rs)));
     t "retry escalates recovery until success" (fun () ->
         (* fails at strict and salvage, succeeds at best-effort: the
            escalation path the paper's damaged-trace story needs *)
         let seen = ref [] in
-        let runner _ ~recovery ~deadline_s:_ =
+        let script _ ~attempt:_ ~recovery =
           seen := recovery :: !seen;
-          if recovery = `Best_effort then
-            Sup.A_ok { ok_info with P.ok_recovery = "best-effort" }
-          else
-            Sup.A_error
-              {
-                P.e_tag = "unrecoverable_trace";
-                e_path = None;
-                e_retryable = true;
-                e_detail = "needs weaker recovery";
-              }
+          if recovery = `Best_effort then ok_behavior ()
+          else failing "unrecoverable_trace"
         in
         let policy = { Policy.default with max_retries = 2 } in
-        let sup = sup_of runner in
-        ignore (Sup.submit sup (submit_of ~policy "esc"));
-        (match Sup.run_next sup with
-        | Some (P.Result_ok { id = "esc"; attempts = 3; info }) ->
+        (match
+           results
+             (play ~script [ (0.0, Pool.Sim.I_submit (submit_of ~policy "esc")) ])
+         with
+        | [ P.Result_ok { id = "esc"; attempts = 3; info } ] ->
             Alcotest.(check string)
               "reports the successful level" "best-effort" info.P.ok_recovery
-        | Some r -> Alcotest.failf "unexpected: %s" (P.response_to_line r)
-        | None -> Alcotest.fail "no response");
+        | rs ->
+            Alcotest.failf "unexpected: %s" (lines rs));
         Alcotest.(check bool)
           "ran strict, salvage, best-effort in order" true
           (List.rev !seen = [ `Strict; `Salvage; `Best_effort ]));
     t "retries exhausted: last error surfaces with attempt count" (fun () ->
-        let runner _ ~recovery:_ ~deadline_s:_ =
-          Sup.A_error
-            {
-              P.e_tag = "trace_format";
-              e_path = Some "x.trace";
-              e_retryable = true;
-              e_detail = "always broken";
-            }
+        let script _ ~attempt:_ ~recovery:_ =
+          failing ~path:"x.trace" "trace_format"
         in
         let policy = { Policy.default with max_retries = 2 } in
-        let sup = sup_of runner in
-        ignore (Sup.submit sup (submit_of ~policy "f"));
-        match Sup.run_next sup with
-        | Some (P.Result_error { attempts = 3; error; _ }) ->
+        match
+          results (play ~script [ (0.0, Pool.Sim.I_submit (submit_of ~policy "f")) ])
+        with
+        | [ P.Result_error { attempts = 3; error; _ } ] ->
             Alcotest.(check string) "tag" "trace_format" error.P.e_tag;
             Alcotest.(check (option string)) "path" (Some "x.trace") error.P.e_path
-        | Some r -> Alcotest.failf "unexpected: %s" (P.response_to_line r)
-        | None -> Alcotest.fail "no response");
+        | rs ->
+            Alcotest.failf "unexpected: %s" (lines rs));
     t "non-retryable error stops immediately" (fun () ->
         let calls = ref 0 in
-        let runner _ ~recovery:_ ~deadline_s:_ =
+        let script _ ~attempt:_ ~recovery:_ =
           incr calls;
-          Sup.A_error
-            {
-              P.e_tag = "io";
-              e_path = Some "/gone.trace";
-              e_retryable = false;
-              e_detail = "no such file";
-            }
+          failing ~retryable:false ~path:"/gone.trace" "io"
         in
         let policy = { Policy.default with max_retries = 5 } in
-        let sup = sup_of runner in
-        ignore (Sup.submit sup (submit_of ~policy "io"));
-        (match Sup.run_next sup with
-        | Some (P.Result_error { attempts = 1; _ }) -> ()
-        | Some r -> Alcotest.failf "unexpected: %s" (P.response_to_line r)
-        | None -> Alcotest.fail "no response");
-        Alcotest.(check int) "runner called once" 1 !calls);
-    t "deadline kill: timeout is typed and counted" (fun () ->
-        let runner _ ~recovery:_ ~deadline_s:_ = Sup.A_timeout in
-        let policy =
-          { Policy.default with deadline_s = Some 0.5; max_retries = 1 }
+        (match
+           results (play ~script [ (0.0, Pool.Sim.I_submit (submit_of ~policy "io")) ])
+         with
+        | [ P.Result_error { attempts = 1; _ } ] -> ()
+        | rs ->
+            Alcotest.failf "unexpected: %s" (lines rs));
+        Alcotest.(check int) "ran once" 1 !calls);
+    t "unwritable out path is a non-retryable io error" (fun () ->
+        let out = "/nonexistent/dir/x.ncptl" in
+        let sub =
+          {
+            (submit_of "a") with
+            P.sub_source = P.J_app { app = "ring"; nranks = 4; cls = "S" };
+            sub_out = Some out;
+          }
         in
-        let sup = sup_of runner in
-        ignore (Sup.submit sup (submit_of ~policy "slow"));
-        (match Sup.run_next sup with
-        | Some (P.Result_error { attempts = 2; error; _ }) ->
-            Alcotest.(check string) "tag" "deadline_exceeded" error.P.e_tag;
-            Alcotest.(check bool) "retryable" true error.P.e_retryable
-        | Some r -> Alcotest.failf "unexpected: %s" (P.response_to_line r)
-        | None -> Alcotest.fail "no response");
-        Alcotest.(check (option int))
-          "deadline_kills metric" (Some 2)
-          (Obs.Metrics.counter_value (Sup.metrics sup) "serve.deadline_kills"));
-    t "crash isolation: a raising runner never kills the supervisor"
-      (fun () ->
-        let runner _ ~recovery:_ ~deadline_s:_ =
-          failwith "worker heap corruption"
+        match Serve.Worker.attempt sub ~recovery:`Strict with
+        | Pool.A_error e ->
+            Alcotest.(check string) "tag" "io" e.P.e_tag;
+            Alcotest.(check (option string)) "path" (Some out) e.P.e_path;
+            Alcotest.(check bool) "not retryable" false e.P.e_retryable
+        | _ -> Alcotest.fail "an unwritable out path did not fail as io");
+    t "in-process raise answers crashed; the worker survives" (fun () ->
+        let script (s : P.submit) ~attempt:_ ~recovery:_ =
+          if s.P.sub_id = "boom" then
+            Pool.Sim.B_raise { dur = 0.01; detail = "worker heap corruption" }
+          else ok_behavior ()
         in
         let policy = { Policy.default with max_retries = 0 } in
-        let sup = sup_of runner in
-        ignore (Sup.submit sup (submit_of ~policy "boom"));
-        (match Sup.run_next sup with
-        | Some (P.Result_error { attempts = 1; error; _ }) ->
-            Alcotest.(check string) "tag" "crashed" error.P.e_tag
-        | Some r -> Alcotest.failf "unexpected: %s" (P.response_to_line r)
-        | None -> Alcotest.fail "no response");
-        (* the supervisor keeps serving after the crash *)
-        let ok _ ~recovery:_ ~deadline_s:_ = Sup.A_ok ok_info in
-        ignore ok;
-        ignore (Sup.submit sup (submit_of ~policy "boom2"));
-        match Sup.run_next sup with
-        | Some (P.Result_error { id = "boom2"; _ }) -> ()
-        | _ -> Alcotest.fail "supervisor did not survive the crash");
+        let m = Obs.Metrics.create () in
+        (match
+           results
+             (play ~metrics:m ~script
+                [
+                  (0.0, Pool.Sim.I_submit (submit_of ~policy "boom"));
+                  (0.0, Pool.Sim.I_submit (submit_of ~policy "next"));
+                ])
+         with
+        | [ P.Result_error { id = "boom"; attempts = 1; error };
+            P.Result_ok { id = "next"; _ } ] ->
+            Alcotest.(check string) "tag" "crashed" error.P.e_tag;
+            Alcotest.(check (option string))
+              "path" (Some "boom.trace") error.P.e_path
+        | rs ->
+            Alcotest.failf "unexpected: %s" (lines rs));
+        Alcotest.(check (option int))
+          "crash counted" (Some 1)
+          (Obs.Metrics.counter_value m "serve.crashes");
+        Alcotest.(check (option int))
+          "no slot death" None
+          (Obs.Metrics.counter_value m "serve.pool.deaths"));
     t "queue-full load shedding" (fun () ->
-        let sup =
-          Sup.create ~queue_limit:2 ~seed:1
-            ~runner:(fun _ ~recovery:_ ~deadline_s:_ -> Sup.A_ok ok_info)
-            ~clock:(Sup.sim_clock ()) ()
+        let m = Obs.Metrics.create () in
+        let rs =
+          play ~queue_limit:2 ~metrics:m ~script:always_ok
+            [
+              (0.0, Pool.Sim.I_submit (submit_of "a"));
+              (0.0, Pool.Sim.I_submit (submit_of "b"));
+              (0.0, Pool.Sim.I_submit (submit_of "c"));
+              (* a and b are done by now: admission has reopened *)
+              (0.5, Pool.Sim.I_submit (submit_of "d"));
+            ]
         in
-        ignore (Sup.submit sup (submit_of "a"));
-        ignore (Sup.submit sup (submit_of "b"));
-        (match Sup.submit sup (submit_of "c") with
-        | P.Rejected { id = Some "c"; reason = P.Queue_full } -> ()
-        | r -> Alcotest.failf "expected queue_full, got %s" (P.response_to_line r));
-        Alcotest.(check int) "queue bounded" 2 (Sup.queue_length sup);
+        let seen r = List.exists (fun (_, r') -> r' = r) rs in
+        Alcotest.(check bool) "c shed" true
+          (seen (P.Rejected { id = Some "c"; reason = P.Queue_full }));
         Alcotest.(check (option int))
           "sheds counted" (Some 1)
-          (Obs.Metrics.counter_value (Sup.metrics sup) "serve.sheds");
-        (* freeing a slot re-opens admission *)
-        ignore (Sup.run_next sup);
-        match Sup.submit sup (submit_of "d") with
-        | P.Accepted _ -> ()
-        | r -> Alcotest.failf "expected accepted, got %s" (P.response_to_line r));
+          (Obs.Metrics.counter_value m "serve.sheds");
+        Alcotest.(check bool) "d admitted" true
+          (seen (P.Accepted { id = "d"; queue_depth = 1 })));
     t "drain finishes queued work and rejects new submits" (fun () ->
-        let sup = sup_of (fun _ ~recovery:_ ~deadline_s:_ -> Sup.A_ok ok_info) in
-        ignore (Sup.submit sup (submit_of "a"));
-        ignore (Sup.submit sup (submit_of "b"));
-        Sup.begin_drain sup;
-        (match Sup.submit sup (submit_of "late") with
-        | P.Rejected { reason = P.Draining; _ } -> ()
-        | r -> Alcotest.failf "expected draining, got %s" (P.response_to_line r));
-        let rs = Sup.drain sup in
-        let lines = List.map P.response_to_line rs in
-        Alcotest.(check int) "two results + summary" 3 (List.length rs);
-        (match List.rev rs with
-        | P.Drained { jobs_run = 2; cancelled = 0 } :: _ -> ()
-        | _ ->
-            Alcotest.failf "bad drain tail: %s" (String.concat " | " lines));
-        Alcotest.(check int) "queue empty" 0 (Sup.queue_length sup));
-    t "shutdown cancels queued jobs with typed responses" (fun () ->
-        let sup = sup_of (fun _ ~recovery:_ ~deadline_s:_ -> Sup.A_ok ok_info) in
-        ignore (Sup.submit sup (submit_of "a"));
-        ignore (Sup.submit sup (submit_of "b"));
-        match Sup.shutdown sup with
-        | [ P.Cancelled { id = "a" }; P.Cancelled { id = "b" };
-            P.Drained { jobs_run = 0; cancelled = 2 } ] ->
-            Alcotest.(check bool) "draining afterwards" true (Sup.draining sup)
-        | rs ->
-            Alcotest.failf "unexpected shutdown transcript: %s"
-              (String.concat " | " (List.map P.response_to_line rs)));
-    t "backoff sleeps land on the supervisor's clock" (fun () ->
-        let clock = Sup.sim_clock () in
-        let fails = ref 2 in
-        let runner _ ~recovery:_ ~deadline_s:_ =
-          if !fails > 0 then begin
-            decr fails;
-            Sup.A_error
-              {
-                P.e_tag = "trace_format";
-                e_path = None;
-                e_retryable = true;
-                e_detail = "transient";
-              }
-          end
-          else Sup.A_ok ok_info
+        let rs =
+          play ~script:always_ok
+            [
+              (0.0, Pool.Sim.I_submit (submit_of "a"));
+              (0.0, Pool.Sim.I_submit (submit_of "b"));
+              (0.0, Pool.Sim.I_drain);
+              (0.0, Pool.Sim.I_submit (submit_of "late"));
+            ]
+        in
+        Alcotest.(check bool) "late rejected" true
+          (List.exists
+             (fun (_, r) ->
+               r = P.Rejected { id = Some "late"; reason = P.Draining })
+             rs);
+        Alcotest.(check int) "two results" 2 (List.length (results rs));
+        match List.rev rs with
+        | (_, P.Drained { jobs_run = 2; cancelled = 0 }) :: _ -> ()
+        | _ -> Alcotest.failf "bad drain tail: %s" (lines (List.map snd rs)));
+    t "a refused request line is answered and counted" (fun () ->
+        let m = Obs.Metrics.create () in
+        match
+          play ~metrics:m ~script:always_ok
+            [
+              (0.0, Pool.Sim.I_reject (None, P.Bad_request "not json"));
+              (0.0, Pool.Sim.I_health);
+            ]
+        with
+        | [
+         (_, P.Rejected { id = None; reason = P.Bad_request "not json" });
+         (_, P.Health_report { rejected = 1; _ });
+        ] ->
+            Alcotest.(check (option int))
+              "counted by reason" (Some 1)
+              (Obs.Metrics.counter_value m
+                 ~labels:[ ("reason", "bad_request") ]
+                 "serve.rejected")
+        | rs -> Alcotest.failf "unexpected transcript: %s" (lines (List.map snd rs)));
+    t "retry backoffs land on the pool's virtual clock" (fun () ->
+        let script _ ~attempt ~recovery:_ =
+          if attempt < 2 then failing "trace_format"
+          else Pool.Sim.B_ok { dur = 0.; statements = 4 }
         in
         let policy =
           {
@@ -492,55 +522,34 @@ let supervisor_tests =
             jitter = 0.;
           }
         in
-        let sup = Sup.create ~seed:1 ~runner ~clock () in
-        ignore (Sup.submit sup (submit_of ~policy "r"));
-        ignore (Sup.run_next sup);
-        (* two retries => 0.1 + 0.2 seconds of virtual backoff *)
-        Alcotest.(check (float 1e-6))
-          "virtual time advanced by the schedule" 0.3
-          (clock.Sup.now ()));
+        match play ~script [ (0.0, Pool.Sim.I_submit (submit_of ~policy "r")) ] with
+        | [ _; (at, P.Result_ok { attempts = 3; _ }) ] ->
+            (* 0.01 s worker start-up, two 0.01 s failed attempts, then
+               0.1 + 0.2 s of backoff *)
+            Alcotest.(check (float 1e-6)) "virtual finish time" 0.33 at
+        | rs -> Alcotest.failf "unexpected transcript: %s" (lines (List.map snd rs)));
   ]
 
 (* ------------------------------------------------------------------ *)
 (* Worker pool: concurrent dispatch, crash restart, breaker, poison    *)
-
-module Pool = Serve.Pool
-
-let pool_sub ?(policy = Policy.default) id =
-  {
-    P.sub_id = id;
-    sub_source = P.J_app { app = "x"; nranks = 4; cls = "A" };
-    sub_policy = policy;
-    sub_emit_text = false;
-    sub_out = None;
-  }
 
 let dispatch_wids acts =
   List.filter_map
     (function Pool.Dispatch { wid; _ } -> Some wid | _ -> None)
     acts
 
-let ok_behavior ?(dur = 0.01) () =
-  Pool.Sim.B_ok { dur; statements = 4 }
-
-let sim_pool ?queue_limit ?metrics ~workers () =
-  Pool.create ?queue_limit ?metrics
-    ~wpolicy:{ Pool.default_wpolicy with workers }
-    ()
-
 let last_result_at responses =
   List.fold_left
     (fun acc (at, r) ->
       match r with P.Result_ok _ | P.Result_error _ -> Float.max acc at | _ -> acc)
     0. responses
-
 let pool_tests =
   [
     t "4 concurrent slow jobs finish in ~1x single-job wall-clock" (fun () ->
         let slow _ ~attempt:_ ~recovery:_ = ok_behavior ~dur:1.0 () in
         let timeline =
           List.init 4 (fun i ->
-              (0.0, Pool.Sim.I_submit (pool_sub (Printf.sprintf "j%d" i))))
+              (0.0, Pool.Sim.I_submit (submit_of (Printf.sprintf "j%d" i))))
           @ [ (0.0, Pool.Sim.I_drain) ]
         in
         let run workers =
@@ -577,7 +586,7 @@ let pool_tests =
             ~pool:(sim_pool ~metrics:m ~workers:2 ())
             ~script
             ~timeline:
-              [ (0.0, Pool.Sim.I_submit (pool_sub "j1")); (0.0, Pool.Sim.I_drain) ]
+              [ (0.0, Pool.Sim.I_submit (submit_of "j1")); (0.0, Pool.Sim.I_drain) ]
             ()
         in
         (match
@@ -610,8 +619,8 @@ let pool_tests =
             ~script
             ~timeline:
               [
-                (0.0, Pool.Sim.I_submit (pool_sub "poison"));
-                (0.5, Pool.Sim.I_submit (pool_sub "after"));
+                (0.0, Pool.Sim.I_submit (submit_of "poison"));
+                (0.5, Pool.Sim.I_submit (submit_of "after"));
                 (0.5, Pool.Sim.I_drain);
               ]
             ()
@@ -676,8 +685,9 @@ let pool_tests =
           "second trip" (Some 2)
           (Obs.Metrics.counter_value m "serve.pool.breaker_trips"));
     t "deadline kill respawns the slot and is not a breaker death" (fun () ->
+        (* a timeout is retryable: the hang is killed on both attempts *)
         let policy =
-          { Policy.default with deadline_s = Some 0.5; max_retries = 0 }
+          { Policy.default with deadline_s = Some 0.5; max_retries = 1 }
         in
         let script (s : P.submit) ~attempt:_ ~recovery:_ =
           if s.P.sub_id = "hang" then Pool.Sim.B_hang else ok_behavior ()
@@ -689,8 +699,8 @@ let pool_tests =
             ~script
             ~timeline:
               [
-                (0.0, Pool.Sim.I_submit (pool_sub ~policy "hang"));
-                (1.0, Pool.Sim.I_submit (pool_sub ~policy "next"));
+                (0.0, Pool.Sim.I_submit (submit_of ~policy "hang"));
+                (1.0, Pool.Sim.I_submit (submit_of ~policy "next"));
                 (1.0, Pool.Sim.I_drain);
               ]
             ()
@@ -703,9 +713,11 @@ let pool_tests =
                | _ -> false)
              rs
          with
-        | Some (_, P.Result_error { error; _ }) ->
+        | Some (_, P.Result_error { attempts; error; _ }) ->
             Alcotest.(check string) "typed timeout" "deadline_exceeded"
-              error.P.e_tag
+              error.P.e_tag;
+            Alcotest.(check bool) "retryable" true error.P.e_retryable;
+            Alcotest.(check int) "retried once" 2 attempts
         | _ -> Alcotest.fail "hanging job got no terminal error");
         Alcotest.(check bool) "slot recovered for the next job" true
           (List.exists
@@ -713,7 +725,7 @@ let pool_tests =
                match r with P.Result_ok { id = "next"; _ } -> true | _ -> false)
              rs);
         Alcotest.(check (option int))
-          "deadline kill counted" (Some 1)
+          "deadline kills counted" (Some 2)
           (Obs.Metrics.counter_value m "serve.deadline_kills");
         Alcotest.(check (option int))
           "not a breaker death" None
@@ -723,19 +735,19 @@ let pool_tests =
         ignore (Pool.boot pool);
         (* worker never spawns, so submissions stay queued (= live) *)
         let accept id =
-          match Pool.submit pool ~now:0.0 (pool_sub id) with
+          match Pool.submit pool ~now:0.0 (submit_of id) with
           | P.Accepted _, _ -> true
           | _ -> false
         in
         Alcotest.(check bool) "j1 in" true (accept "j1");
         Alcotest.(check bool) "j2 in" true (accept "j2");
-        (match Pool.submit pool ~now:0.0 (pool_sub "j3") with
+        (match Pool.submit pool ~now:0.0 (submit_of "j3") with
         | P.Rejected { reason = P.Queue_full; _ }, [] -> ()
         | _ -> Alcotest.fail "overflow not shed");
         let pool4 = sim_pool ~queue_limit:8 ~workers:1 () in
         ignore (Pool.boot pool4);
-        ignore (Pool.submit pool4 ~now:0.0 (pool_sub "dup"));
-        match Pool.submit pool4 ~now:0.0 (pool_sub "dup") with
+        ignore (Pool.submit pool4 ~now:0.0 (submit_of "dup"));
+        match Pool.submit pool4 ~now:0.0 (submit_of "dup") with
         | P.Rejected { reason = P.Bad_request _; id = Some "dup" }, [] -> ()
         | _ -> Alcotest.fail "duplicate live id accepted");
     t "dispatch picks FIFO job, lowest-numbered idle worker" (fun () ->
@@ -744,39 +756,26 @@ let pool_tests =
         for wid = 0 to 2 do
           ignore (Pool.handle pool ~now:0.0 (Pool.E_spawned { wid }))
         done;
-        let _, a1 = Pool.submit pool ~now:0.1 (pool_sub "a") in
-        let _, a2 = Pool.submit pool ~now:0.1 (pool_sub "b") in
+        let _, a1 = Pool.submit pool ~now:0.1 (submit_of "a") in
+        let _, a2 = Pool.submit pool ~now:0.1 (submit_of "b") in
         Alcotest.(check (list int)) "a -> worker 0" [ 0 ] (dispatch_wids a1);
         Alcotest.(check (list int)) "b -> worker 1" [ 1 ] (dispatch_wids a2);
         let done_acts =
           Pool.handle pool ~now:0.2
-            (Pool.E_result
-               {
-                 wid = 0;
-                 outcome =
-                   Sup.A_ok
-                     {
-                       P.ok_statements = 1;
-                       ok_final_rsds = 1;
-                       ok_recovery = "strict";
-                       ok_warnings = [];
-                       ok_text = None;
-                       ok_out = None;
-                     };
-               })
+            (Pool.E_result { wid = 0; outcome = Pool.A_ok ok_info })
         in
         ignore done_acts;
-        let _, a3 = Pool.submit pool ~now:0.3 (pool_sub "c") in
+        let _, a3 = Pool.submit pool ~now:0.3 (submit_of "c") in
         Alcotest.(check (list int)) "freed worker 0 reused" [ 0 ]
           (dispatch_wids a3));
     t "shutdown cancels queued and running jobs and kills workers" (fun () ->
         let pool = sim_pool ~workers:1 () in
         ignore (Pool.boot pool);
         ignore (Pool.handle pool ~now:0.0 (Pool.E_spawned { wid = 0 }));
-        ignore (Pool.submit pool ~now:0.0 (pool_sub "j1"));
+        ignore (Pool.submit pool ~now:0.0 (submit_of "j1"));
         (* j1 is busy on worker 0 *)
-        ignore (Pool.submit pool ~now:0.0 (pool_sub "j2"));
-        ignore (Pool.submit pool ~now:0.0 (pool_sub "j3"));
+        ignore (Pool.submit pool ~now:0.0 (submit_of "j2"));
+        ignore (Pool.submit pool ~now:0.0 (submit_of "j3"));
         let responses, acts = Pool.shutdown pool ~now:0.1 in
         let ids =
           List.filter_map
@@ -855,6 +854,26 @@ let fuzz_tests =
             (Check.Servefuzz.transcript ~workers:4 ~seed ())
             (Check.Servefuzz.transcript ~workers:4 ~seed ())
         done);
+    t "pool schedules match their pinned digests" (fun () ->
+        (* seeds 1-50 concatenated; a changed digest means a changed
+           virtual schedule, which must be a deliberate re-baseline *)
+        List.iter
+          (fun (workers, digest) ->
+            let all =
+              String.concat ""
+                (List.init 50 (fun i ->
+                     Check.Servefuzz.transcript ~workers ~seed:(i + 1) ()))
+            in
+            Alcotest.(check string)
+              (Printf.sprintf "workers %d" workers)
+              digest
+              (Digest.to_hex (Digest.string all)))
+          [
+            (1, "18046bb15d6d5522ede85c488b9cedd3");
+            (2, "efcf7d2f06293d669c569702c45fcfb3");
+            (3, "3dcb4aae137cafc8137dc0a60c4610db");
+            (4, "5c298c34398019dafd102254a90c9212");
+          ]);
   ]
 
 (* ------------------------------------------------------------------ *)
@@ -894,5 +913,5 @@ let metrics_domain_tests =
   ]
 
 let suite =
-  policy_tests @ protocol_tests @ supervisor_tests @ pool_tests @ fuzz_tests
-  @ metrics_domain_tests
+  policy_tests @ protocol_tests @ policy_on_pool_tests @ pool_tests
+  @ fuzz_tests @ metrics_domain_tests

@@ -1,8 +1,3 @@
-(* Deliberately exercises the deprecated Benchgen wrappers: they must
-   keep behaving exactly like Pipeline.run until they are removed (the
-   differential check lives in test_obs.ml). *)
-[@@@alert "-deprecated"]
-
 open Mpisim
 open Scalatrace
 
@@ -52,8 +47,9 @@ let unit_tests =
     t "generation from a reloaded trace is identical" (fun () ->
         let app = Option.get (Apps.Registry.find "lu") in
         let trace, _ = Tracer.trace_run ~nranks:8 (app.program ~cls:Apps.Params.S ()) in
-        let direct = Benchgen.generate ~name:"lu" trace in
-        let reloaded = Benchgen.generate ~name:"lu" (Trace_io.of_text (Trace_io.to_text trace)) in
+        let generate trace = Generate.report (Benchgen.Pipeline.From_trace trace) in
+        let direct = generate trace in
+        let reloaded = generate (Trace_io.of_text (Trace_io.to_text trace)) in
         Alcotest.(check string) "same benchmark" direct.text reloaded.text);
     t "save/load through a file" (fun () ->
         let app = Option.get (Apps.Registry.find "ep") in
