@@ -42,8 +42,8 @@ let () =
         "perf         engine/compressor perf-regression suite -> \
          BENCH_engine.json (add --quick for the smoke-test mode)";
       print_endline
-        "perf-smoke   wall-clock guard on the indexed merge path (runs \
-         under dune runtest)"
+        "perf-smoke   guards on the indexed merge path and on Lower's speed \
+         against the application (runs under dune runtest)"
   | names ->
       List.iter
         (fun n ->

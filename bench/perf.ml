@@ -487,13 +487,52 @@ let run ~quick () =
   end
 
 (* ------------------------------------------------------------------ *)
-(* Perf smoke: a wall-clock guard on the indexed merge path            *)
+(* Perf smoke: guards on the indexed merge and on Lower                 *)
 
-(* Runs under [dune runtest].  The budget is deliberately generous —
+(* A generated benchmark must run in about the time of the application
+   it came from.  CG class W at 256 ranks is generated once, then run as
+   the application ([Mpi.run]) and as the lowered benchmark ([Lower.run]),
+   best of 3 each, in this process: a ratio of two runs on one machine
+   does not depend on how fast or loaded the machine is.  A Lower that
+   interprets every statement on every rank ran this at 8-16x. *)
+let lower_smoke () =
+  let max_ratio = 4. and nranks = 256 in
+  let app = Option.get (Apps.Registry.find "cg") in
+  let program = app.program ~cls:Apps.Params.W () in
+  let benchmark =
+    match
+      Benchgen.Pipeline.run
+        { Benchgen.Pipeline.default with name = Some app.name }
+        (Benchgen.Pipeline.From_app { nranks; app = program })
+    with
+    | Ok (a, _) -> a.Benchgen.Pipeline.report.program
+    | Error e -> failwith (Benchgen.Pipeline.error_to_string e)
+  in
+  let best_of_3 f =
+    List.fold_left Float.min infinity (List.init 3 (fun _ -> snd (wall f)))
+  in
+  let original_s = best_of_3 (fun () -> ignore (Mpisim.Mpi.run ~nranks program)) in
+  let lower_s =
+    best_of_3 (fun () -> ignore (Conceptual.Lower.run ~nranks benchmark))
+  in
+  let ratio = lower_s /. original_s in
+  Printf.printf
+    "perf smoke: cg W %d ranks, original %.3fs, Lower %.3fs (%.2fx, limit \
+     %.0fx)\n%!"
+    nranks original_s lower_s ratio max_ratio;
+  if ratio > max_ratio then
+    failwith
+      (Printf.sprintf
+         "perf smoke: Lower ran the generated benchmark %.1fx slower than the \
+          application, over the %.0fx limit"
+         ratio max_ratio)
+
+(* Runs under [dune runtest].  The merge budget is deliberately generous —
    ~100x the expected time on an unloaded machine — so it never flakes
    on a busy box, yet still catches the complexity class regressing:
    before the indexed merge, this workload took minutes, not seconds. *)
 let smoke () =
+  lower_smoke ();
   let budget_s = 60. in
   let m, total_s =
     wall (fun () -> run_merge_stress ~nranks:32 ~cls:Apps.Params.A)

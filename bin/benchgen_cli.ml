@@ -1028,7 +1028,7 @@ let fuzz_cmd =
 
 let serve_cmd =
   let doc =
-    "Long-lived supervised service: accept many trace$(mu)benchmark jobs over \
+    "Long-lived supervised service: accept many trace-to-benchmark jobs over \
      a line-delimited JSON protocol."
   in
   let man =
@@ -1045,7 +1045,7 @@ let serve_cmd =
          a forked, deadline-killable worker under a supervision policy: a \
          per-attempt wall-clock deadline, bounded retries with exponential \
          backoff and seeded jitter, and recovery escalation \
-         (strict $(mu) salvage $(mu) best-effort) so a job whose strict \
+         (strict -> salvage -> best-effort) so a job whose strict \
          generation fails degrades gracefully instead of failing hard.  One \
          poisoned job — crash, hang, heap corruption — can never take down \
          the server.";

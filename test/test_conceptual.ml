@@ -407,4 +407,26 @@ let edit_tests =
            with Invalid_argument _ -> true));
   ]
 
-let suite = eval_tests @ roundtrip_props @ parse_tests @ lower_tests @ edit_tests
+(* Lowering tests added after [edit_tests], so that the existing tests
+   keep their indices in the suite. *)
+let lower_error_tests =
+  let lowering_error p =
+    match Lower.run ~nranks:4 (Parse.program p) with
+    | _ -> Alcotest.fail "expected Lower_error"
+    | exception Lower.Lower_error msg -> msg
+  in
+  [
+    t "unbound variable is a lowering error naming its statement" (fun () ->
+        Alcotest.(check string)
+          "message" "ncptl:.0.0: unbound variable i"
+          (lowering_error
+             "FOR 2 REPETITIONS { TASK 0 SENDS A 8 BYTE MESSAGE TO TASK i }"));
+    t "division by zero is a lowering error naming its statement" (fun () ->
+        Alcotest.(check string)
+          "message" "ncptl:.0: division by zero"
+          (lowering_error "TASK 0 COMPUTES FOR 10/0 MICROSECONDS"));
+  ]
+
+let suite =
+  eval_tests @ roundtrip_props @ parse_tests @ lower_tests @ edit_tests
+  @ lower_error_tests

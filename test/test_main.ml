@@ -11,6 +11,7 @@ let () =
       ("merge_diff", Test_merge_diff.suite);
       ("compress", Test_compress_diff.suite);
       ("conceptual", Test_conceptual.suite);
+      ("lowerdiff", Test_lowerdiff.suite);
       ("benchgen", Test_benchgen.suite);
       ("wildcert", Test_wildcard_cert.suite);
       ("pipeline", Test_pipeline.suite);
