@@ -337,42 +337,62 @@ let scaling () =
     done;
     Mpisim.Mpi.finalize ~site:(Mpisim.Mpi.site __POS__) ctx
   in
-  let rows_ranks =
-    List.map
-      (fun p ->
-        let trace, _ = Scalatrace.Tracer.trace_run ~nranks:p (ring 1000) in
-        let report = gen ~name:"ring" trace in
-        [
-          string_of_int p;
-          string_of_int (Scalatrace.Trace.event_count trace);
-          string_of_int (Scalatrace.Trace.rsd_count trace);
-          Table.fbytes (Scalatrace.Trace.text_size trace);
-          string_of_int report.statements;
-        ])
-      [ 4; 8; 16; 32; 64; 128 ]
+  let file_bytes trace = String.length (Scalatrace.Trace_io.to_string trace) in
+  let row label trace =
+    let report = gen ~name:"ring" trace in
+    [
+      label;
+      string_of_int (Scalatrace.Trace.event_count trace);
+      string_of_int (Scalatrace.Trace.rsd_count trace);
+      Table.fbytes (Scalatrace.Trace.text_size trace);
+      Table.fbytes (file_bytes trace);
+      string_of_int report.statements;
+    ]
+  in
+  let header first =
+    [ first; "MPI events"; "RSDs"; "trace size"; "file (v3)"; "generated stmts" ]
   in
   Table.print
     ~title:"Trace and benchmark size vs rank count (ring, 1000 iterations)"
-    ~header:[ "ranks"; "MPI events"; "RSDs"; "trace size"; "generated stmts" ]
-    rows_ranks;
-  let rows_iters =
-    List.map
-      (fun iters ->
-        let trace, _ = Scalatrace.Tracer.trace_run ~nranks:16 (ring iters) in
-        let report = gen ~name:"ring" trace in
-        [
-          string_of_int iters;
-          string_of_int (Scalatrace.Trace.event_count trace);
-          string_of_int (Scalatrace.Trace.rsd_count trace);
-          Table.fbytes (Scalatrace.Trace.text_size trace);
-          string_of_int report.statements;
-        ])
-      [ 10; 100; 1000; 10000 ]
-  in
+    ~header:(header "ranks")
+    (List.map
+       (fun p ->
+         row (string_of_int p) (fst (Scalatrace.Tracer.trace_run ~nranks:p (ring 1000))))
+       [ 4; 8; 16; 32; 64; 128 ]);
   Table.print
     ~title:"Trace and benchmark size vs communication events (ring, 16 ranks)"
-    ~header:[ "iterations"; "MPI events"; "RSDs"; "trace size"; "generated stmts" ]
-    rows_iters
+    ~header:(header "iterations")
+    (List.map
+       (fun iters ->
+         row (string_of_int iters)
+           (fst (Scalatrace.Tracer.trace_run ~nranks:16 (ring iters))))
+       [ 10; 100; 1000; 10000 ]);
+  (* The saved file in each format: v2 stores one projection per rank,
+     v3 (what [Trace_io.save] writes) the merged trace, v1 its text. *)
+  Table.print ~title:"Saved trace bytes vs rank count (class C)"
+    ~header:[ "app"; "ranks"; "RSDs"; "v2 bytes"; "v3 bytes"; "v1 bytes"; "v3 / v1" ]
+    (List.concat_map
+       (fun name ->
+         let app = Option.get (Apps.Registry.find name) in
+         List.map
+           (fun wanted ->
+             let nranks = Apps.Registry.fit_nranks app ~wanted in
+             let trace, _ =
+               Scalatrace.Tracer.trace_run ~nranks (app.program ~cls:Apps.Params.C ())
+             in
+             let v1 = String.length (Scalatrace.Trace_io.to_text trace)
+             and v3 = file_bytes trace in
+             [
+               name;
+               string_of_int nranks;
+               string_of_int (Scalatrace.Trace.rsd_count trace);
+               Table.fbytes (String.length (Scalatrace.Trace_io.to_framed trace));
+               Table.fbytes v3;
+               Table.fbytes v1;
+               Printf.sprintf "%.2f" (float_of_int v3 /. float_of_int v1);
+             ])
+           [ 64; 256; 1024 ])
+       [ "bt"; "ep"; "cg" ])
 
 (* ------------------------------------------------------------------ *)
 (* Algorithm cost scaling (Sections 4.3/4.4 complexity claims)          *)

@@ -487,7 +487,9 @@ let run ~quick () =
   end
 
 (* ------------------------------------------------------------------ *)
-(* Perf smoke: guards on the indexed merge and on Lower                 *)
+(* Perf smoke: guards on the indexed merge, on Lower and on loading     *)
+
+let best_of_3 f = List.fold_left Float.min infinity (List.init 3 (fun _ -> snd (wall f)))
 
 (* A generated benchmark must run in about the time of the application
    it came from.  CG class W at 256 ranks is generated once, then run as
@@ -508,9 +510,6 @@ let lower_smoke () =
     | Ok (a, _) -> a.Benchgen.Pipeline.report.program
     | Error e -> failwith (Benchgen.Pipeline.error_to_string e)
   in
-  let best_of_3 f =
-    List.fold_left Float.min infinity (List.init 3 (fun _ -> snd (wall f)))
-  in
   let original_s = best_of_3 (fun () -> ignore (Mpisim.Mpi.run ~nranks program)) in
   let lower_s =
     best_of_3 (fun () -> ignore (Conceptual.Lower.run ~nranks benchmark))
@@ -527,12 +526,49 @@ let lower_smoke () =
           application, over the %.0fx limit"
          ratio max_ratio)
 
+(* A v3 file holds the merged trace, so loading it parses the top-level
+   nodes and skips v2's per-rank parsing and re-merge.  MG class C at 32
+   ranks is saved in both formats and each file loaded best of 3 in this
+   process; v3 must load in a quarter of v2's time (it reads about a
+   twelfth). *)
+let load_smoke () =
+  let max_ratio = 0.25 and nranks = 32 in
+  let app = Option.get (Apps.Registry.find "mg") in
+  let trace, _ =
+    Scalatrace.Tracer.trace_run ~nranks (app.program ~cls:Apps.Params.C ())
+  in
+  let v2 = Filename.temp_file "perf-smoke" ".v2.trace"
+  and v3 = Filename.temp_file "perf-smoke" ".v3.trace" in
+  Fun.protect
+    ~finally:(fun () ->
+      Sys.remove v2;
+      Sys.remove v3)
+    (fun () ->
+      Out_channel.with_open_bin v2 (fun oc ->
+          Out_channel.output_string oc (Scalatrace.Trace_io.to_framed trace));
+      Scalatrace.Trace_io.save trace ~path:v3;
+      let load path () = ignore (Scalatrace.Trace_io.load ~path) in
+      let v2_s = best_of_3 (load v2) and v3_s = best_of_3 (load v3) in
+      let ratio = v3_s /. v2_s in
+      Printf.printf
+        "perf smoke: mg C %d ranks, load v2 %.3fs (%d B), v3 %.3fs (%d B) \
+         (%.2fx, limit %.2fx)\n%!"
+        nranks v2_s (Unix.stat v2).Unix.st_size v3_s (Unix.stat v3).Unix.st_size
+        ratio max_ratio;
+      if ratio > max_ratio then
+        failwith
+          (Printf.sprintf
+             "perf smoke: loading the v3 file took %.2fx the v2 load, over \
+              the %.2fx limit"
+             ratio max_ratio))
+
 (* Runs under [dune runtest].  The merge budget is deliberately generous —
    ~100x the expected time on an unloaded machine — so it never flakes
    on a busy box, yet still catches the complexity class regressing:
    before the indexed merge, this workload took minutes, not seconds. *)
 let smoke () =
   lower_smoke ();
+  load_smoke ();
   let budget_s = 60. in
   let m, total_s =
     wall (fun () -> run_merge_stress ~nranks:32 ~cls:Apps.Params.A)

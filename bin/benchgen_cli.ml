@@ -411,10 +411,11 @@ let salvage_cmd =
       `S Manpage.s_description;
       `P
         "Loads $(i,TRACE) with the tolerant salvage loader: damaged frames \
-         are skipped, each rank stream is cut back to its longest \
-         well-formed prefix, and a recovery report (frames dropped, ranks \
-         missing, events lost per rank) is printed.  With $(b,-o) the \
-         recovered trace is re-saved as a clean framed (v2) file.  Exit \
+         are skipped, a v3 file keeps its longest run of intact node \
+         frames (a v2 file each rank stream's longest well-formed \
+         prefix), and a recovery report (frames dropped, ranks missing, \
+         events lost per rank) is printed.  With $(b,-o) the recovered \
+         trace is re-saved as a clean framed (v3) file.  Exit \
          status is 12 when nothing usable survived, or when \
          $(b,--recovery=strict) and the file shows any damage.";
     ]
@@ -863,8 +864,8 @@ let fuzz_cmd =
              oracle, the default), $(b,neighbor) (the differential campaign \
              with half the phase draws biased to sparse neighborhood \
              collectives — random and stencil topologies over partial \
-             participant sets), $(b,corruption) (seeded damage to framed \
-             trace files, checking that every outcome is typed and that \
+             participant sets), $(b,corruption) (seeded damage to framed v2 \
+             and v3 trace files, checking that every outcome is typed and that \
              best-effort recovery still yields replayable benchmarks), \
              $(b,serve) (seeded scenarios of clean/corrupt/hanging/crashing/\
              oversized jobs against a simulated serve-mode worker pool, \
@@ -951,12 +952,18 @@ let fuzz_cmd =
           }
         in
         let s = Check.Corrupt.run cfg in
-        Printf.printf
-          "corruption fuzz: %d cases (%d strict-ok, %d salvaged, %d \
-           unrecoverable); %d generated, %d replayed; %d violations\n"
-          s.Check.Corrupt.cases s.Check.Corrupt.strict_ok
-          s.Check.Corrupt.salvaged s.Check.Corrupt.unrecoverable
-          s.Check.Corrupt.generated s.Check.Corrupt.replayed
+        let pr label (t : Check.Corrupt.tally) =
+          Printf.printf
+            "%s: %d cases (%d strict-ok, %d salvaged, %d unrecoverable); %d \
+             generated, %d replayed\n"
+            label t.cases t.strict_ok t.salvaged t.unrecoverable t.generated
+            t.replayed
+        in
+        pr "corruption fuzz" s.Check.Corrupt.total;
+        List.iter
+          (fun (f, t) -> pr (Printf.sprintf "  format v%d" f) t)
+          s.Check.Corrupt.by_format;
+        Printf.printf "corruption fuzz: %d violations\n"
           (List.length s.Check.Corrupt.violations);
         List.iter
           (fun (v : Check.Corrupt.violation) ->

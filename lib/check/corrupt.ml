@@ -2,8 +2,9 @@
 
    Where {!Campaign} fuzzes the pipeline's *semantics* with random
    programs, this module fuzzes its *ingestion* with damaged trace
-   files: take a known-good framed trace, mutilate it (bit flips,
-   truncations — including one at every frame boundary — whole-rank
+   files: take a known-good trace in each framed format (v2, one frame
+   per rank; v3, one frame per top-level node), mutilate it (bit flips,
+   truncations — including one at every frame boundary — whole-frame
    ablation, garbled headers), and assert the robustness contract:
 
    - no mutation may crash or hang the loader or the pipeline — every
@@ -48,38 +49,49 @@ let default =
     log = ignore;
   }
 
-type summary = {
+type tally = {
   cases : int;
   strict_ok : int;
   salvaged : int;
   unrecoverable : int;
   generated : int;
   replayed : int;
+}
+
+type summary = {
+  total : tally;
+  by_format : (int * tally) list;
   violations : violation list;
   metrics : Obs.Metrics.t;
 }
 
+let formats = [ 2; 3 ]
+
 (* ------------------------------------------------------------------ *)
 (* Baselines                                                            *)
 
-let baseline_cache : (string * int, string) Hashtbl.t = Hashtbl.create 8
+let baseline_cache : (string * int, Scalatrace.Trace.t) Hashtbl.t = Hashtbl.create 8
 
-let baseline ~nranks name =
-  match Hashtbl.find_opt baseline_cache (name, nranks) with
-  | Some bytes -> bytes
-  | None ->
-      let app =
-        match Apps.Registry.find name with
-        | Some a -> a
-        | None -> invalid_arg (Printf.sprintf "Corrupt: unknown app %S" name)
-      in
-      let nranks = Apps.Registry.fit_nranks app ~wanted:nranks in
-      let trace, _ =
-        Scalatrace.Tracer.trace_run ~nranks (app.program ())
-      in
-      let bytes = Scalatrace.Trace_io.to_framed trace in
-      Hashtbl.replace baseline_cache (name, nranks) bytes;
-      bytes
+let baseline ~format ~nranks name =
+  let trace =
+    match Hashtbl.find_opt baseline_cache (name, nranks) with
+    | Some trace -> trace
+    | None ->
+        let app =
+          match Apps.Registry.find name with
+          | Some a -> a
+          | None -> invalid_arg (Printf.sprintf "Corrupt: unknown app %S" name)
+        in
+        let trace, _ =
+          Scalatrace.Tracer.trace_run
+            ~nranks:(Apps.Registry.fit_nranks app ~wanted:nranks)
+            (app.program ())
+        in
+        Hashtbl.replace baseline_cache (name, nranks) trace;
+        trace
+  in
+  if format = 2 then Scalatrace.Trace_io.to_framed trace
+  else Scalatrace.Trace_io.to_string trace
 
 (* Byte offsets of every frame-header line — the interesting truncation
    points. *)
@@ -105,7 +117,9 @@ let frame_boundaries bytes =
 (* ------------------------------------------------------------------ *)
 (* Mutations                                                            *)
 
-let mutate rng bytes =
+(* [ablate] is the header prefix of the frames a whole-frame ablation
+   may remove: one rank's stream in v2, one top-level node in v3. *)
+let mutate ~ablate rng bytes =
   let n = String.length bytes in
   match Random.State.int rng 5 with
   | 0 ->
@@ -124,16 +138,15 @@ let mutate rng bytes =
           let i = List.nth bs (Random.State.int rng (List.length bs)) in
           (Printf.sprintf "truncate-boundary@%d" i, String.sub bytes 0 i))
   | 3 -> (
-      (* ablate one whole rank frame: header line + payload + separator *)
+      (* ablate one whole frame: header line + payload + separator *)
       let bs = frame_boundaries bytes in
-      let rank_frames =
+      let k = String.length ablate in
+      let ablatable =
         List.filter
-          (fun pos ->
-            String.length bytes - pos > 11
-            && String.sub bytes pos 11 = "frame rank:")
+          (fun pos -> String.length bytes - pos > k && String.sub bytes pos k = ablate)
           bs
       in
-      match rank_frames with
+      match ablatable with
       | [] -> ("noop", bytes)
       | rf ->
           let start = List.nth rf (Random.State.int rng (List.length rf)) in
@@ -233,35 +246,36 @@ let check_case cfg ~seed ~app ~mutation bytes =
 (* ------------------------------------------------------------------ *)
 (* Campaign                                                             *)
 
+let zero =
+  { cases = 0; strict_ok = 0; salvaged = 0; unrecoverable = 0; generated = 0; replayed = 0 }
+
+let count t kind did_replay =
+  let t = { t with cases = t.cases + 1; replayed = t.replayed + Bool.to_int did_replay } in
+  match kind with
+  | O_strict_ok -> { t with strict_ok = t.strict_ok + 1 }
+  | O_salvaged_generated -> { t with salvaged = t.salvaged + 1; generated = t.generated + 1 }
+  | O_salvaged_error _ -> { t with salvaged = t.salvaged + 1 }
+  | O_unrecoverable -> { t with unrecoverable = t.unrecoverable + 1 }
+
+let outcome_tag = function
+  | O_strict_ok -> "strict_ok"
+  | O_salvaged_generated -> "salvaged_generated"
+  | O_salvaged_error _ -> "salvaged_error"
+  | O_unrecoverable -> "unrecoverable"
+
+(* Every case runs against both formats: the boundary sweep over each
+   baseline, then each seed's mutation drawn afresh from the same seed
+   for the v2 and the v3 bytes. *)
 let run cfg =
   let metrics = Obs.Metrics.create () in
-  let strict_ok = ref 0
-  and salvaged = ref 0
-  and unrecoverable = ref 0
-  and generated = ref 0
-  and replayed = ref 0
-  and cases = ref 0 in
+  let tallies = Hashtbl.create 2 in
   let violations = ref [] in
-  let record (kind, viol, did_replay) =
-    incr cases;
-    let k =
-      match kind with
-      | O_strict_ok ->
-          incr strict_ok;
-          "strict_ok"
-      | O_salvaged_generated ->
-          incr salvaged;
-          incr generated;
-          "salvaged_generated"
-      | O_salvaged_error _ ->
-          incr salvaged;
-          "salvaged_error"
-      | O_unrecoverable ->
-          incr unrecoverable;
-          "unrecoverable"
-    in
-    if did_replay then incr replayed;
-    Obs.Metrics.inc metrics ~labels:[ ("outcome", k) ] "corrupt.cases";
+  let record ~format (kind, viol, did_replay) =
+    let t = Option.value ~default:zero (Hashtbl.find_opt tallies format) in
+    Hashtbl.replace tallies format (count t kind did_replay);
+    Obs.Metrics.inc metrics
+      ~labels:[ ("format", Printf.sprintf "v%d" format); ("outcome", outcome_tag kind) ]
+      "corrupt.cases";
     match viol with
     | None -> ()
     | Some v ->
@@ -271,34 +285,53 @@ let run cfg =
           (Printf.sprintf "VIOLATION seed=%d app=%s %s: %s" v.v_seed v.v_app
              v.v_mutation v.v_what)
   in
+  let case ~format ~seed ~app ~mutation bytes =
+    let mutation = Printf.sprintf "v%d %s" format mutation in
+    record ~format (check_case cfg ~seed ~app ~mutation bytes)
+  in
   (* exhaustive frame-boundary truncation sweep *)
   if cfg.sweep_boundaries then
     List.iter
-      (fun app ->
-        let bytes = baseline ~nranks:cfg.nranks app in
+      (fun format ->
         List.iter
-          (fun pos ->
-            let mutation = Printf.sprintf "sweep-truncate@%d" pos in
-            record
-              (check_case cfg ~seed:0 ~app ~mutation
-                 (String.sub bytes 0 pos)))
-          (frame_boundaries bytes))
-      cfg.apps;
+          (fun app ->
+            let bytes = baseline ~format ~nranks:cfg.nranks app in
+            List.iter
+              (fun pos ->
+                case ~format ~seed:0 ~app
+                  ~mutation:(Printf.sprintf "sweep-truncate@%d" pos)
+                  (String.sub bytes 0 pos))
+              (frame_boundaries bytes))
+          cfg.apps)
+      formats;
   (* seeded random mutations *)
   for seed = cfg.seed_start to cfg.seed_start + cfg.seeds - 1 do
     let app = List.nth cfg.apps (seed mod List.length cfg.apps) in
-    let bytes = baseline ~nranks:cfg.nranks app in
-    let rng = Random.State.make [| seed; 0x5eed |] in
-    let mutation, mutated = mutate rng bytes in
-    record (check_case cfg ~seed ~app ~mutation mutated)
+    List.iter
+      (fun format ->
+        let bytes = baseline ~format ~nranks:cfg.nranks app in
+        let rng = Random.State.make [| seed; 0x5eed |] in
+        let ablate = if format = 2 then "frame rank:" else "frame nodes:" in
+        let mutation, mutated = mutate ~ablate rng bytes in
+        case ~format ~seed ~app ~mutation mutated)
+      formats
   done;
-  {
-    cases = !cases;
-    strict_ok = !strict_ok;
-    salvaged = !salvaged;
-    unrecoverable = !unrecoverable;
-    generated = !generated;
-    replayed = !replayed;
-    violations = List.rev !violations;
-    metrics;
-  }
+  let by_format =
+    List.map
+      (fun f -> (f, Option.value ~default:zero (Hashtbl.find_opt tallies f)))
+      formats
+  in
+  let total =
+    List.fold_left
+      (fun a (_, t) ->
+        {
+          cases = a.cases + t.cases;
+          strict_ok = a.strict_ok + t.strict_ok;
+          salvaged = a.salvaged + t.salvaged;
+          unrecoverable = a.unrecoverable + t.unrecoverable;
+          generated = a.generated + t.generated;
+          replayed = a.replayed + t.replayed;
+        })
+      zero by_format
+  in
+  { total; by_format; violations = List.rev !violations; metrics }

@@ -1,11 +1,13 @@
-(** Corruption-robustness campaigns over the framed trace format.
+(** Corruption-robustness campaigns over the framed trace formats.
 
     Where {!Campaign} fuzzes the pipeline's semantics with random
-    programs, this module fuzzes its ingestion with damaged trace files:
-    each case takes a known-good framed (v2) trace from a registry
-    application, applies a seeded mutation (bit flip, truncation at a
-    random offset or at a frame boundary, whole-rank-frame ablation,
-    garbled frame header), and checks the robustness contract:
+    programs, this module fuzzes its ingestion with damaged trace files.
+    Every case runs twice, once on a v2 and once on a v3 baseline of the
+    same registry application ({!Scalatrace.Trace_io}): a seeded mutation
+    (bit flip, truncation at a random offset or at a frame boundary,
+    whole-frame ablation — a rank frame in v2, a node frame in v3 —
+    garbled frame header) is applied, and the robustness contract is
+    checked:
 
     - no mutation may crash or hang the loader or the pipeline — every
       outcome must be typed (clean strict load, a {!Scalatrace.Salvage}
@@ -26,17 +28,18 @@ type outcome_kind =
 type violation = {
   v_seed : int;  (** 0 for boundary-sweep cases *)
   v_app : string;
-  v_mutation : string;  (** e.g. ["bit-flip@1234"], replayable *)
+  v_mutation : string;  (** e.g. ["v3 bit-flip@1234"], replayable *)
   v_what : string;  (** which contract clause broke, and how *)
 }
 
 type config = {
   seed_start : int;
-  seeds : int;  (** number of random-mutation cases *)
+  seeds : int;  (** number of random-mutation cases per format *)
   apps : string list;  (** registry apps to draw baselines from *)
   nranks : int;  (** requested rank count (fitted per app) *)
   sweep_boundaries : bool;
-      (** additionally truncate each baseline at every frame boundary *)
+      (** additionally truncate each baseline (both formats) at every
+          frame boundary *)
   replay_max_events : int;  (** watchdog for the replay check *)
   log : string -> unit;  (** violation log line sink *)
 }
@@ -45,16 +48,22 @@ type config = {
     boundary sweep on. *)
 val default : config
 
-type summary = {
+type tally = {
   cases : int;
   strict_ok : int;
   salvaged : int;  (** salvage loader recovered something *)
   unrecoverable : int;
   generated : int;  (** best-effort pipeline produced a benchmark *)
   replayed : int;  (** the benchmark also parsed and replayed *)
+}
+
+type summary = {
+  total : tally;
+  by_format : (int * tally) list;  (** [(2, _); (3, _)] *)
   violations : violation list;  (** empty = contract held everywhere *)
   metrics : Obs.Metrics.t;
-      (** [corrupt.cases{outcome}] and [corrupt.violations] counters *)
+      (** [corrupt.cases{format,outcome}] and [corrupt.violations]
+          counters *)
 }
 
 val run : config -> summary

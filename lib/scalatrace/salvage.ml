@@ -3,12 +3,14 @@
    Strategy: scan the framed container with resynchronization (a frame
    whose header is garbled or whose checksum fails is dropped; scanning
    resumes at the next line starting with "frame "), then rebuild a
-   trace from whatever sections survived.  Rank streams are cut to their
-   longest well-formed prefix; missing sections are reconstructed from
-   redundant ones (nranks from the timing manifest or the rank-frame
-   indices, the communicator table defaults to MPI_COMM_WORLD).  The
-   result is a typed report — never an exception — unless nothing
-   usable remains. *)
+   trace from whatever sections survived.  v2 rank streams are cut to
+   their longest well-formed prefix and re-merged; v3 keeps the longest
+   run of intact node frames from nodes:0.  Missing sections are
+   reconstructed from redundant ones (nranks from the manifest, the
+   rank-frame indices or the surviving events; the communicator table
+   defaults to MPI_COMM_WORLD), and events that do not fit the header are
+   dropped.  The result is a typed report — never an exception — unless
+   nothing usable remains. *)
 
 type rank_recovery = {
   rr_rank : int;
@@ -92,9 +94,10 @@ let resync text pos =
 
 (* Scan all frames, skipping damage.  Returns the intact (kind, payload)
    list in order, the number of frames seen, the number dropped, and
-   whether the end-of-trace terminator frame was reached (its absence
-   means the file was cut off, even if every frame before the cut is
-   intact). *)
+   whether the end-of-trace terminator frame was reached.  Its absence
+   means the file was cut off even if every frame before the cut is
+   intact (e.g. a cut right before the last frame), so it counts as one
+   dropped frame and the report registers the damage. *)
 let scan_tolerant text =
   let n = String.length text in
   let line_end pos =
@@ -138,23 +141,29 @@ let scan_tolerant text =
             incr dropped;
             pos := e + 1)
   done;
-  (List.rev !frames, !seen, !dropped, !terminated)
+  let missing_end = if !terminated then 0 else 1 in
+  (List.rev !frames, !seen + missing_end, !dropped + missing_end, !terminated)
 
 (* ------------------------------------------------------------------ *)
 (* Assembly from surviving frames                                       *)
 
-let keep_known_comms ~comms nodes =
-  let known = List.map fst comms in
-  let dropped = ref 0 in
+(* Drop the events that do not fit the header (see
+   {!Trace_io.event_problem}), with the number dropped and the first
+   reason. *)
+let keep_fitting ~nranks ~comms nodes =
+  let table = Trace_io.comm_table ~nranks comms in
+  let dropped = ref 0 and why = ref None in
   let rec filter ns =
     List.filter_map
       (fun n ->
         match n with
-        | Tnode.Leaf (e : Event.t) ->
-            if List.mem e.comm known then Some n
-            else (
-              incr dropped;
-              None)
+        | Tnode.Leaf (e : Event.t) -> (
+            match Trace_io.event_problem ~nranks table e with
+            | None -> Some n
+            | Some reason ->
+                incr dropped;
+                if !why = None then why := Some reason;
+                None)
         | Tnode.Loop { count; body; _ } -> (
             match filter body with
             | [] -> None
@@ -162,15 +171,36 @@ let keep_known_comms ~comms nodes =
       ns
   in
   let ns = filter nodes in
-  (ns, !dropped)
+  (ns, !dropped, !why)
+
+let dropped_note ~dropped ~why =
+  Printf.sprintf "dropped %d events that do not fit the header (first: %s)"
+    dropped (Option.value ~default:"?" why)
+
+let header_nranks find =
+  match find "header" with
+  | Some p -> (
+      try Some (Trace_io.parse_header_payload p)
+      with Trace_io.Format_error _ -> None)
+  | None -> None
+
+(* The communicator table, or MPI_COMM_WORLD alone when its frame is
+   lost or unreadable. *)
+let recover_comms ~note ~nranks find =
+  let world = [ (0, Util.Rank_set.all nranks) ] in
+  match find "comms" with
+  | Some p -> (
+      try Trace_io.parse_comms_payload p
+      with Trace_io.Format_error _ ->
+        note "comms frame unreadable; assuming MPI_COMM_WORLD only";
+        world)
+  | None ->
+      note "comms frame lost; assuming MPI_COMM_WORLD only";
+      world
 
 let of_framed_tolerant ?path text =
   ignore path;
   let frames, seen, dropped, terminated = scan_tolerant text in
-  (* A missing terminator is lost data even when every surviving frame is
-     intact (e.g. a cut right before the timing frame): count it as one
-     dropped frame so the report registers the damage. *)
-  let seen, dropped = if terminated then (seen, dropped) else (seen + 1, dropped + 1) in
   let notes = ref [] in
   let note fmt = Printf.ksprintf (fun s -> notes := s :: !notes) fmt in
   if not terminated then
@@ -192,14 +222,7 @@ let of_framed_tolerant ?path text =
   (* nranks: header frame, else the timing manifest, else the highest
      surviving rank index. *)
   let nranks =
-    match find "header" with
-    | Some p -> (
-        try Some (Trace_io.parse_header_payload p)
-        with Trace_io.Format_error _ -> None)
-    | None -> None
-  in
-  let nranks =
-    match nranks with
+    match header_nranks find with
     | Some k -> Some k
     | None -> (
         note "header frame lost; inferring rank count";
@@ -215,17 +238,7 @@ let of_framed_tolerant ?path text =
   | None -> Error "unrecoverable: no header, timing, or rank frames survived"
   | Some nranks when nranks <= 0 -> Error "unrecoverable: invalid rank count"
   | Some nranks -> (
-      let comms =
-        match find "comms" with
-        | Some p -> (
-            try Trace_io.parse_comms_payload p
-            with Trace_io.Format_error _ ->
-              note "comms frame unreadable; assuming MPI_COMM_WORLD only";
-              [ (0, Util.Rank_set.all nranks) ])
-        | None ->
-            note "comms frame lost; assuming MPI_COMM_WORLD only";
-            [ (0, Util.Rank_set.all nranks) ]
-      in
+      let comms = recover_comms ~note:(note "%s") ~nranks find in
       let expected_for r =
         match timing with
         | Some (_, per_rank) -> List.assoc_opt r per_rank
@@ -248,20 +261,15 @@ let of_framed_tolerant ?path text =
                   :: !per_rank;
                 []
             | Some payload ->
-                let lines =
-                  if String.trim payload = "" then []
-                  else String.split_on_char '\n' payload
-                in
                 let nodes, truncated, err =
-                  Trace_io.parse_nodes_prefix lines
+                  Trace_io.parse_nodes_prefix (Trace_io.payload_lines payload)
                 in
                 (match err with
                 | Some msg -> note "rank %d: %s" r msg
                 | None -> ());
-                let nodes, dropped_events = keep_known_comms ~comms nodes in
+                let nodes, dropped_events, why = keep_fitting ~nranks ~comms nodes in
                 if dropped_events > 0 then
-                  note "rank %d: dropped %d events on unknown communicators"
-                    r dropped_events;
+                  note "rank %d: %s" r (dropped_note ~dropped:dropped_events ~why);
                 let events = Tnode.event_count nodes in
                 let lost =
                   match expected_for r with
@@ -292,6 +300,136 @@ let of_framed_tolerant ?path text =
               per_rank = List.rev !per_rank;
               notes = List.rev !notes;
             } ))
+
+(* ------------------------------------------------------------------ *)
+(* v3 salvage: the longest run of intact node frames                    *)
+
+(* The merged trace's top-level nodes are in global order, and global
+   order preserves each rank's order, so the node frames before the
+   first damaged or missing one are a prefix of every rank's stream.
+   Later frames are not used even when intact: splicing around a hole
+   would drop events from the middle of some ranks' streams.  The
+   manifest, when it survived, says exactly what each rank lost. *)
+let of_v3_tolerant text =
+  let frames, seen, dropped, terminated = scan_tolerant text in
+  let notes = ref [] in
+  let note fmt = Printf.ksprintf (fun s -> notes := s :: !notes) fmt in
+  if not terminated then
+    note "end-of-trace marker missing (file truncated?)";
+  let find kind = List.assoc_opt kind frames in
+  let manifest =
+    match find "manifest" with
+    | None ->
+        note "manifest frame lost; per-rank losses unknown";
+        None
+    | Some p -> (
+        try Some (Trace_io.parse_manifest_payload p)
+        with Trace_io.Format_error msg ->
+          note "manifest unreadable (%s); per-rank losses unknown" msg;
+          None)
+  in
+  let node_frames = Hashtbl.create 64 in
+  List.iter
+    (fun (kind, payload) ->
+      match Trace_io.node_of_kind kind with
+      | Some i when not (Hashtbl.mem node_frames i) -> Hashtbl.add node_frames i payload
+      | _ -> ())
+    frames;
+  (* [kept]: node frames used whole; [cut]: the run ended on a frame
+     whose payload did not parse to the end *)
+  let rec run i acc =
+    match Hashtbl.find_opt node_frames i with
+    | None -> (acc, i, false)
+    | Some payload ->
+        let nodes, truncated, err = Trace_io.parse_nodes_prefix (Trace_io.payload_lines payload) in
+        (match err with Some msg -> note "nodes:%d: %s" i msg | None -> ());
+        if truncated then (List.rev_append nodes acc, i, true)
+        else run (i + 1) (List.rev_append nodes acc)
+  in
+  let rev_nodes, kept, cut = run 0 [] in
+  let nodes = List.rev rev_nodes in
+  let later = Hashtbl.fold (fun i _ acc -> acc || i > kept) node_frames false in
+  let max_rank_plus_one sets =
+    List.fold_left
+      (fun acc set ->
+        match Util.Rank_set.max_elt set with Some r -> max acc (r + 1) | None -> acc)
+      0 sets
+  in
+  let nranks =
+    match header_nranks find with
+    | Some k -> Some k
+    | None -> (
+        note "header frame lost; inferring rank count";
+        let from_manifest =
+          match manifest with
+          | Some m -> max_rank_plus_one (List.map fst m.m_groups)
+          | None -> 0
+        in
+        let from_nodes =
+          let sets = ref [] in
+          Tnode.iter_leaves (fun e -> sets := e.Event.ranks :: !sets) nodes;
+          max_rank_plus_one !sets
+        in
+        match max from_manifest from_nodes with 0 -> None | k -> Some k)
+  in
+  match nranks with
+  | None -> Error "unrecoverable: no header, manifest, or node frames survived"
+  | Some _ when nodes = [] && dropped > 0 -> Error "unrecoverable: no node frame survived"
+  | Some nranks ->
+      let comms = recover_comms ~note:(note "%s") ~nranks find in
+      let nodes, dropped_events, why = keep_fitting ~nranks ~comms nodes in
+      if dropped_events > 0 then note "%s" (dropped_note ~dropped:dropped_events ~why);
+      let expected =
+        match manifest with
+        | None -> Array.make nranks None
+        | Some m -> (
+            try Trace_io.manifest_counts ~nranks m
+            with Trace_io.Format_error msg ->
+              note "manifest disagrees with the header (%s); per-rank losses unknown"
+                msg;
+              Array.make nranks None)
+      in
+      (match manifest with
+      | Some m when kept < m.m_nodes ->
+          note "kept node frames 0..%d of %d" (kept - 1) m.m_nodes
+      | Some _ -> ()
+      | None -> if later || cut then note "kept node frames 0..%d" (kept - 1));
+      (* without a manifest, the prefix is known whole only when nothing
+         at all was damaged *)
+      let whole = terminated && dropped = 0 && (not cut) && not later in
+      let got = Trace_io.rank_event_counts ~nranks nodes in
+      let per_rank =
+        List.init nranks (fun r ->
+            let lost =
+              match expected.(r) with
+              | Some c -> Some (max 0 (c - got.(r)))
+              | None -> if whole && dropped_events = 0 then Some 0 else None
+            in
+            {
+              rr_rank = r;
+              rr_events = got.(r);
+              rr_events_lost = lost;
+              rr_truncated = (match lost with Some l -> l > 0 | None -> true);
+            })
+      in
+      let ranks_missing =
+        List.filter_map
+          (fun rr ->
+            match expected.(rr.rr_rank) with
+            | Some c when c > 0 && rr.rr_events = 0 -> Some rr.rr_rank
+            | _ -> None)
+          per_rank
+      in
+      Ok
+        ( Trace.make ~nranks ~comms ~nodes,
+          {
+            format_version = 3;
+            frames_seen = seen;
+            frames_dropped = dropped;
+            ranks_missing;
+            per_rank;
+            notes = List.rev !notes;
+          } )
 
 (* ------------------------------------------------------------------ *)
 (* v1 salvage: longest parseable line prefix                            *)
@@ -342,7 +480,7 @@ let of_text_tolerant ?path text =
           if !comms = [] then [ (0, Util.Rank_set.all !nranks) ]
           else List.rev !comms
         in
-        let nodes, dropped_events = keep_known_comms ~comms nodes in
+        let nodes, dropped_events, why = keep_fitting ~nranks:!nranks ~comms nodes in
         let trace = Trace.make ~nranks:!nranks ~comms ~nodes in
         let notes =
           List.filter_map Fun.id
@@ -350,9 +488,7 @@ let of_text_tolerant ?path text =
               !bad;
               err;
               (if dropped_events > 0 then
-                 Some
-                   (Printf.sprintf "dropped %d events on unknown communicators"
-                      dropped_events)
+                 Some (dropped_note ~dropped:dropped_events ~why)
                else None);
             ]
         in
@@ -377,8 +513,10 @@ let of_text_tolerant ?path text =
   | _ -> Error "unrecoverable: no recognizable trace magic"
 
 let of_string ?path text : outcome =
-  if Trace_io.is_framed text then of_framed_tolerant ?path text
-  else of_text_tolerant ?path text
+  match Trace_io.framed_version text with
+  | Some 3 -> of_v3_tolerant text
+  | Some _ -> of_framed_tolerant ?path text
+  | None -> of_text_tolerant ?path text
 
 let load ~path : outcome =
   match In_channel.with_open_bin path In_channel.input_all with

@@ -263,7 +263,8 @@ let parse_event ?src lineno rest =
   | [] -> fail ?src lineno "empty event"
 
 (* One step of the node-stream parser: feed a trimmed line into the open
-   loop stack.  Shared by the strict parsers and the salvage loader. *)
+   loop stack.  Shared by the strict parsers and the salvage loader;
+   [seen] is told the line of every event parsed. *)
 type node_stack = (int * Tnode.t list ref) list ref
 
 let fresh_stack () : node_stack = ref [ (0, ref []) ]
@@ -273,7 +274,8 @@ let stack_push_node (stack : node_stack) n =
   | (_, body) :: _ -> body := n :: !body
   | [] -> assert false
 
-let node_line_step ?src (stack : node_stack) lineno line =
+let node_line_step ?src ?(seen = fun _ _ -> ()) (stack : node_stack) lineno
+    line =
   match String.index_opt line ' ' with
   | None when line = "end" -> (
       match !stack with
@@ -291,7 +293,10 @@ let node_line_step ?src (stack : node_stack) lineno line =
             try int_of_string rest with Failure _ -> fail ?src lineno "bad loop count"
           in
           stack := (count, ref []) :: !stack
-      | "event" -> stack_push_node stack (Tnode.Leaf (parse_event ?src lineno rest))
+      | "event" ->
+          let e = parse_event ?src lineno rest in
+          seen lineno e;
+          stack_push_node stack (Tnode.Leaf e)
       | _ -> fail ?src lineno "unknown directive %S" word)
 
 (* Completed top-level nodes of a (possibly still-open) stack: open loops
@@ -305,12 +310,12 @@ let stack_closed (stack : node_stack) = match !stack with [ _ ] -> true | _ -> f
 
 (* Strict node-stream parser over [lines]; line numbers are offset by
    [lineno0] so errors point into the enclosing file. *)
-let parse_nodes ?src ?(lineno0 = 0) lines =
+let parse_nodes ?src ?seen ?(lineno0 = 0) lines =
   let stack = fresh_stack () in
   List.iteri
     (fun i raw ->
       let line = String.trim raw in
-      if line <> "" then node_line_step ?src stack (lineno0 + i + 1) line)
+      if line <> "" then node_line_step ?src ?seen stack (lineno0 + i + 1) line)
     lines;
   if not (stack_closed stack) then
     fail ?src (lineno0 + List.length lines) "unterminated loop at end of input";
@@ -336,11 +341,84 @@ let parse_nodes_prefix ?(lineno0 = 0) lines =
   let truncated = !error <> None || not (stack_closed stack) in
   (stack_completed stack, truncated, !error)
 
+(* ------------------------------------------------------------------ *)
+(* Events inside their own header                                       *)
+
+(* A parsed event must fit the trace it sits in: its participants are
+   ranks of the trace and members of a communicator in the table, and a
+   concrete peer is a member of that communicator too.  Generation trusts
+   all four (a peer outside the world becomes "TO TASK 9" in a 4-task
+   benchmark), so loaders check them once, after assembly.  A
+   comm_split's map holds colours, not ranks, so its peer is exempt. *)
+type comm_table = (int * (Util.Rank_set.t * bool)) list
+
+let comm_table ~nranks comms : comm_table =
+  let world = Util.Rank_set.all nranks in
+  List.map (fun (id, members) -> (id, (members, Util.Rank_set.equal members world))) comms
+
+let event_problem ~nranks (table : comm_table) (e : Event.t) =
+  match (Util.Rank_set.min_elt e.ranks, Util.Rank_set.max_elt e.ranks) with
+  | Some lo, Some hi when lo < 0 || hi >= nranks ->
+      Some (Printf.sprintf "ranks %s outside [0, %d)" (ranks_to_string e.ranks) nranks)
+  | _ -> (
+      match List.assoc_opt e.comm table with
+      | None -> Some (Printf.sprintf "unknown communicator %d" e.comm)
+      | Some (members, world) ->
+          if not (world || Util.Rank_set.subset e.ranks members) then
+            Some
+              (Printf.sprintf "ranks %s outside communicator %d"
+                 (ranks_to_string e.ranks) e.comm)
+          else
+            let outside p = not (Util.Rank_set.mem p members) in
+            let peer =
+              if e.kind = Event.E_comm_split then None
+              else
+                match e.peer with
+                | Event.P_abs p -> if outside p then Some p else None
+                | Event.P_map m ->
+                    List.find_map (fun (_, p) -> if outside p then Some p else None) m
+                | Event.P_none | Event.P_any | Event.P_rel _ -> None
+            in
+            Option.map
+              (fun p -> Printf.sprintf "peer %d outside communicator %d" p e.comm)
+              peer)
+
+(* The [seen] hook of the strict parsers. *)
+let check_fit ?src ~nranks table lineno e =
+  match event_problem ~nranks table e with
+  | Some why -> fail ?src lineno "event %s" why
+  | None -> ()
+
+(* Per-rank event counts of [nodes] (loops expanded), ranks outside
+   [0, nranks) ignored: one pass over the leaves' intervals. *)
+let rank_event_counts ~nranks nodes =
+  let counts = Array.make nranks 0 in
+  let rec go mult = function
+    | Tnode.Leaf e ->
+        List.iter
+          (fun (first, last, stride) ->
+            let r =
+              ref
+                (if first >= 0 then first
+                 else first + ((stride - 1 - first) / stride * stride))
+            in
+            while !r <= last && !r < nranks do
+              counts.(!r) <- counts.(!r) + mult;
+              r := !r + stride
+            done)
+          (Util.Rank_set.intervals e.Event.ranks)
+    | Tnode.Loop { count; body; _ } -> List.iter (go (mult * count)) body
+  in
+  List.iter (go 1) nodes;
+  counts
+
 let of_text ?path text =
   let src = path in
   let lines = String.split_on_char '\n' text in
   let nranks = ref 0 in
   let comms = ref [] in
+  let events = ref [] in
+  let seen lineno e = events := (lineno, e) :: !events in
   let stack = fresh_stack () in
   List.iteri
     (fun i raw ->
@@ -370,7 +448,7 @@ let of_text ?path text =
                         :: !comms
                     with Failure _ -> fail ?src lineno "bad comm id")
                 | _ -> fail ?src lineno "bad comm line"))
-        | _ -> node_line_step ?src stack lineno line)
+        | _ -> node_line_step ?src ~seen stack lineno line)
     lines;
   if not (stack_closed stack) then
     raise
@@ -384,34 +462,156 @@ let of_text ?path text =
          (match src with
          | None -> "missing or invalid nranks"
          | Some p -> p ^ ": missing or invalid nranks"));
-  Trace.make ~nranks:!nranks ~comms:(List.rev !comms)
-    ~nodes:(stack_completed stack)
+  let comms = List.rev !comms in
+  let table = comm_table ~nranks:!nranks comms in
+  List.iter
+    (fun (lineno, e) -> check_fit ?src ~nranks:!nranks table lineno e)
+    (List.rev !events);
+  Trace.make ~nranks:!nranks ~comms ~nodes:(stack_completed stack)
 
 (* ------------------------------------------------------------------ *)
-(* Framed format v2                                                     *)
+(* Framed containers                                                    *)
 
 (* Container layout (text-friendly, binary-safe):
 
-     scalatrace-frames 2\n
+     scalatrace-frames <version>\n
      frame <kind> <len> <crc32-hex8>\n
      <len payload bytes>\n
      ...
      frame end 0 00000000\n
 
-   Kinds: [header] (nranks), [comms] (communicator table), [rank:<r>]
-   (rank r's RSD stream, singleton participant sets, concrete peers,
-   timing on the lowest participating rank only), [timing] (per-rank
-   event-count manifest).  Each frame's CRC-32 covers exactly its
-   payload bytes, so corruption is localized to one section: a flipped
-   byte invalidates one frame, a truncation costs the tail — which is
-   what lets {!Salvage} recover every intact section. *)
+   Each frame's CRC-32 covers exactly its payload bytes, so corruption is
+   localized to one section: a flipped byte invalidates one frame, a
+   truncation costs the tail — which is what lets {!Salvage} recover
+   every intact section.  Payloads carry no trailing newline; the
+   container adds the separator.
+
+   Version 2 kinds: [header] (nranks), [comms] (communicator table),
+   [rank:<r>] (rank r's RSD stream, singleton participant sets, concrete
+   peers, timing on the lowest participating rank only), [timing]
+   (per-rank event-count manifest).
+
+   Version 3 kinds, in this order: [header], [comms], [manifest] (total
+   events, node-frame count, per-rank event counts grouped by count as
+   rank sets), then [nodes:<i>] — the i-th top-level RSD/PRSD of the
+   merged trace in v1 node syntax.  Metadata leads because truncation is
+   the common damage; one frame per top-level node means a cut loses
+   only the node being written and those after it. *)
 
 let magic_v1 = "scalatrace-trace 1"
 let magic_v2 = "scalatrace-frames 2"
+let magic_v3 = "scalatrace-frames 3"
+let end_marker = "frame end 0 00000000\n"
+
+let framed_version text =
+  if String.starts_with ~prefix:magic_v3 text then Some 3
+  else if String.starts_with ~prefix:magic_v2 text then Some 2
+  else None
 
 let frame_header ~kind ~payload =
   Printf.sprintf "frame %s %d %s" kind (String.length payload)
     (Util.Crc32.to_hex (Util.Crc32.string payload))
+
+let add_frame buf kind payload =
+  Buffer.add_string buf (frame_header ~kind ~payload);
+  Buffer.add_char buf '\n';
+  Buffer.add_string buf payload;
+  Buffer.add_char buf '\n'
+
+let nodes_payload nodes =
+  let b = Buffer.create 1024 in
+  add_nodes b 0 nodes;
+  let n = Buffer.length b in
+  if n > 0 && Buffer.nth b (n - 1) = '\n' then Buffer.sub b 0 (n - 1)
+  else Buffer.contents b
+
+let comms_payload trace =
+  String.concat "\n"
+    (List.map
+       (fun (id, members) -> Printf.sprintf "comm %d %s" id (ranks_to_string members))
+       (Trace.comms trace))
+
+let payload_lines payload =
+  if String.trim payload = "" then [] else String.split_on_char '\n' payload
+
+(* "frame nodes:3" in error messages, after the file path if any. *)
+let in_frame ?src kind =
+  Some (match src with None -> "frame " ^ kind | Some p -> p ^ ": frame " ^ kind)
+
+(* Exact (strict) frame scan: any malformation raises.  Returns each
+   frame's kind, payload, and the file line its payload starts on. *)
+let scan_frames_strict ?src text =
+  let n = String.length text in
+  let line_end pos = match String.index_from_opt text pos '\n' with
+    | Some i -> i
+    | None -> n
+  in
+  let lineno = ref 2 in
+  let pos = ref (line_end 0 + 1) in
+  let frames = ref [] in
+  let finished = ref false in
+  while not !finished do
+    if !pos >= n then fail ?src !lineno "missing end frame";
+    let e = line_end !pos in
+    let header = String.sub text !pos (e - !pos) in
+    (match String.split_on_char ' ' header with
+    | [ "frame"; "end"; "0"; _ ] ->
+        finished := true;
+        pos := e + 1
+    | [ "frame"; kind; len_s; crc_s ] -> (
+        match (int_of_string_opt len_s, Util.Crc32.of_hex crc_s) with
+        | Some len, Some crc when len >= 0 && e + 1 + len <= n ->
+            let payload = String.sub text (e + 1) len in
+            if Util.Crc32.string payload <> crc then
+              fail ?src !lineno "frame %s: checksum mismatch" kind;
+            if e + 1 + len < n && text.[e + 1 + len] <> '\n' then
+              fail ?src !lineno "frame %s: missing separator" kind;
+            frames := (kind, payload, !lineno + 1) :: !frames;
+            let newlines = ref 0 in
+            String.iter (fun c -> if c = '\n' then incr newlines) payload;
+            lineno := !lineno + 2 + !newlines;
+            pos := e + 1 + len + 1
+        | Some _, Some _ -> fail ?src !lineno "frame %s: truncated payload" kind
+        | _ -> fail ?src !lineno "bad frame header %S" header)
+    | _ -> fail ?src !lineno "bad frame header %S" header)
+  done;
+  List.rev !frames
+
+let parse_header_payload ?src ?(line = 1) payload =
+  match String.split_on_char ' ' (String.trim payload) with
+  | [ "nranks"; v ] -> (
+      match int_of_string_opt v with
+      | Some k when k > 0 -> k
+      | _ -> fail ?src line "bad nranks in header frame")
+  | _ -> fail ?src line "bad header frame"
+
+let parse_comms_payload ?src ?(line = 1) payload =
+  List.filter_map
+    (fun raw ->
+      let line' = String.trim raw in
+      if line' = "" then None
+      else
+        match String.split_on_char ' ' line' with
+        | [ "comm"; id; members ] -> (
+            match int_of_string_opt id with
+            | Some id -> Some (id, ranks_of_string ?src line members)
+            | None -> fail ?src line "bad comm id in comms frame")
+        | _ -> fail ?src line "bad comms frame line %S" line')
+    (String.split_on_char '\n' payload)
+
+let parse_ranks ?src s = ranks_of_string ?src 0 s
+
+let index_of_kind prefix kind =
+  let k = String.length prefix in
+  if String.starts_with ~prefix kind then
+    int_of_string_opt (String.sub kind k (String.length kind - k))
+  else None
+
+let rank_of_kind = index_of_kind "rank:"
+let node_of_kind = index_of_kind "nodes:"
+
+(* ------------------------------------------------------------------ *)
+(* Format v2: one singleton projection per rank                         *)
 
 (* Rank [rank]'s serializable stream: its projection with participant
    sets narrowed to the singleton and generalized peers resolved to the
@@ -440,107 +640,23 @@ let rank_stream trace ~rank =
 
 let to_framed trace =
   let buf = Buffer.create 8192 in
-  let frame kind payload =
-    Buffer.add_string buf (frame_header ~kind ~payload);
-    Buffer.add_char buf '\n';
-    Buffer.add_string buf payload;
-    Buffer.add_char buf '\n'
-  in
   Buffer.add_string buf magic_v2;
   Buffer.add_char buf '\n';
   let nranks = Trace.nranks trace in
-  frame "header" (Printf.sprintf "nranks %d" nranks);
-  frame "comms"
-    (String.concat "\n"
-       (List.map
-          (fun (id, members) ->
-            Printf.sprintf "comm %d %s" id (ranks_to_string members))
-          (Trace.comms trace)));
+  add_frame buf "header" (Printf.sprintf "nranks %d" nranks);
+  add_frame buf "comms" (comms_payload trace);
   let manifest = Buffer.create 256 in
   Buffer.add_string manifest
     (Printf.sprintf "events %d" (Trace.event_count trace));
   for rank = 0 to nranks - 1 do
     let stream = rank_stream trace ~rank in
-    let b = Buffer.create 1024 in
-    add_nodes b 0 stream;
-    (* payloads carry no trailing newline; the container adds the separator *)
-    let payload =
-      let s = Buffer.contents b in
-      let n = String.length s in
-      if n > 0 && s.[n - 1] = '\n' then String.sub s 0 (n - 1) else s
-    in
-    frame (Printf.sprintf "rank:%d" rank) payload;
+    add_frame buf (Printf.sprintf "rank:%d" rank) (nodes_payload stream);
     Buffer.add_string manifest
       (Printf.sprintf "\nrank %d %d" rank (Tnode.event_count stream))
   done;
-  frame "timing" (Buffer.contents manifest);
-  Buffer.add_string buf "frame end 0 00000000\n";
+  add_frame buf "timing" (Buffer.contents manifest);
+  Buffer.add_string buf end_marker;
   Buffer.contents buf
-
-let is_framed text =
-  String.length text >= String.length magic_v2
-  && String.sub text 0 (String.length magic_v2) = magic_v2
-
-(* Exact (strict) frame scan: any malformation raises. *)
-let scan_frames_strict ?src text =
-  let n = String.length text in
-  let line_end pos = match String.index_from_opt text pos '\n' with
-    | Some i -> i
-    | None -> n
-  in
-  (* line numbers are only approximate bookkeeping for error messages *)
-  let lineno = ref 1 in
-  let pos = ref (line_end 0 + 1) in
-  incr lineno;
-  let frames = ref [] in
-  let finished = ref false in
-  while not !finished do
-    if !pos >= n then fail ?src !lineno "missing end frame";
-    let e = line_end !pos in
-    let header = String.sub text !pos (e - !pos) in
-    (match String.split_on_char ' ' header with
-    | [ "frame"; "end"; "0"; _ ] ->
-        finished := true;
-        pos := e + 1
-    | [ "frame"; kind; len_s; crc_s ] -> (
-        match (int_of_string_opt len_s, Util.Crc32.of_hex crc_s) with
-        | Some len, Some crc when len >= 0 && e + 1 + len <= n ->
-            let payload = String.sub text (e + 1) len in
-            if Util.Crc32.string payload <> crc then
-              fail ?src !lineno "frame %s: checksum mismatch" kind;
-            if e + 1 + len < n && text.[e + 1 + len] <> '\n' then
-              fail ?src !lineno "frame %s: missing separator" kind;
-            frames := (kind, payload) :: !frames;
-            lineno := !lineno + 1
-              + (List.length (String.split_on_char '\n' payload));
-            pos := e + 1 + len + 1
-        | Some _, Some _ -> fail ?src !lineno "frame %s: truncated payload" kind
-        | _ -> fail ?src !lineno "bad frame header %S" header)
-    | _ -> fail ?src !lineno "bad frame header %S" header)
-  done;
-  List.rev !frames
-
-let parse_header_payload ?src payload =
-  match String.split_on_char ' ' (String.trim payload) with
-  | [ "nranks"; v ] -> (
-      match int_of_string_opt v with
-      | Some k when k > 0 -> k
-      | _ -> fail ?src 1 "bad nranks in header frame")
-  | _ -> fail ?src 1 "bad header frame"
-
-let parse_comms_payload ?src payload =
-  List.filter_map
-    (fun raw ->
-      let line = String.trim raw in
-      if line = "" then None
-      else
-        match String.split_on_char ' ' line with
-        | [ "comm"; id; members ] -> (
-            match int_of_string_opt id with
-            | Some id -> Some (id, ranks_of_string ?src 1 members)
-            | None -> fail ?src 1 "bad comm id in comms frame")
-        | _ -> fail ?src 1 "bad comms frame line %S" line)
-    (String.split_on_char '\n' payload)
 
 let parse_timing_payload payload =
   let events = ref None and per_rank = ref [] in
@@ -557,72 +673,218 @@ let parse_timing_payload payload =
     (String.split_on_char '\n' payload);
   (!events, List.rev !per_rank)
 
-let parse_ranks ?src s = ranks_of_string ?src 0 s
-
-let rank_of_kind kind =
-  if String.length kind > 5 && String.sub kind 0 5 = "rank:" then
-    int_of_string_opt (String.sub kind 5 (String.length kind - 5))
-  else None
-
-let assemble ?src ~nranks ~comms streams = ignore src; Merge.merge ~nranks ~comms streams
+let assemble ~nranks ~comms streams = Merge.merge ~nranks ~comms streams
 
 let of_framed ?path text =
   let src = path in
-  if not (is_framed text) then
+  if framed_version text <> Some 2 then
     fail ?src 1 "not a framed scalatrace trace (bad magic)";
   let frames = scan_frames_strict ?src text in
-  let find kind = List.assoc_opt kind frames in
+  let find kind =
+    List.find_map (fun (k, p, line) -> if k = kind then Some (p, line) else None) frames
+  in
   let nranks =
     match find "header" with
-    | Some p -> parse_header_payload ?src p
+    | Some (p, line) -> parse_header_payload ?src ~line p
     | None -> fail ?src 1 "missing header frame"
   in
   let comms =
     match find "comms" with
-    | Some p -> parse_comms_payload ?src p
+    | Some (p, line) -> parse_comms_payload ?src ~line p
     | None -> fail ?src 1 "missing comms frame"
   in
+  let table = comm_table ~nranks comms in
   let streams =
     Array.init nranks (fun r ->
-        match find (Printf.sprintf "rank:%d" r) with
-        | Some payload ->
-            if String.trim payload = "" then []
-            else parse_nodes ?src (String.split_on_char '\n' payload)
+        let kind = Printf.sprintf "rank:%d" r in
+        match find kind with
+        | Some (payload, line) ->
+            let src = in_frame ?src kind in
+            parse_nodes ?src ~seen:(check_fit ?src ~nranks table) ~lineno0:(line - 1)
+              (payload_lines payload)
         | None -> fail ?src 1 "missing frame for rank %d" r)
   in
-  let trace = assemble ?src ~nranks ~comms streams in
+  let trace = assemble ~nranks ~comms streams in
   (match find "timing" with
   | None -> fail ?src 1 "missing timing frame"
-  | Some p ->
+  | Some (p, line) ->
       let events, per_rank = parse_timing_payload p in
       (match events with
       | Some expect when expect <> Trace.event_count trace ->
-          fail ?src 1 "event-count manifest mismatch (%d recorded, %d loaded)"
+          fail ?src line "event-count manifest mismatch (%d recorded, %d loaded)"
             expect (Trace.event_count trace)
       | _ -> ());
+      let counts = rank_event_counts ~nranks (Trace.nodes trace) in
       List.iter
         (fun (r, expect) ->
-          if r >= 0 && r < nranks then
-            let got = Tnode.event_count_for (Trace.nodes trace) ~rank:r in
-            if got <> expect then
-              fail ?src 1
-                "rank %d event-count manifest mismatch (%d recorded, %d loaded)"
-                r expect got)
+          if r >= 0 && r < nranks && counts.(r) <> expect then
+            fail ?src line
+              "rank %d event-count manifest mismatch (%d recorded, %d loaded)"
+              r expect counts.(r))
         per_rank);
   trace
+
+(* ------------------------------------------------------------------ *)
+(* Format v3: the merged trace, one frame per top-level node            *)
+
+type manifest = {
+  m_events : int;
+  m_nodes : int;
+  m_groups : (Util.Rank_set.t * int) list;
+}
+
+(* Ranks grouped by event count, groups in order of their lowest rank:
+   SPMD codes have a handful of distinct counts, so the manifest stays a
+   few lines at any rank count. *)
+let manifest_payload ~nranks nodes =
+  let groups = Hashtbl.create 8 and order = ref [] in
+  Array.iteri
+    (fun r c ->
+      match Hashtbl.find_opt groups c with
+      | Some ranks -> ranks := r :: !ranks
+      | None ->
+          Hashtbl.add groups c (ref [ r ]);
+          order := c :: !order)
+    (rank_event_counts ~nranks nodes);
+  String.concat "\n"
+    (Printf.sprintf "events %d" (Tnode.event_count nodes)
+    :: Printf.sprintf "nodes %d" (List.length nodes)
+    :: List.rev_map
+         (fun c ->
+           Printf.sprintf "ranks %s %d"
+             (ranks_to_string (Util.Rank_set.of_list !(Hashtbl.find groups c)))
+             c)
+         !order)
+
+let parse_manifest_payload ?src ?(line = 1) payload =
+  let events = ref None and nodes = ref None and groups = ref [] in
+  List.iter
+    (fun raw ->
+      let l = String.trim raw in
+      let int v =
+        match int_of_string_opt v with
+        | Some k when k >= 0 -> k
+        | _ -> fail ?src line "bad manifest line %S" l
+      in
+      match String.split_on_char ' ' l with
+      | [ "" ] -> ()
+      | [ "events"; v ] -> events := Some (int v)
+      | [ "nodes"; v ] -> nodes := Some (int v)
+      | [ "ranks"; set; c ] -> groups := (ranks_of_string ?src line set, int c) :: !groups
+      | _ -> fail ?src line "bad manifest line %S" l)
+    (String.split_on_char '\n' payload);
+  match (!events, !nodes) with
+  | Some m_events, Some m_nodes -> { m_events; m_nodes; m_groups = List.rev !groups }
+  | _ -> fail ?src line "manifest lacks its events or nodes line"
+
+(* The manifest's per-rank counts, one slot per rank of [0, nranks);
+   [None] marks a rank no group lists.
+   @raise Format_error when a group names a rank twice or out of range. *)
+let manifest_counts ?src ?(line = 1) ~nranks m =
+  let counts = Array.make nranks None in
+  List.iter
+    (fun (set, c) ->
+      (match Util.Rank_set.max_elt set with
+      | Some hi when hi >= nranks -> fail ?src line "manifest names rank %d of %d" hi nranks
+      | _ -> ());
+      Util.Rank_set.iter
+        (fun r ->
+          if r < 0 then fail ?src line "manifest names rank %d" r;
+          if counts.(r) <> None then fail ?src line "manifest lists rank %d twice" r;
+          counts.(r) <- Some c)
+        set)
+    m.m_groups;
+  counts
+
+let to_string trace =
+  let buf = Buffer.create 8192 in
+  Buffer.add_string buf magic_v3;
+  Buffer.add_char buf '\n';
+  let nranks = Trace.nranks trace and nodes = Trace.nodes trace in
+  add_frame buf "header" (Printf.sprintf "nranks %d" nranks);
+  add_frame buf "comms" (comms_payload trace);
+  add_frame buf "manifest" (manifest_payload ~nranks nodes);
+  List.iteri
+    (fun i n -> add_frame buf (Printf.sprintf "nodes:%d" i) (nodes_payload [ n ]))
+    nodes;
+  Buffer.add_string buf end_marker;
+  Buffer.contents buf
+
+(* Strict v3 parse: the frames must come exactly as written — header,
+   comms, manifest, then nodes:0 .. nodes:(k-1) with k from the manifest,
+   each holding one top-level node — and the loaded trace must match the
+   manifest rank by rank.  No per-rank streams and no re-merge. *)
+let of_v3 ?path text =
+  let src = path in
+  let frames = scan_frames_strict ?src text in
+  let take kind = function
+    | (k, payload, line) :: rest when k = kind -> (payload, line, rest)
+    | (k, _, line) :: _ -> fail ?src (line - 1) "expected frame %s, found %s" kind k
+    | [] -> fail ?src 2 "missing %s frame" kind
+  in
+  let header, hline, frames = take "header" frames in
+  let nranks = parse_header_payload ?src:(in_frame ?src "header") ~line:hline header in
+  let comms, cline, frames = take "comms" frames in
+  let comms = parse_comms_payload ?src:(in_frame ?src "comms") ~line:cline comms in
+  let manifest, mline, frames = take "manifest" frames in
+  let msrc = in_frame ?src "manifest" in
+  let m = parse_manifest_payload ?src:msrc ~line:mline manifest in
+  let expect = manifest_counts ?src:msrc ~line:mline ~nranks m in
+  let table = comm_table ~nranks comms in
+  let rec nodes i acc = function
+    | [] ->
+        if i < m.m_nodes then fail ?src 2 "missing node frame nodes:%d" i;
+        List.rev acc
+    | (kind, payload, line) :: rest -> (
+        match node_of_kind kind with
+        | None -> fail ?src (line - 1) "unexpected frame %s" kind
+        | Some j when j < i -> fail ?src (line - 1) "duplicate node frame %s" kind
+        | Some j when j > i ->
+            if List.exists (fun (k, _, _) -> node_of_kind k = Some i) rest then
+              fail ?src (line - 1) "node frame %s out of order (expected nodes:%d)" kind i
+            else fail ?src (line - 1) "missing node frame nodes:%d" i
+        | Some _ ->
+            if i >= m.m_nodes then
+              fail ?src (line - 1) "node frame %s beyond the manifest's %d" kind
+                m.m_nodes;
+            let src = in_frame ?src kind in
+            let seen = check_fit ?src ~nranks table in
+            (match parse_nodes ?src ~seen ~lineno0:(line - 1) (payload_lines payload) with
+            | [ n ] -> nodes (i + 1) (n :: acc) rest
+            | ns ->
+                fail ?src (line - 1) "holds %d top-level nodes, expected one"
+                  (List.length ns)))
+  in
+  let nodes = nodes 0 [] frames in
+  let events = Tnode.event_count nodes in
+  if events <> m.m_events then
+    fail ?src:msrc mline "event-count manifest mismatch (%d recorded, %d loaded)"
+      m.m_events events;
+  Array.iteri
+    (fun r got ->
+      match expect.(r) with
+      | None -> fail ?src:msrc mline "manifest does not list rank %d" r
+      | Some c when c <> got ->
+          fail ?src:msrc mline
+            "rank %d event-count manifest mismatch (%d recorded, %d loaded)" r c got
+      | Some _ -> ())
+    (rank_event_counts ~nranks nodes);
+  Trace.make ~nranks ~comms ~nodes
 
 (* ------------------------------------------------------------------ *)
 (* Files                                                                *)
 
 let of_string ?path text =
-  if is_framed text then of_framed ?path text else of_text ?path text
+  match framed_version text with
+  | Some 3 -> of_v3 ?path text
+  | Some _ -> of_framed ?path text
+  | None -> of_text ?path text
 
-let save ?(format = `V2) trace ~path =
-  let text = match format with `V1 -> to_text trace | `V2 -> to_framed trace in
+let save trace ~path =
   let oc = open_out_bin path in
   Fun.protect
     ~finally:(fun () -> close_out oc)
-    (fun () -> output_string oc text)
+    (fun () -> output_string oc (to_string trace))
 
 let load ~path =
   let text = In_channel.with_open_bin path In_channel.input_all in

@@ -1,5 +1,5 @@
 (* Table-driven CRC-32 (IEEE 802.3, reflected polynomial 0xEDB88320) —
-   the checksum guarding each frame of the v2 trace container.  Pure
+   the checksum guarding each frame of the framed trace containers.  Pure
    OCaml, no external deps; values are masked to 32 bits so results are
    identical on 32- and 64-bit hosts. *)
 

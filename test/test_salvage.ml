@@ -1,6 +1,6 @@
 (* The resilient-ingestion layer: framed (v2) round trips, v1 -> v2
-   migration, golden frame headers, the salvage loader, degraded-mode
-   generation, and the corruption-fuzz contract. *)
+   migration, golden frame headers, the salvage loader on v1, v2 and v3
+   files, degraded-mode generation, and the corruption-fuzz contract. *)
 
 open Scalatrace
 
@@ -291,13 +291,130 @@ let unit_tests =
               (Printf.sprintf "seed %d app %s %s: %s" v.v_seed v.v_app
                  v.v_mutation v.v_what))
           s.violations;
-        Alcotest.(check bool) "ran cases" true (s.cases > 50);
+        Alcotest.(check bool) "ran cases" true (s.total.cases > 50);
         Alcotest.(check bool)
           "every salvaged-and-generated case replayed" true
-          (s.generated = s.replayed));
+          (s.total.generated = s.total.replayed));
+  ]
+
+(* ------------------------------------------------------------------ *)
+(* Format v3: the longest run of intact node frames                     *)
+
+let take k l = List.filteri (fun i _ -> i < k) l
+
+(* Truncate the v3 file at every frame boundary: salvage must keep
+   exactly the node frames before the cut (none survive a cut before
+   nodes:0, which is unrecoverable) and report each rank's loss as the
+   manifest's count minus what the kept frames hold. *)
+let v3_boundary_sweep name =
+  t (name ^ " v3 salvage at every frame boundary keeps the frames before it")
+    (fun () ->
+      let trace = app_trace name in
+      let nranks = Trace.nranks trace in
+      let bytes = Trace_io.to_string trace in
+      let full = Trace_io.rank_event_counts ~nranks (Trace.nodes trace) in
+      List.iter
+        (fun pos ->
+          let kept =
+            List.length
+              (List.filter
+                 (fun b -> b < pos && String.sub bytes b 12 = "frame nodes:")
+                 (frame_boundaries bytes))
+          in
+          match Salvage.of_string (String.sub bytes 0 pos) with
+          | Error m ->
+              if kept > 0 then Alcotest.failf "cut@%d: %s" pos m
+          | Ok (trace', report) ->
+              Alcotest.(check int) (Printf.sprintf "cut@%d: v3" pos) 3 report.format_version;
+              let expect = Trace.with_nodes trace (take kept (Trace.nodes trace)) in
+              Alcotest.(check string)
+                (Printf.sprintf "cut@%d keeps %d node frames" pos kept)
+                (Trace_io.to_text expect) (Trace_io.to_text trace');
+              let got = Trace_io.rank_event_counts ~nranks (Trace.nodes expect) in
+              List.iter
+                (fun (rr : Salvage.rank_recovery) ->
+                  Alcotest.(check (option int))
+                    (Printf.sprintf "cut@%d rank %d lost" pos rr.rr_rank)
+                    (Some (full.(rr.rr_rank) - got.(rr.rr_rank)))
+                    rr.rr_events_lost)
+                report.per_rank;
+              Alcotest.(check bool)
+                (Printf.sprintf "cut@%d degraded" pos)
+                true (Salvage.is_degraded report))
+        (frame_boundaries bytes))
+
+let v3_tests =
+  [
+    t "v3 salvage of an intact file is a clean report" (fun () ->
+        let trace = app_trace "lu" in
+        match Salvage.of_string (Trace_io.to_string trace) with
+        | Error m -> Alcotest.fail m
+        | Ok (trace', report) ->
+            Alcotest.(check int) "v3" 3 report.format_version;
+            Alcotest.(check string)
+              "same trace" (Trace_io.to_string trace) (Trace_io.to_string trace');
+            Alcotest.(check bool) "not degraded" false (Salvage.is_degraded report);
+            Alcotest.(check (option int)) "nothing lost" (Some 0)
+              (Salvage.events_lost report));
+    t "v3 salvage stops at a damaged node frame" (fun () ->
+        (* a bit flip in nodes:3 loses it and every later frame, even
+           though those are intact *)
+        let trace = app_trace "lu" in
+        let bytes = Trace_io.to_string trace in
+        let at =
+          List.find
+            (fun b -> String.sub bytes b 14 = "frame nodes:3 ")
+            (frame_boundaries bytes)
+        in
+        let b = Bytes.of_string bytes in
+        let i = String.index_from bytes at '\n' + 5 in
+        Bytes.set b i (Char.chr (Char.code (Bytes.get b i) lxor 0x20));
+        match Salvage.of_string (Bytes.to_string b) with
+        | Error m -> Alcotest.fail m
+        | Ok (trace', report) ->
+            Alcotest.(check int) "one frame dropped" 1 report.frames_dropped;
+            Alcotest.(check int) "three node frames kept" 3
+              (List.length (Trace.nodes trace'));
+            Alcotest.(check bool) "losses known" true
+              (Salvage.events_lost report <> None));
+    t "v3 salvage without its manifest keeps the nodes, losses unknown"
+      (fun () ->
+        let trace = app_trace "lu" in
+        let bytes = Trace_io.to_string trace in
+        let bs = frame_boundaries bytes in
+        let start = List.find (fun b -> String.sub bytes b 15 = "frame manifest ") bs in
+        let stop = List.find (fun b -> b > start) bs in
+        let damaged =
+          String.sub bytes 0 start ^ String.sub bytes stop (String.length bytes - stop)
+        in
+        match Salvage.of_string damaged with
+        | Error m -> Alcotest.fail m
+        | Ok (trace', report) ->
+            Alcotest.(check string)
+              "every node" (Trace_io.to_text trace) (Trace_io.to_text trace');
+            Alcotest.(check (option int)) "losses" (Some 0) (Salvage.events_lost report));
+    t "best-effort generates from a truncated v3 file" (fun () ->
+        let trace = app_trace "cg" ~nranks:8 in
+        let bytes = Trace_io.to_string trace in
+        let cut = String.sub bytes 0 (String.length bytes * 6 / 10) in
+        with_temp_file cut (fun path ->
+            match run_pipeline ~recovery:`Best_effort path with
+            | Error e -> Alcotest.fail (Benchgen.error_to_string e)
+            | Ok (artifact, warnings) ->
+                Alcotest.(check bool)
+                  "W_salvaged" true
+                  (List.exists
+                     (function Benchgen.W_salvaged _ -> true | _ -> false)
+                     warnings);
+                ignore
+                  (Conceptual.Lower.run ~max_events:500_000
+                     ~nranks:(Trace.nranks trace)
+                     (Conceptual.Parse.program artifact.Benchgen.Pipeline.report.text))));
   ]
 
 let suite =
   unit_tests
   @ List.map framed_roundtrip all_app_names
   @ List.map migration all_app_names
+  @ List.map v3_boundary_sweep [ "bt"; "is"; "lu"; "mg" ]
+  @ v3_tests
