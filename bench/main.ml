@@ -42,9 +42,9 @@ let () =
         "perf         engine/compressor perf-regression suite -> \
          BENCH_engine.json (add --quick for the smoke-test mode)";
       print_endline
-        "perf-smoke   guards on the indexed merge path, on Lower's speed \
-         against the application, and on v3 against v2 load time (runs \
-         under dune runtest)"
+        "perf-smoke   guards on the merge's cost against the traced run, on \
+         Lower's speed against the application, and on v3 against v2 load \
+         time (runs under dune runtest)"
   | names ->
       List.iter
         (fun n ->

@@ -120,7 +120,6 @@ type state = {
   max_events : int option;
   max_virtual_time : float option;
   obs : Obs.Sink.t;
-  obs_sample_every : int;
   mutable now : float;
   mutable n_events : int;
   mutable n_msgs : int;
@@ -153,6 +152,9 @@ let fire_collective_complete st ~time ~comm ~name ~participants =
 (* Engine virtual time is seconds; trace timestamps are microseconds. *)
 let obs_ts t = t *. 1e6
 
+(* With a live sink, queue depths are sampled every this many events. *)
+let obs_sample_period = 256
+
 (* Per-rank queue depths plus engine-wide totals, emitted as Chrome
    counter tracks.  Purely a function of simulation state at a virtual
    time, so sampled traces stay deterministic. *)
@@ -164,12 +166,7 @@ let obs_sample st =
         "queues"
         [
           ("posted", float_of_int (Mq.Posted.length rs.rs_posted));
-          ("posted_buckets", float_of_int (Mq.Posted.bucket_count rs.rs_posted));
           ("unexpected", float_of_int (Mq.Unexpected.length rs.rs_unexpected));
-          ( "unexpected_raw",
-            float_of_int (Mq.Unexpected.raw_length rs.rs_unexpected) );
-          ( "unexpected_buckets",
-            float_of_int (Mq.Unexpected.bucket_count rs.rs_unexpected) );
           ("parked", float_of_int (Util.Deque.length rs.rs_parked));
           ("buffered_bytes", float_of_int rs.rs_buffered);
         ])
@@ -563,11 +560,6 @@ let deliver st (m : Mq.msg) =
       Mq.Unexpected.add d.rs_unexpected m;
       st.n_unexpected <- st.n_unexpected + 1
 
-let parked_matches_posted (q : parked) (p : Mq.posted) =
-  q.q_comm = p.p_comm
-  && (match p.p_src with None -> true | Some s -> s = q.q_src)
-  && match p.p_tag with None -> true | Some t -> t = q.q_tag
-
 (* The receiver posts a receive: match the unexpected queue in arrival
    order (the simulator's deterministic wildcard policy), or un-stall a
    flow-controlled sender whose message this receive will consume. *)
@@ -595,7 +587,11 @@ let post_recv st rank (p : Mq.posted) =
       (* Liveness: if the message this receive is waiting for is parked at
          a flow-controlled sender, force its injection past the full
          buffer — it will match the posted receive, not the buffer. *)
-      match Util.Deque.remove_first (fun q -> parked_matches_posted q p) d.rs_parked with
+      match
+        Util.Deque.remove_first
+          (fun q -> Mq.accepts p ~src:q.q_src ~tag:q.q_tag ~comm:q.q_comm)
+          d.rs_parked
+      with
       | Some q -> inject_parked st d q ~time:p.p_time ~reserved:false
       | None -> ())
 
@@ -1138,12 +1134,9 @@ let handle_call st rank (call : Call.t) (k : fiber) =
 (* Run loop                                                            *)
 
 let run ?(hooks = []) ?(net = Netmodel.bluegene_l) ?fault ?max_events
-    ?max_virtual_time ?(matcher : Matchq.impl = `Indexed)
-    ?(coll_alg : Coll_alg.t = `Monolithic) ?(obs = Obs.Sink.nil)
-    ?(obs_sample_every = 256) ~nranks program =
+    ?max_virtual_time ?(coll_alg : Coll_alg.t = `Monolithic)
+    ?(obs = Obs.Sink.nil) ~nranks program =
   if nranks < 1 then raise (Mpi_error "run: nranks must be >= 1");
-  if obs_sample_every < 1 then
-    raise (Mpi_error "run: obs_sample_every must be >= 1");
   (* With a live sink, transport incidents and collective completions are
      observed through the standard hook mechanism. *)
   let hooks = if obs.Obs.Sink.enabled then hooks @ [ Hooks.observer obs ] else hooks in
@@ -1169,8 +1162,8 @@ let run ?(hooks = []) ?(net = Netmodel.bluegene_l) ?fault ?max_events
             {
               rs_rank = rank; rs_clock = 0.; rs_finished = false;
               rs_finalized = false; rs_current = None;
-              rs_posted = Mq.Posted.create matcher;
-              rs_unexpected = Mq.Unexpected.create matcher;
+              rs_posted = Mq.Posted.create ();
+              rs_unexpected = Mq.Unexpected.create ();
               rs_buffered = 0;
               rs_parked = Util.Deque.create ~capacity:4 ();
               rs_proc_free = 0.; rs_nic_free = 0.;
@@ -1189,7 +1182,6 @@ let run ?(hooks = []) ?(net = Netmodel.bluegene_l) ?fault ?max_events
       max_events;
       max_virtual_time;
       obs;
-      obs_sample_every;
       now = 0.;
       n_events = 0;
       n_msgs = 0;
@@ -1274,7 +1266,7 @@ let run ?(hooks = []) ?(net = Netmodel.bluegene_l) ?fault ?max_events
         | E_resume (rank, v) -> resume rank v
         | E_deliver m -> deliver st m
         | E_retransmit (m, attempt) -> transmit st m ~depart:t ~attempt);
-        if st.obs.Obs.Sink.enabled && st.n_events mod st.obs_sample_every = 0
+        if st.obs.Obs.Sink.enabled && st.n_events mod obs_sample_period = 0
         then obs_sample st;
         loop ()
   in

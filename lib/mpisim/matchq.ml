@@ -20,236 +20,33 @@ type posted = {
   p_time : float;
 }
 
-let msg_matches_posted (m : msg) (p : posted) =
-  m.m_comm = p.p_comm
-  && (match p.p_src with None -> true | Some s -> s = m.m_src)
-  && match p.p_tag with None -> true | Some t -> t = m.m_tag
+let accepts (p : posted) ~src ~tag ~comm =
+  p.p_comm = comm
+  && (match p.p_src with None -> true | Some s -> s = src)
+  && match p.p_tag with None -> true | Some t -> t = tag
 
-type impl = [ `Indexed | `Reference ]
-
-(* Remove the first element satisfying [pred]; None if absent.  The
-   reference implementations below are the engine's original list scans,
-   kept verbatim as the semantic oracle. *)
-let take_first pred lst =
-  let rec go acc = function
-    | [] -> None
-    | x :: rest ->
-        if pred x then Some (x, List.rev_append acc rest) else go (x :: acc) rest
-  in
-  go [] lst
-
-let bucket tbl key =
-  match Hashtbl.find_opt tbl key with
-  | Some dq -> dq
-  | None ->
-      let dq = Util.Deque.create ~capacity:4 () in
-      Hashtbl.replace tbl key dq;
-      dq
-
-(* ------------------------------------------------------------------ *)
+(* Both queues are FIFOs searched front to back, so the first match is
+   the earliest arrival (or post): MPI's matching order.  A queue holds a
+   handful of entries when it is searched, so the scan stops early. *)
 
 module Unexpected = struct
-  (* Arrival order is the matching order.  Concrete (src, tag, comm)
-     patterns pop the head of their bucket; wildcard patterns scan the
-     master arrival deque.  A cell taken through a bucket stays in the
-     master deque (and vice versa) flagged [dead] until it reaches a
-     head, so both views always agree on the earliest live match. *)
-  type cell = { msg : msg; seq : int; mutable dead : bool }
+  type t = msg Util.Deque.t
 
-  type indexed = {
-    mutable next_seq : int;
-    mutable live : int;
-    buckets : (int * int * int, cell Util.Deque.t) Hashtbl.t; (* src, tag, comm *)
-    mutable order : cell Util.Deque.t;
-  }
-
-  type t = Indexed of indexed | Reference of msg list ref
-
-  let create : impl -> t = function
-    | `Indexed ->
-        Indexed
-          {
-            next_seq = 0;
-            live = 0;
-            buckets = Hashtbl.create 64;
-            order = Util.Deque.create ();
-          }
-    | `Reference -> Reference (ref [])
-
-  let length = function
-    | Indexed ix -> ix.live
-    | Reference l -> List.length !l
-
-  let add t m =
-    match t with
-    | Reference l -> l := !l @ [ m ]
-    | Indexed ix ->
-        let cell = { msg = m; seq = ix.next_seq; dead = false } in
-        ix.next_seq <- ix.next_seq + 1;
-        ix.live <- ix.live + 1;
-        Util.Deque.push_back (bucket ix.buckets (m.m_src, m.m_tag, m.m_comm)) cell;
-        Util.Deque.push_back ix.order cell
-
-  let rec pop_live dq =
-    match Util.Deque.pop_front dq with
-    | Some c when c.dead -> pop_live dq
-    | other -> other
-
-  let rec drop_dead_head dq =
-    match Util.Deque.peek_front dq with
-    | Some c when c.dead ->
-        ignore (Util.Deque.pop_front dq);
-        drop_dead_head dq
-    | _ -> ()
-
-  (* Cells killed through the bucket view accumulate mid-deque in [order];
-     rebuild it once the dead outnumber the live. *)
-  let compact ix =
-    if Util.Deque.length ix.order > (2 * ix.live) + 32 then begin
-      let fresh = Util.Deque.create ~capacity:(ix.live + 1) () in
-      Util.Deque.iter (fun c -> if not c.dead then Util.Deque.push_back fresh c) ix.order;
-      ix.order <- fresh
-    end
-
-  let take t (p : posted) =
-    match t with
-    | Reference l -> (
-        match take_first (fun m -> msg_matches_posted m p) !l with
-        | Some (m, rest) ->
-            l := rest;
-            Some m
-        | None -> None)
-    | Indexed ix -> (
-        let found =
-          match (p.p_src, p.p_tag) with
-          | Some s, Some tg -> (
-              match Hashtbl.find_opt ix.buckets (s, tg, p.p_comm) with
-              | None -> None
-              | Some dq -> pop_live dq)
-          | _ ->
-              (* Wildcard: earliest arrival wins, so scan the master deque.
-                 The cell found is necessarily at the live head of its own
-                 bucket; mark it dead and let that bucket skip it later. *)
-              drop_dead_head ix.order;
-              Util.Deque.find_first
-                (fun c -> (not c.dead) && msg_matches_posted c.msg p)
-                ix.order
-        in
-        match found with
-        | None -> None
-        | Some c ->
-            c.dead <- true;
-            ix.live <- ix.live - 1;
-            compact ix;
-            Some c.msg)
-
-  let bucket_count = function
-    | Indexed ix -> Hashtbl.length ix.buckets
-    | Reference _ -> 0
-
-  let raw_length = function
-    | Indexed ix -> Util.Deque.length ix.order
-    | Reference l -> List.length !l
+  let create () = Util.Deque.create ~capacity:4 ()
+  let length = Util.Deque.length
+  let add = Util.Deque.push_back
+  let take t p =
+    Util.Deque.remove_first
+      (fun m -> accepts p ~src:m.m_src ~tag:m.m_tag ~comm:m.m_comm)
+      t
 end
 
-(* ------------------------------------------------------------------ *)
-
 module Posted = struct
-  (* Post order is the matching order.  Patterns bucket by their exact
-     shape — (src|ANY, tag|ANY, comm) — so an arriving message can only
-     match the head of one of four buckets; the earliest post sequence
-     among those heads wins.  Cells never die in place: a posted receive
-     is always consumed from the head of its bucket. *)
-  type cell = { post : posted; seq : int }
+  type t = posted Util.Deque.t
 
-  let any = min_int (* wildcard slot in a bucket key; never a valid rank/tag *)
-
-  type indexed = {
-    mutable next_seq : int;
-    mutable live : int;
-    buckets : (int * int * int, cell Util.Deque.t) Hashtbl.t;
-  }
-
-  type t = Indexed of indexed | Reference of posted list ref
-
-  let create : impl -> t = function
-    | `Indexed ->
-        Indexed { next_seq = 0; live = 0; buckets = Hashtbl.create 64 }
-    | `Reference -> Reference (ref [])
-
-  let length = function
-    | Indexed ix -> ix.live
-    | Reference l -> List.length !l
-
-  let key_of (p : posted) =
-    ( (match p.p_src with Some s -> s | None -> any),
-      (match p.p_tag with Some t -> t | None -> any),
-      p.p_comm )
-
-  let add t p =
-    match t with
-    | Reference l -> l := !l @ [ p ]
-    | Indexed ix ->
-        let cell = { post = p; seq = ix.next_seq } in
-        ix.next_seq <- ix.next_seq + 1;
-        ix.live <- ix.live + 1;
-        Util.Deque.push_back (bucket ix.buckets (key_of p)) cell
-
-  let candidate_keys ~src ~tag ~comm =
-    [ (src, tag, comm); (src, any, comm); (any, tag, comm); (any, any, comm) ]
-
-  let best_bucket ix ~src ~tag ~comm =
-    List.fold_left
-      (fun best key ->
-        match Hashtbl.find_opt ix.buckets key with
-        | None -> best
-        | Some dq -> (
-            match Util.Deque.peek_front dq with
-            | None -> best
-            | Some c -> (
-                match best with
-                | Some (bc, _) when bc.seq <= c.seq -> best
-                | _ -> Some (c, dq))))
-      None
-      (candidate_keys ~src ~tag ~comm)
-
-  let take t ~src ~tag ~comm =
-    match t with
-    | Reference l -> (
-        let matches (p : posted) =
-          msg_matches_posted
-            {
-              m_src = src; m_dst = -1; m_tag = tag; m_bytes = 0; m_comm = comm;
-              m_protocol = Eager; m_arrival = 0.; m_send_req = -1;
-              m_reserved = false;
-            }
-            p
-        in
-        match take_first matches !l with
-        | Some (p, rest) ->
-            l := rest;
-            Some p
-        | None -> None)
-    | Indexed ix -> (
-        match best_bucket ix ~src ~tag ~comm with
-        | None -> None
-        | Some (c, dq) ->
-            ignore (Util.Deque.pop_front dq);
-            ix.live <- ix.live - 1;
-            Some c.post)
-
-  let mem t ~src ~tag ~comm =
-    match t with
-    | Reference l ->
-        List.exists
-          (fun (p : posted) ->
-            p.p_comm = comm
-            && (match p.p_src with None -> true | Some s -> s = src)
-            && match p.p_tag with None -> true | Some t' -> t' = tag)
-          !l
-    | Indexed ix -> best_bucket ix ~src ~tag ~comm <> None
-
-  let bucket_count = function
-    | Indexed ix -> Hashtbl.length ix.buckets
-    | Reference _ -> 0
+  let create () = Util.Deque.create ~capacity:4 ()
+  let length = Util.Deque.length
+  let add = Util.Deque.push_back
+  let take t ~src ~tag ~comm = Util.Deque.remove_first (accepts ~src ~tag ~comm) t
+  let mem t ~src ~tag ~comm = Util.Deque.exists (accepts ~src ~tag ~comm) t
 end

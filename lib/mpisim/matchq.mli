@@ -6,18 +6,12 @@
     receive that accepts it.  Both directions admit wildcards
     ([MPI_ANY_SOURCE] / [MPI_ANY_TAG]) on the receive side only.
 
-    Two interchangeable implementations back each queue:
-
-    - [`Indexed] — a hash index keyed by (src, tag, comm) over
-      {!Util.Deque} FIFOs, giving amortized O(1) matching for concrete
-      patterns.  Wildcard receives still scan in arrival order (the
-      engine's deterministic wildcard policy), and an arriving message
-      checks at most the four posted-pattern buckets that could accept it.
-    - [`Reference] — the original O(n) list scan, kept as the semantic
-      oracle for differential tests and for the perf harness's baseline.
-
-    Both produce identical matches on every input; [test/test_engine.ml]
-    asserts this across the full application registry. *)
+    Each queue is a {!Util.Deque} searched front to back for the first
+    match.  The registry applications never hold more than a few entries
+    in a queue when a receive searches it, so the scan ends within a few
+    probes; a queue of thousands of messages drained out of order costs
+    one scan per match (DESIGN §7, "Message matching").  The original
+    list scans remain as the test oracle [test/matchq_ref.ml]. *)
 
 type protocol = Eager | Rendezvous
 
@@ -41,32 +35,22 @@ type posted = {
   p_time : float;
 }
 
-(** Does message [m] satisfy posted pattern [p]? *)
-val msg_matches_posted : msg -> posted -> bool
-
-type impl = [ `Indexed | `Reference ]
+(** [accepts p ~src ~tag ~comm] — does posted pattern [p] accept a
+    message from world rank [src] with [tag] on communicator [comm]? *)
+val accepts : posted -> src:int -> tag:int -> comm:int -> bool
 
 (** Unexpected-message queue: messages that arrived before a matching
     receive was posted, consumed in arrival order. *)
 module Unexpected : sig
   type t
 
-  val create : impl -> t
+  val create : unit -> t
   val length : t -> int
   val add : t -> msg -> unit
 
   (** [take t p] — remove and return the earliest-arriving message
       matching [p], if any. *)
   val take : t -> posted -> msg option
-
-  (** Observability depths.  [bucket_count] is the number of allocated
-      (src, tag, comm) index buckets ([0] for [`Reference], which has no
-      index); [raw_length] is the master arrival deque's physical length
-      including dead cells — [raw_length t - length t] measures garbage
-      awaiting compaction. *)
-  val bucket_count : t -> int
-
-  val raw_length : t -> int
 end
 
 (** Posted-receive queue: receives waiting for their message, consumed in
@@ -74,7 +58,7 @@ end
 module Posted : sig
   type t
 
-  val create : impl -> t
+  val create : unit -> t
   val length : t -> int
   val add : t -> posted -> unit
 
@@ -84,8 +68,4 @@ module Posted : sig
 
   (** Non-destructive: would [take] succeed? *)
   val mem : t -> src:int -> tag:int -> comm:int -> bool
-
-  (** Allocated pattern-shape buckets in the index; [0] for
-      [`Reference]. *)
-  val bucket_count : t -> int
 end

@@ -7,24 +7,14 @@
    current position.  Both orders are preserved, so the per-rank
    projections of the result equal the inputs.
 
-   Two implementations of that contract:
+   A probe is cheap: [Tnode.equiv] compares structural hashes before
+   anything else, so a candidate that does not match is rejected in O(1)
+   and the scan costs O(lookahead) integer compares per incoming node at
+   worst (DESIGN §7, "Inter-rank merge"). *)
 
-   - [`Reference]: the original linear scan — O(len(incoming) * lookahead)
-     [Tnode.equiv] probes per rank, the cost cliff on traces with many
-     distinct behaviours (NPB MG's 1382 RSDs).
-   - [`Indexed] (default): bucket the unconsumed global nodes by
-     structural hash, keyed by position.  [Tnode.equiv a b] implies
-     [Tnode.hash a = Tnode.hash b] (the leaf hash covers exactly the
-     fields [Event.mergeable] compares; the loop hash covers count and
-     body hash, both required by equivalence), so scanning a node's hash
-     bucket in ascending position order visits exactly the candidates the
-     reference scan could accept, in the same order — the greedy,
-     bounded-lookahead, order-preserving semantics are byte-identical
-     while each probe costs O(1) expected. *)
+let lookahead = 256
 
-type impl = [ `Indexed | `Reference ]
-
-let merge_into_global_reference ~nranks ~lookahead global incoming =
+let merge_into_global ~nranks global incoming =
   let rec find_match n candidates depth =
     match candidates with
     | [] -> None
@@ -54,81 +44,17 @@ let merge_into_global_reference ~nranks ~lookahead global incoming =
   in
   go [] global incoming
 
-let merge_into_global_indexed ~nranks ~lookahead global incoming =
-  let g = Array.of_list global in
-  let glen = Array.length g in
-  (* hash -> unconsumed positions, ascending.  Consumption is a strict
-     prefix (the cursor below), so stale entries are dropped lazily. *)
-  let index : (int, int list) Hashtbl.t = Hashtbl.create (2 * glen) in
-  for i = glen - 1 downto 0 do
-    let h = Tnode.hash g.(i) in
-    Hashtbl.replace index h
-      (i :: (match Hashtbl.find_opt index h with Some l -> l | None -> []))
-  done;
-  let cursor = ref 0 in
-  let out = ref [] in
-  (* first unconsumed equivalent of [n] within the lookahead window *)
-  let find_match n =
-    let h = Tnode.hash n in
-    match Hashtbl.find_opt index h with
-    | None -> None
-    | Some positions ->
-        let rec skip_consumed = function
-          | p :: rest when p < !cursor -> skip_consumed rest
-          | live -> live
-        in
-        let live = skip_consumed positions in
-        if live == positions then () else Hashtbl.replace index h live;
-        let rec scan = function
-          | [] -> None
-          | p :: rest ->
-              if p - !cursor >= lookahead then None
-              else if Tnode.equiv g.(p) n then Some p
-              else scan rest
-        in
-        scan live
-  in
-  List.iter
-    (fun n ->
-      match find_match n with
-      | Some p ->
-          (* emit skipped global nodes unchanged, then the merge target *)
-          for i = !cursor to p - 1 do
-            out := g.(i) :: !out
-          done;
-          Tnode.absorb ~nranks ~into:g.(p) n;
-          out := g.(p) :: !out;
-          cursor := p + 1
-      | None -> out := n :: !out)
-    incoming;
-  for i = !cursor to glen - 1 do
-    out := g.(i) :: !out
-  done;
-  List.rev !out
-
-let merge_into_global ~impl ~nranks ~lookahead global incoming =
-  match impl with
-  | `Reference -> merge_into_global_reference ~nranks ~lookahead global incoming
-  | `Indexed -> merge_into_global_indexed ~nranks ~lookahead global incoming
-
-let merge_node_lists ?(impl = `Indexed) ?(lookahead = 256) ~nranks segments =
+(* absorb mutates the nodes it merges, so each segment is deep-copied
+   just before it is folded in — peak extra memory is one segment's working
+   copy (plus whatever the copy contributed to the global), not a second
+   copy of every input. *)
+let merge_node_lists ~nranks segments =
   List.fold_left
-    (fun global seg ->
-      merge_into_global ~impl ~nranks ~lookahead global (List.map Tnode.copy seg))
+    (fun global seg -> merge_into_global ~nranks global (List.map Tnode.copy seg))
     [] segments
 
-let merge ?(impl = `Indexed) ?(lookahead = 256) ~nranks ~comms locals =
-  (* absorb mutates the nodes it merges, so each rank is deep-copied just
-     before it is folded in — peak extra memory is one rank's working copy
-     (plus whatever the copy contributed to the global), not a second copy
-     of the whole per-rank trace array. *)
-  let global =
-    Array.fold_left
-      (fun global local ->
-        merge_into_global ~impl ~nranks ~lookahead global
-          (List.map Tnode.copy local))
-      [] locals
-  in
+let merge ~nranks ~comms locals =
+  let global = merge_node_lists ~nranks (Array.to_list locals) in
   let global = Tnode.map_leaves (fun e -> Event.generalize ~nranks e; e) global in
   (* A final compression pass can fold rank-uniform structure that only
      becomes foldable after merging. *)

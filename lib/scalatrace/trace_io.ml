@@ -105,20 +105,26 @@ let ranks_to_string set =
        (fun (first, last, stride) -> Printf.sprintf "%d:%d:%d" first last stride)
        (Util.Rank_set.intervals set))
 
+(* A single interval stays a [range], never expanded into its members.
+   A list of intervals is built once from all their members: folding
+   [union] over it rebuilt the set once per interval, quadratic in the
+   interval count.  Both give the set the fold gave, since [union] and
+   [of_list] produce the same canonical intervals. *)
 let ranks_of_string ?src line s =
   if s = "" then Util.Rank_set.empty
   else
-    List.fold_left
-      (fun acc part ->
-        match String.split_on_char ':' part with
-        | [ f; l; st ] -> (
-            try
-              Util.Rank_set.union acc
-                (Util.Rank_set.range ~stride:(int_of_string st) (int_of_string f)
-                   (int_of_string l))
-            with Failure _ | Invalid_argument _ -> fail ?src line "bad rank interval %S" part)
-        | _ -> fail ?src line "bad rank interval %S" part)
-      Util.Rank_set.empty (String.split_on_char ',' s)
+    let interval part =
+      match String.split_on_char ':' part with
+      | [ f; l; st ] -> (
+          try
+            Util.Rank_set.range ~stride:(int_of_string st) (int_of_string f)
+              (int_of_string l)
+          with Failure _ | Invalid_argument _ -> fail ?src line "bad rank interval %S" part)
+      | _ -> fail ?src line "bad rank interval %S" part
+    in
+    match List.map interval (String.split_on_char ',' s) with
+    | [ set ] -> set
+    | sets -> Util.Rank_set.of_list (List.concat_map Util.Rank_set.to_list sets)
 
 let vec_to_string = function
   | None -> "-"

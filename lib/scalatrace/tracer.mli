@@ -18,11 +18,10 @@ val hook : t -> Mpisim.Hooks.t
 val local_traces : t -> Tnode.t list array
 
 (** Inter-rank merge (the work the paper's ScalaTrace does inside the
-    [MPI_Finalize] wrapper): returns the global trace.  [?merge_impl]
-    selects the {!Merge.impl}; per-rank traces are left untouched, so
-    [finish] can run more than once (e.g. once per implementation for
-    differential testing). *)
-val finish : ?merge_impl:Merge.impl -> t -> Trace.t
+    [MPI_Finalize] wrapper): returns the global trace.  Per-rank traces
+    are left untouched, so [finish] can run more than once on the same
+    recording. *)
+val finish : t -> Trace.t
 
 (** [trace_run ?window ?net ~nranks program] — convenience: run [program]
     under the tracer and return the global trace together with the run
@@ -31,7 +30,6 @@ val finish : ?merge_impl:Merge.impl -> t -> Trace.t
     conditions and runaway programs abort with a diagnostic. *)
 val trace_run :
   ?window:int ->
-  ?merge_impl:Merge.impl ->
   ?net:Mpisim.Netmodel.t ->
   ?fault:Mpisim.Fault.t ->
   ?max_events:int ->

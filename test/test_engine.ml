@@ -404,42 +404,68 @@ let comm_unit_tests =
   ]
 
 (* ------------------------------------------------------------------ *)
-(* Differential tests: the hash-indexed matcher must be observationally
-   identical to the original list-scan matcher on every application.  A
-   full outcome comparison (including per-rank finish times, which are
-   bit-exact functions of the match decisions) catches any divergence in
-   matching order. *)
+(* Pinned outcomes.  Each configuration's full outcome (per-rank finish
+   times are bit-exact functions of the match decisions), or its
+   deadlock/stall diagnostic, is compared against a digest recorded when
+   the engine still had two matchers, a hash index and the original list
+   scan, which agreed on all 22 configurations.  The test names date from
+   then; any divergence in matching order changes a digest. *)
 
-let check_outcomes_equal name (a : Engine.outcome) (b : Engine.outcome) =
-  Alcotest.(check (float 0.)) (name ^ ": elapsed") a.elapsed b.elapsed;
-  Alcotest.(check (array (float 0.)))
-    (name ^ ": finish_times") a.finish_times b.finish_times;
-  Alcotest.(check int) (name ^ ": events") a.events b.events;
-  Alcotest.(check int) (name ^ ": messages") a.messages b.messages;
-  Alcotest.(check int) (name ^ ": p2p_bytes") a.p2p_bytes b.p2p_bytes;
-  Alcotest.(check int) (name ^ ": unexpected") a.unexpected b.unexpected;
-  Alcotest.(check int) (name ^ ": flow_stalls") a.flow_stalls b.flow_stalls
+let outcome_text = function
+  | Ok (o : Engine.outcome) ->
+      Printf.sprintf
+        "elapsed=%h finish=%s events=%d messages=%d p2p_bytes=%d \
+         unexpected=%d flow_stalls=%d"
+        o.elapsed
+        (String.concat ","
+           (Array.to_list (Array.map (Printf.sprintf "%h") o.finish_times)))
+        o.events o.messages o.p2p_bytes o.unexpected o.flow_stalls
+  | Error diagnostic -> diagnostic
+
+let pinned_outcomes =
+  [
+    ("bt", "9c9b4780e9b6c52a164a75aa7cd7399e");
+    ("cg", "7c75a4092d1b1b1c800cdefd9a6e1325");
+    ("ep", "d14dab5ee34b900d5b231368f2570cf9");
+    ("ft", "116492b0815a85f52da6433aeaa4ed93");
+    ("is", "beb8cba50ae3a575eb6c6a2ec6380f25");
+    ("lu", "515b4d122a20730027b759e6209540d1");
+    ("mg", "5ad2f88b698114e28cbbfc4b1430d7d9");
+    ("sp", "be8bc46b8db8292ce99228127bf12e2b");
+    ("sweep3d", "8dd38ad301558fcba7caa68d52b13b77");
+    ("ring", "cd1188fe357f31d0daa54f949a416785");
+    ("stencil2d", "7adecbb0af128bd66dfcc7ba8786a939");
+    ("butterfly", "a8a2256e6c445ed402f57603d6890270");
+    ("hirsd", "5895f0446b8f3b1935979183a1ed92c9");
+    ("amg", "f4673f6d3f8cf45a9abda3c83d27df41");
+    ("kripke", "5572964f975c092d62deffbb3b25a3d5");
+    ("laghos", "2960c2b10a246b8956eb0485e135f21b");
+    ("ring ethernet", "88f408c9d217ab84f4101044c54452fb");
+    ("stencil2d ethernet", "76e3fe0265d75a71a8116afd844fe289");
+    ("sweep3d ethernet", "af3be5e3e385e2d436884b3ab7eee3c0");
+    ("wildcard 4", "647dd2b7ff7bb9fe1862c0dc9f85522b");
+    ("wildcard 16", "81f4870b99744d174ae607f04f29c613");
+    ("wildcard 32", "534c4ffecfa6546042527673a2822e10");
+  ]
 
 (* Some app/network combinations legitimately deadlock (the paper's
-   Figure 5 scenario); the two matchers must then produce the *same*
-   diagnostic — its queue depths and times are functions of the match
-   decisions. *)
-let check_same_fate name ?net ~nranks program =
-  let run matcher =
-    match Mpi.run ?net ~matcher ~nranks program with
+   Figure 5 scenario); the diagnostic is then pinned instead — its queue
+   depths and times are functions of the match decisions too. *)
+let check_pinned name ?net ~nranks program =
+  let fate =
+    match Mpi.run ?net ~nranks program with
     | o -> Ok o
     | exception Engine.Deadlock m -> Error ("deadlock: " ^ m)
     | exception Engine.Stalled m -> Error ("stalled: " ^ m)
   in
-  match (run `Reference, run `Indexed) with
-  | Ok a, Ok b -> check_outcomes_equal name a b
-  | Error a, Error b -> Alcotest.(check string) (name ^ ": diagnostic") a b
-  | Ok _, Error e | Error e, Ok _ ->
-      Alcotest.failf "%s: one matcher completed, the other raised: %s" name e
+  Alcotest.(check string)
+    (name ^ ": outcome digest")
+    (List.assoc name pinned_outcomes)
+    (Digest.to_hex (Digest.string (outcome_text fate)))
 
 (* Wildcard receives racing concrete ones, several tags per peer, and an
-   unexpected-queue drain out of arrival order — the cases where indexed
-   and list matching could plausibly disagree. *)
+   unexpected-queue drain out of arrival order — the cases where a
+   matcher could plausibly break FIFO order. *)
 let wildcard_stress (ctx : Mpi.ctx) =
   let n = ctx.nranks in
   if ctx.rank = 0 then begin
@@ -465,9 +491,7 @@ let differential_tests =
         List.iter
           (fun (app : Apps.Registry.app) ->
             let nranks = Apps.Registry.fit_nranks app ~wanted:8 in
-            check_same_fate
-              (Printf.sprintf "%s p=%d" app.name nranks)
-              ~nranks (app.program ()))
+            check_pinned app.name ~nranks (app.program ()))
           Apps.Registry.all);
     t "indexed matcher = reference under flow control (small buffers)" (fun () ->
         let net = Netmodel.ethernet_cluster in
@@ -475,18 +499,110 @@ let differential_tests =
           (fun name ->
             let app = Option.get (Apps.Registry.find name) in
             let nranks = Apps.Registry.fit_nranks app ~wanted:8 in
-            check_same_fate
-              (Printf.sprintf "%s p=%d ethernet" name nranks)
-              ~net ~nranks (app.program ()))
+            check_pinned (name ^ " ethernet") ~net ~nranks (app.program ()))
           [ "ring"; "stencil2d"; "sweep3d" ]);
     t "indexed matcher = reference on wildcard stress" (fun () ->
         List.iter
           (fun nranks ->
-            check_same_fate
-              (Printf.sprintf "wildcard stress p=%d" nranks)
-              ~nranks wildcard_stress)
+            check_pinned (Printf.sprintf "wildcard %d" nranks) ~nranks
+              wildcard_stress)
           [ 4; 16; 32 ]);
   ]
 
+(* ------------------------------------------------------------------ *)
+(* Queue oracle: {!Matchq}'s deques against the original list scans
+   ({!Matchq_ref}) on random add/take/mem sequences.  Sources, tags and
+   communicators come from small domains so patterns collide often, and
+   receive patterns draw any-source and any-tag wildcards.  Every take
+   must return the same element (identified by its request id) and both
+   queues' lengths must agree after every step. *)
+
+type queue_op =
+  | Arrive of int * int * int  (* src, tag, comm *)
+  | Receive of int option * int option * int  (* take an unexpected message *)
+  | Post of int option * int option * int
+  | Match of int * int * int  (* take a posted receive *)
+  | Probe of int * int * int  (* Posted.mem *)
+
+let gen_queue_ops =
+  let open QCheck.Gen in
+  let coord = int_bound 3 and comm = int_bound 1 in
+  let pattern = frequency [ (1, return None); (3, map Option.some coord) ] in
+  list_size (int_range 200 400)
+    (frequency
+       [
+         (3, map3 (fun s t c -> Arrive (s, t, c)) coord coord comm);
+         (2, map3 (fun s t c -> Receive (s, t, c)) pattern pattern comm);
+         (3, map3 (fun s t c -> Post (s, t, c)) pattern pattern comm);
+         (2, map3 (fun s t c -> Match (s, t, c)) coord coord comm);
+         (1, map3 (fun s t c -> Probe (s, t, c)) coord coord comm);
+       ])
+
+let show_queue_op =
+  let o = function None -> "*" | Some x -> string_of_int x in
+  function
+  | Arrive (s, t, c) -> Printf.sprintf "arrive(%d,%d,%d)" s t c
+  | Receive (s, t, c) -> Printf.sprintf "receive(%s,%s,%d)" (o s) (o t) c
+  | Post (s, t, c) -> Printf.sprintf "post(%s,%s,%d)" (o s) (o t) c
+  | Match (s, t, c) -> Printf.sprintf "match(%d,%d,%d)" s t c
+  | Probe (s, t, c) -> Printf.sprintf "probe(%d,%d,%d)" s t c
+
+let queues_agree ops =
+  let module Q = Matchq in
+  let module R = Matchq_ref in
+  let uq = Q.Unexpected.create () and ur = R.Unexpected.create () in
+  let pq = Q.Posted.create () and pr = R.Posted.create () in
+  let msg_id = Option.map (fun (m : Q.msg) -> m.m_send_req) in
+  let post_id = Option.map (fun (p : Q.posted) -> p.p_req) in
+  let posted id p_src p_tag p_comm =
+    { Q.p_req = id; p_src; p_tag; p_comm; p_time = 0. }
+  in
+  List.for_all
+    (fun (id, op) ->
+      let same =
+        match op with
+        | Arrive (src, tag, comm) ->
+            let m =
+              {
+                Q.m_src = src; m_dst = 0; m_tag = tag; m_bytes = 8;
+                m_comm = comm; m_protocol = Q.Eager; m_arrival = 0.;
+                m_send_req = id; m_reserved = false;
+              }
+            in
+            Q.Unexpected.add uq m;
+            R.Unexpected.add ur m;
+            true
+        | Receive (src, tag, comm) ->
+            let p = posted id src tag comm in
+            msg_id (Q.Unexpected.take uq p) = msg_id (R.Unexpected.take ur p)
+        | Post (src, tag, comm) ->
+            let p = posted id src tag comm in
+            Q.Posted.add pq p;
+            R.Posted.add pr p;
+            true
+        | Match (src, tag, comm) ->
+            post_id (Q.Posted.take pq ~src ~tag ~comm)
+            = post_id (R.Posted.take pr ~src ~tag ~comm)
+        | Probe (src, tag, comm) ->
+            Q.Posted.mem pq ~src ~tag ~comm = R.Posted.mem pr ~src ~tag ~comm
+      in
+      same
+      && Q.Unexpected.length uq = R.Unexpected.length ur
+      && Q.Posted.length pq = R.Posted.length pr)
+    (List.mapi (fun i op -> (i, op)) ops)
+
+let queue_oracle_tests =
+  List.map
+    (QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| 20261017 |]))
+    [
+      QCheck.Test.make ~name:"matching queues agree with the list-scan oracle"
+        ~count:300
+        (QCheck.make
+           ~print:(fun ops -> String.concat " " (List.map show_queue_op ops))
+           gen_queue_ops)
+        queues_agree;
+    ]
+
 let suite =
   p2p_tests @ coll_tests @ engine_tests @ comm_unit_tests @ differential_tests
+  @ queue_oracle_tests

@@ -411,10 +411,44 @@ let compat_test =
           Alcotest.(check string) file fresh (Trace_io.to_string trace))
         [ "ring4.v1.trace"; "ring4.v2.trace" ])
 
+(* A rank-interval list parses to the set a fold of [Rank_set.union] over
+   its intervals builds, including lists that are unsorted, overlap, mix
+   strides, repeat a member or hold one interval.  The fold is what the
+   parser did before it built each set once. *)
+let rank_list_test =
+  t "rank-interval lists parse to the set a union fold builds" (fun () ->
+      let folded s =
+        List.fold_left
+          (fun acc part ->
+            Scanf.sscanf part "%d:%d:%d" (fun f l st ->
+                Util.Rank_set.union acc (Util.Rank_set.range ~stride:st f l)))
+          Util.Rank_set.empty (String.split_on_char ',' s)
+      in
+      let check s =
+        Alcotest.(check (list (triple int int int)))
+          s
+          (Util.Rank_set.intervals (folded s))
+          (Util.Rank_set.intervals (Trace_io.parse_ranks s))
+      in
+      List.iter check
+        [
+          "0:7:1"; "3:3:1"; "0:9:3"; "8:15:1,0:7:1"; "0:10:2,1:11:2";
+          "4:20:4,0:16:4,8:8:1"; "0:5:1,3:9:1,9:9:1"; "10:10:1,2:2:1,6:6:1";
+          "0:30:3,0:30:5,0:30:2"; "5:5:1,5:5:1";
+        ];
+      let rng = Random.State.make [| 20261017 |] in
+      for _ = 1 to 300 do
+        let interval _ =
+          let f = Random.State.int rng 48 and stride = 1 + Random.State.int rng 4 in
+          Printf.sprintf "%d:%d:%d" f (f + (stride * Random.State.int rng 6)) stride
+        in
+        check (String.concat "," (List.init (1 + Random.State.int rng 10) interval))
+      done)
+
 let suite =
   List.map app_roundtrip [ "bt"; "cg"; "ep"; "ft"; "is"; "lu"; "mg"; "sp"; "sweep3d" ]
   @ unit_tests @ dt_corruption_tests
   @ List.map v3_stable all_apps
   @ List.map v3_generates_as_v2 all_apps
   @ v3_strict_tests @ header_fit_tests
-  @ [ v3_size_test; compat_test ]
+  @ [ v3_size_test; compat_test; rank_list_test ]
