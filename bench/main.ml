@@ -43,8 +43,9 @@ let () =
          BENCH_engine.json (add --quick for the smoke-test mode)";
       print_endline
         "perf-smoke   guards on the merge's cost against the traced run, on \
-         Lower's speed against the application, and on v3 against v2 load \
-         time (runs under dune runtest)"
+         Lower's speed against the application, on v3 against v2 load time, \
+         and on the engine's per-event cost at 1024 against 64 ranks (runs \
+         under dune runtest)"
   | names ->
       List.iter
         (fun n ->

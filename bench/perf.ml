@@ -384,7 +384,7 @@ let run ~quick () =
   end
 
 (* ------------------------------------------------------------------ *)
-(* Perf smoke: guards on the merge, on Lower and on loading             *)
+(* Perf smoke: guards on the merge, Lower, loading and rank scaling     *)
 
 (* A generated benchmark must run in about the time of the application
    it came from.  CG class W at 256 ranks is generated once, then run as
@@ -477,9 +477,54 @@ let merge_smoke () =
           the %.0fx limit"
          ratio max_ratio)
 
+(* The simulator's cost per event must not grow with the rank count.
+   Untraced FT class C, whose events are mostly all-to-all arrivals, runs
+   at 64 and at 1024 ranks, best of 5 each; the 1024-rank run may take at
+   most 3x the seconds per event of the 64-rank one.  An engine that
+   copied the communicator's members on every collective arrival and
+   counted arrivals with [List.length] read about 12x.  A run too short
+   to time is repeated until one timing spans at least 50 ms, and the two
+   sides' timings alternate, so a slow stretch of the machine hits both. *)
+let scale_smoke () =
+  let max_ratio = 3. in
+  let app = Option.get (Apps.Registry.find "ft") in
+  (* one timing of [nranks] ranks, in seconds per event *)
+  let timing nranks =
+    let program = app.program ~cls:Apps.Params.C () in
+    let events = (Mpisim.Mpi.run ~nranks program).Mpisim.Engine.events in
+    let runs reps () =
+      for _ = 1 to reps do
+        ignore (Mpisim.Mpi.run ~nranks program)
+      done
+    in
+    let rec calibrate reps =
+      if snd (wall (runs reps)) >= 0.05 then reps else calibrate (2 * reps)
+    in
+    let reps = calibrate 1 in
+    fun () -> snd (wall (runs reps)) /. float_of_int (reps * events)
+  in
+  let time_small = timing 64 and time_large = timing 1024 in
+  let small = ref infinity and large = ref infinity in
+  for _ = 1 to 5 do
+    small := Float.min !small (time_small ());
+    large := Float.min !large (time_large ())
+  done;
+  let ratio = !large /. !small in
+  Printf.printf
+    "perf smoke: ft C, %.2f us/event at 64 ranks, %.2f us/event at 1024 \
+     (%.2fx, limit %.0fx)\n%!"
+    (!small *. 1e6) (!large *. 1e6) ratio max_ratio;
+  if ratio > max_ratio then
+    failwith
+      (Printf.sprintf
+         "perf smoke: an event at 1024 ranks cost %.1fx one at 64 ranks, over \
+          the %.0fx limit"
+         ratio max_ratio)
+
 (* Runs under [dune runtest].  Every guard is a ratio of two timings taken
    in this process, so none depends on the machine's speed or load. *)
 let smoke () =
   lower_smoke ();
   load_smoke ();
-  merge_smoke ()
+  merge_smoke ();
+  scale_smoke ()

@@ -86,8 +86,12 @@ type coll_state = {
   c_name : string;
   c_parts : int array;
       (* world ranks of the declared participant set (the whole
-         communicator for everything but neighborhood collectives) *)
+         communicator for everything but neighborhood collectives), built
+         once per instance *)
   mutable c_arrivals : (int * float * Call.op) list;
+  mutable c_count : int;
+      (* length of [c_arrivals]: completion is a counter compare, as in
+         Align and Wildcard, so an arrival costs O(1) whatever the size *)
 }
 
 type event =
@@ -222,9 +226,13 @@ let waiter_value st (w : waiter) : Call.value =
   | W_recv | W_wait -> V_status (status_of_req st w.w_reqs.(0))
   | W_waitall -> V_statuses (Array.map (fun id -> status_of_req st id) w.w_reqs)
 
+(* A request lives until its wait completes: the resume value is read
+   first, then the waiter's requests are freed, so a run holds only the
+   requests still in flight and a second wait on one is an [Mpi_error]. *)
 let waiter_done st (w : waiter) =
-  schedule st ~time:(Float.max w.w_block_time w.w_latest)
-    (E_resume (w.w_rank, waiter_value st w))
+  let v = waiter_value st w in
+  Array.iter (Hashtbl.remove st.reqs) w.w_reqs;
+  schedule st ~time:(Float.max w.w_block_time w.w_latest) (E_resume (w.w_rank, v))
 
 let complete_req st (r : req_state) ~time ?status () =
   assert (r.r_done = None);
@@ -987,13 +995,13 @@ let finish_collective st key (c : coll_state) =
    the communicator, containing the caller; the neighbor list strictly
    increasing, a subset of the participant set, never the caller.  [[||]]
    participants mean the whole communicator.  Returns the participant-set
-   signature (the keying component) and the world ranks of the set;
-   non-neighborhood operations synchronize the whole communicator under
-   the empty signature. *)
+   signature (the keying component) and the world ranks of a partial set;
+   the whole communicator, which every non-neighborhood operation
+   synchronizes, is [None] under the empty signature, so an arrival never
+   copies the member array. *)
 let participant_set rank (call : Call.t) =
   let comm = call.comm in
   let size = Comm.size comm in
-  let whole () = ("", Comm.members comm) in
   match call.op with
   | Call.Neighbor_alltoall { parts; neighbors; _ }
   | Call.Neighbor_allgather { parts; neighbors; _ } ->
@@ -1051,11 +1059,11 @@ let participant_set rank (call : Call.t) =
                      participant set"
                     rank name nb)))
         neighbors;
-      if Array.length parts = 0 then whole ()
+      if Array.length parts = 0 then ("", None)
       else
         ( String.concat "," (Array.to_list (Array.map string_of_int parts)),
-          Array.map (fun l -> Comm.world_of_local comm l) parts )
-  | _ -> whole ()
+          Some (Array.map (fun l -> Comm.world_of_local comm l) parts) )
+  | _ -> ("", None)
 
 let do_collective st rank (call : Call.t) =
   let comm = call.comm in
@@ -1079,8 +1087,9 @@ let do_collective st rank (call : Call.t) =
           {
             c_comm = comm;
             c_name = Call.op_name call.op;
-            c_parts = parts;
+            c_parts = (match parts with Some p -> p | None -> Comm.members comm);
             c_arrivals = [];
+            c_count = 0;
           }
         in
         Hashtbl.replace st.colls key c;
@@ -1096,7 +1105,8 @@ let do_collective st rank (call : Call.t) =
             (Util.Callsite.to_string call.site)
             c.c_name));
   c.c_arrivals <- (rank, st.ranks.(rank).rs_clock, call.op) :: c.c_arrivals;
-  if List.length c.c_arrivals = Array.length c.c_parts then
+  c.c_count <- c.c_count + 1;
+  if c.c_count = Array.length c.c_parts then
     finish_collective st key c
 
 (* ------------------------------------------------------------------ *)

@@ -21,7 +21,11 @@ exception Deadlock of string
 
 exception Mpi_error of string
 (** Semantic misuse: collective mismatch on a communicator, a rank
-    returning without [MPI_Finalize], invalid arguments. *)
+    returning without [MPI_Finalize], invalid arguments, or a [Wait] /
+    [Waitall] on a request that an earlier wait already completed.  A
+    request lives until its wait completes and is freed then, so a run
+    holds only the requests still in flight; waiting on it again reports
+    "unknown or freed request". *)
 
 exception Stalled of string
 (** Raised when the run cannot make useful progress even though events are

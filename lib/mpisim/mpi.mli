@@ -43,7 +43,17 @@ val irecv :
   ?site:Util.Callsite.t -> ?comm:Comm.t -> ?tag:Call.tag_match -> ctx ->
   src:Call.source -> bytes:int -> Call.request
 
+(** [wait] blocks until the request completes and returns its status (a
+    dummy status for a send).  The request is freed when the wait
+    completes: waiting on it again raises {!Engine.Mpi_error} ("unknown or
+    freed request").  A request that is never waited stays allocated until
+    the run ends. *)
 val wait : ?site:Util.Callsite.t -> ctx -> Call.request -> Call.status
+
+(** [waitall] blocks until every request completes and returns their
+    statuses in list order.  Like {!wait}, it frees every request it waited
+    on; a list naming an already-waited request raises
+    {!Engine.Mpi_error}. *)
 val waitall : ?site:Util.Callsite.t -> ctx -> Call.request list -> Call.status array
 
 (** [sendrecv] posts the receive, sends, then waits for both — the usual

@@ -446,6 +446,13 @@ let pinned_outcomes =
     ("wildcard 4", "647dd2b7ff7bb9fe1862c0dc9f85522b");
     ("wildcard 16", "81f4870b99744d174ae607f04f29c613");
     ("wildcard 32", "534c4ffecfa6546042527673a2822e10");
+    (* recorded before collective arrivals became O(1) and requests were
+       freed at their wait *)
+    ("unwaited isend", "6226cad92aee5564f0988c17838b4922");
+    ("ep 1024 C", "d8829c63e9aa8acb8e2c6e7cfeeb4f45");
+    ("ft 1024 C", "8a32348039c3a37914c9d726007b34a2");
+    ("is 1024 C", "f24ed6338cad9c79ee1841fa10f04565");
+    ("laghos 1024 S", "15136ef126992bc8dadb637a0ebf8337");
   ]
 
 (* Some app/network combinations legitimately deadlock (the paper's
@@ -603,6 +610,85 @@ let queue_oracle_tests =
         queues_agree;
     ]
 
+(* ------------------------------------------------------------------ *)
+(* Request lifetime: a request is freed when its wait completes, so
+   waiting on it again is an error instead of a silent success. *)
+
+let names_freed_request run =
+  match run () with
+  | _ -> Alcotest.fail "expected Mpi_error"
+  | exception Engine.Mpi_error m ->
+      let sub = "unknown or freed request" in
+      let n = String.length sub in
+      let rec from i =
+        i + n <= String.length m && (String.sub m i n = sub || from (i + 1))
+      in
+      Alcotest.(check bool) m true (from 0)
+
+let request_lifetime_tests =
+  [
+    t "second wait on an isend request is an Mpi_error" (fun () ->
+        names_freed_request (fun () ->
+            pairwise
+              (fun ctx ->
+                let s = Mpi.isend ctx ~dst:1 ~bytes:64 in
+                ignore (Mpi.wait ctx s);
+                ignore (Mpi.wait ctx s))
+              (fun ctx -> ignore (Mpi.recv ctx ~src:(Call.Rank 0) ~bytes:64))));
+    t "second wait on an irecv request is an Mpi_error" (fun () ->
+        names_freed_request (fun () ->
+            pairwise
+              (fun ctx -> Mpi.send ctx ~dst:1 ~bytes:64)
+              (fun ctx ->
+                let r = Mpi.irecv ctx ~src:(Call.Rank 0) ~bytes:64 in
+                ignore (Mpi.wait ctx r);
+                ignore (Mpi.wait ctx r))));
+    t "waitall over an already-waited request is an Mpi_error" (fun () ->
+        names_freed_request (fun () ->
+            pairwise
+              (fun ctx ->
+                let a = Mpi.isend ctx ~dst:1 ~bytes:64 in
+                let b = Mpi.isend ctx ~dst:1 ~bytes:64 in
+                ignore (Mpi.wait ctx a);
+                ignore (Mpi.waitall ctx [ a; b ]))
+              (fun ctx ->
+                ignore (Mpi.recv ctx ~src:(Call.Rank 0) ~bytes:64);
+                ignore (Mpi.recv ctx ~src:(Call.Rank 0) ~bytes:64))));
+    (* an eager and a rendezvous isend, neither ever waited *)
+    t "an isend never waited still finalizes" (fun () ->
+        check_pinned "unwaited isend" ~nranks:2 (fun ctx ->
+            (if ctx.rank = 0 then begin
+               ignore (Mpi.isend ctx ~dst:1 ~bytes:64);
+               ignore (Mpi.isend ctx ~dst:1 ~bytes:(1 lsl 20))
+             end
+             else begin
+               ignore (Mpi.recv ctx ~src:(Call.Rank 0) ~bytes:64);
+               ignore (Mpi.recv ctx ~src:(Call.Rank 0) ~bytes:(1 lsl 20))
+             end);
+            fin ctx));
+  ]
+
+(* The pinned outcomes at the rank count the benchmark runs, where a
+   collective arrival that is O(p) costs something: ep, ft and is at 1024
+   ranks class C, and laghos at 1024 ranks class S, whose neighborhood
+   collectives run on partial participant sets. *)
+let scale_tests =
+  [
+    t "pinned outcomes hold at 1024 ranks" (fun () ->
+        List.iter
+          (fun (name, cls, cls_name) ->
+            let app = Option.get (Apps.Registry.find name) in
+            check_pinned
+              (Printf.sprintf "%s 1024 %s" name cls_name)
+              ~nranks:1024 (app.program ~cls ()))
+          [
+            ("ep", Apps.Params.C, "C");
+            ("ft", Apps.Params.C, "C");
+            ("is", Apps.Params.C, "C");
+            ("laghos", Apps.Params.S, "S");
+          ]);
+  ]
+
 let suite =
   p2p_tests @ coll_tests @ engine_tests @ comm_unit_tests @ differential_tests
-  @ queue_oracle_tests
+  @ queue_oracle_tests @ request_lifetime_tests @ scale_tests
