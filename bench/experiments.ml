@@ -368,9 +368,12 @@ let scaling () =
            (fst (Scalatrace.Tracer.trace_run ~nranks:16 (ring iters))))
        [ 10; 100; 1000; 10000 ]);
   (* The saved file in each format: v2 stores one projection per rank,
-     v3 (what [Trace_io.save] writes) the merged trace, v1 its text. *)
+     v3 (what [Trace_io.save] writes) the merged trace, v1 its text.  The
+     aligned RSDs are what code generation starts from when a collective
+     needs aligning (CG), otherwise the raw count. *)
   Table.print ~title:"Saved trace bytes vs rank count (class C)"
-    ~header:[ "app"; "ranks"; "RSDs"; "v2 bytes"; "v3 bytes"; "v1 bytes"; "v3 / v1" ]
+    ~header:
+      [ "app"; "ranks"; "RSDs"; "aligned RSDs"; "v2 bytes"; "v3 bytes"; "v1 bytes"; "v3 / v1" ]
     (List.concat_map
        (fun name ->
          let app = Option.get (Apps.Registry.find name) in
@@ -382,17 +385,19 @@ let scaling () =
              in
              let v1 = String.length (Scalatrace.Trace_io.to_text trace)
              and v3 = file_bytes trace in
+             let aligned, _ = Benchgen.Align.align_if_needed trace in
              [
                name;
                string_of_int nranks;
                string_of_int (Scalatrace.Trace.rsd_count trace);
+               string_of_int (Scalatrace.Trace.rsd_count aligned);
                Table.fbytes (String.length (Scalatrace.Trace_io.to_framed trace));
                Table.fbytes v3;
                Table.fbytes v1;
                Printf.sprintf "%.2f" (float_of_int v3 /. float_of_int v1);
              ])
            [ 64; 256; 1024 ])
-       [ "bt"; "ep"; "cg" ])
+       [ "bt"; "ep"; "cg"; "mg" ])
 
 (* ------------------------------------------------------------------ *)
 (* Algorithm cost scaling (Sections 4.3/4.4 complexity claims)          *)
@@ -586,14 +591,15 @@ let ablation () =
     done;
     Mpisim.Mpi.finalize ~site:(Util.Callsite.synthetic "fin") ctx
   in
+  (* rank 0's recorded stream, compressed at each window: the inter-rank
+     merge re-compresses with the default window and would mask it *)
+  let stream = (Scalatrace.Tracer.streams ~nranks:4 prog).(0) in
   let rows =
     List.map
       (fun window ->
-        let tracer = Scalatrace.Tracer.create ~window ~nranks:4 () in
-        ignore (Mpisim.Mpi.run ~hooks:[ Scalatrace.Tracer.hook tracer ] ~nranks:4 prog);
-        (* per-rank traces show the window's effect; the inter-rank merge
-           re-compresses with the default window and would mask it *)
-        let local = (Scalatrace.Tracer.local_traces tracer).(0) in
+        let c = Scalatrace.Compress.create ~window ~nranks:4 () in
+        List.iter (fun e -> Scalatrace.Compress.push c (Scalatrace.Event.copy e)) stream;
+        let local = Scalatrace.Compress.contents c in
         [
           string_of_int window;
           string_of_int (Scalatrace.Tnode.rsd_count local);

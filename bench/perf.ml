@@ -423,9 +423,9 @@ let lower_smoke () =
 
 (* A v3 file holds the merged trace, so loading it parses the top-level
    nodes and skips v2's per-rank parsing and re-merge.  MG class C at 32
-   ranks is saved in both formats and each file loaded best of 3 in this
-   process; v3 must load in a quarter of v2's time (it reads about a
-   twelfth). *)
+   ranks (80 RSDs) is saved in both formats and each file loaded best of
+   3 in this process; v3 must load in a quarter of v2's time (it reads
+   about a fourteenth). *)
 let load_smoke () =
   let max_ratio = 0.25 and nranks = 32 in
   let app = Option.get (Apps.Registry.find "mg") in
@@ -521,10 +521,56 @@ let scale_smoke () =
           the %.0fx limit"
          ratio max_ratio)
 
+(* Finding loop bodies must not cost O(window) per push.  hirsd class A
+   at 32 ranks leaves per-rank tails of about 4300 nodes that never fold,
+   the case where a push that tried every window w = 1..window would pay
+   for all of them.  Its recorded per-rank streams are compressed at the
+   default window (256) and at window 64, best of 5 each, alternating, in
+   this process; the default may take at most 2x the seconds of window 64
+   (it reads 1.3-1.4x).  That scan read 3.1-3.6x. *)
+let compress_smoke () =
+  let max_ratio = 2. and nranks = 32 in
+  let app = Option.get (Apps.Registry.find "hirsd") in
+  let streams =
+    Scalatrace.Tracer.streams ~nranks (app.program ~cls:Apps.Params.A ())
+  in
+  let events = Array.fold_left (fun n s -> n + List.length s) 0 streams in
+  (* absorbing mutates events, so each timing compresses fresh copies *)
+  let timing window =
+    let copies = Array.map (List.map Scalatrace.Event.copy) streams in
+    Gc.full_major ();
+    snd
+      (wall (fun () ->
+           Array.iter
+             (fun stream ->
+               let c = Scalatrace.Compress.create ~window ~nranks () in
+               List.iter (Scalatrace.Compress.push c) stream)
+             copies))
+  in
+  let default = Scalatrace.Compress.default_window in
+  let narrow = ref infinity and wide = ref infinity in
+  for _ = 1 to 5 do
+    narrow := Float.min !narrow (timing 64);
+    wide := Float.min !wide (timing default)
+  done;
+  let ratio = !wide /. !narrow in
+  let per_event s = s /. float_of_int events *. 1e9 in
+  Printf.printf
+    "perf smoke: hirsd A %d ranks, compress %.0f ns/event at window 64, \
+     %.0f ns/event at window %d (%.2fx, limit %.0fx)\n%!"
+    nranks (per_event !narrow) (per_event !wide) default ratio max_ratio;
+  if ratio > max_ratio then
+    failwith
+      (Printf.sprintf
+         "perf smoke: compressing at window %d took %.1fx window 64, over the \
+          %.0fx limit"
+         default ratio max_ratio)
+
 (* Runs under [dune runtest].  Every guard is a ratio of two timings taken
    in this process, so none depends on the machine's speed or load. *)
 let smoke () =
   lower_smoke ();
   load_smoke ();
   merge_smoke ();
-  scale_smoke ()
+  scale_smoke ();
+  compress_smoke ()

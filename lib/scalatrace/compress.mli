@@ -4,21 +4,31 @@
     event is appended, the compressor tries (a) to extend an existing PRSD
     whose body matches the new tail and (b) to fold the last [2w] nodes
     into a new 2-iteration PRSD when the two halves are equivalent, for
-    window sizes [w = 1..window].  Successful folds cascade, so nested
-    source loops become nested PRSDs.
+    window sizes [w = 1..window], smallest first.  Successful folds
+    cascade, so nested source loops become nested PRSDs.
 
-    Per push, each compression round costs O(window) integer arithmetic:
-    every candidate window is screened by an O(1) prefix-hash test, and
-    only a window that passes pays the O(w) structural comparison.  The
-    node's hash is computed once, when it is appended; the tail is an
-    array, so no round walks or copies a list.  That is what lets traces
-    be collected greedily without buffering the whole event stream. *)
+    A round does not scan [w = 1..window].  It tries only the candidate
+    windows that can succeed: earlier tail nodes with the pushed node's
+    hash (a fold), and loops whose body would end at the pushed node (an
+    extend).  Two chains over the tail list them in O(1) per candidate.
+    Each candidate is screened by an O(1) prefix-hash test, and only one
+    that passes pays the O(w) structural comparison.  So a round costs
+    O(candidates), not O(window), and the output is identical to the
+    scan's at the same window.  That is what lets traces be collected
+    greedily, with a window as long as a real loop body, without
+    buffering the whole event stream. *)
 
 type t
 
+(** The longest loop body {!create} detects by default: 256 nodes, enough
+    for NPB MG's class C V-cycle.  Every compressor in the pipeline uses
+    it. *)
+val default_window : int
+
 (** [create ~nranks ()] — [window] bounds the loop-body length that can be
-    detected (default 64).  [foldable] restricts which leaves may enter a
-    PRSD: folds containing a leaf with [foldable e = false] are rejected.
+    detected (default {!default_window}).  [foldable] restricts which
+    leaves may enter a PRSD: folds containing a leaf with
+    [foldable e = false] are rejected.
     Trace-rebuilding passes use it to keep shared (multi-rank) collective
     RSDs out of per-rank loops, so the final inter-rank merge can unify
     them; the global merge's own compression then re-folds the loops. *)

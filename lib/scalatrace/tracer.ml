@@ -5,24 +5,30 @@ type t = {
   mutable comms : (int * Util.Rank_set.t) list; (* comm id -> world members *)
 }
 
-let create ?window ~nranks () =
+let create ~nranks () =
   {
     nranks;
-    compressors = Array.init nranks (fun _ -> Compress.create ?window ~nranks ());
+    compressors = Array.init nranks (fun _ -> Compress.create ~nranks ());
     last_return = Array.make nranks 0.;
     comms = [ (0, Util.Rank_set.all nranks) ];
   }
 
-let on_enter t ~world_rank ~time (call : Mpisim.Call.t) =
-  let time_gap = time -. t.last_return.(world_rank) in
-  match Event.of_call ~world_rank ~time_gap call with
+(* A call's event carries the compute gap since its rank's last MPI return. *)
+let event_of last_return ~world_rank ~time call =
+  Event.of_call ~world_rank ~time_gap:(time -. last_return.(world_rank)) call
+
+let note_return last_return ~world_rank ~time (call : Mpisim.Call.t) =
+  match call.op with
+  | Compute _ | Wtime -> () (* gaps between MPI calls include local work *)
+  | _ -> last_return.(world_rank) <- time
+
+let on_enter t ~world_rank ~time call =
+  match event_of t.last_return ~world_rank ~time call with
   | None -> ()
   | Some e -> Compress.push t.compressors.(world_rank) e
 
-let on_return t ~world_rank ~time (call : Mpisim.Call.t) (v : Mpisim.Call.value) =
-  (match call.op with
-  | Compute _ | Wtime -> () (* gaps between MPI calls include local work *)
-  | _ -> t.last_return.(world_rank) <- time);
+let on_return t ~world_rank ~time call (v : Mpisim.Call.value) =
+  note_return t.last_return ~world_rank ~time call;
   match v with
   | V_comm c ->
       let id = Mpisim.Comm.id c in
@@ -47,11 +53,29 @@ let finish t =
   let comms = List.sort compare t.comms in
   Merge.merge ~nranks:t.nranks ~comms locals
 
-let trace_run ?window ?net ?fault ?max_events ?max_virtual_time
-    ?coll_alg ?obs ?(extra_hooks = []) ~nranks program =
-  let t = create ?window ~nranks () in
+let trace_run ?net ?fault ?max_events ?max_virtual_time ?coll_alg ?obs
+    ?(extra_hooks = []) ~nranks program =
+  let t = create ~nranks () in
   let outcome =
     Mpisim.Mpi.run ~hooks:(hook t :: extra_hooks) ?net ?fault ?max_events
       ?max_virtual_time ?coll_alg ?obs ~nranks program
   in
   (finish t, outcome)
+
+let streams ~nranks program =
+  let streams = Array.make nranks [] and last_return = Array.make nranks 0. in
+  let hook =
+    {
+      Mpisim.Hooks.nil with
+      on_enter =
+        (fun ~world_rank ~time call ->
+          match event_of last_return ~world_rank ~time call with
+          | None -> ()
+          | Some e -> streams.(world_rank) <- e :: streams.(world_rank));
+      on_return =
+        (fun ~world_rank ~time call _ ->
+          note_return last_return ~world_rank ~time call);
+    }
+  in
+  ignore (Mpisim.Mpi.run ~hooks:[ hook ] ~nranks program);
+  Array.map List.rev streams

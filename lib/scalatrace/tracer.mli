@@ -10,7 +10,7 @@
 
 type t
 
-val create : ?window:int -> nranks:int -> unit -> t
+val create : nranks:int -> unit -> t
 
 val hook : t -> Mpisim.Hooks.t
 
@@ -23,13 +23,12 @@ val local_traces : t -> Tnode.t list array
     recording. *)
 val finish : t -> Trace.t
 
-(** [trace_run ?window ?net ~nranks program] — convenience: run [program]
+(** [trace_run ?net ~nranks program] — convenience: run [program]
     under the tracer and return the global trace together with the run
     outcome.  [?fault] and the watchdog budgets are forwarded to
     {!Mpisim.Mpi.run}, so applications can be traced under perturbed
     conditions and runaway programs abort with a diagnostic. *)
 val trace_run :
-  ?window:int ->
   ?net:Mpisim.Netmodel.t ->
   ?fault:Mpisim.Fault.t ->
   ?max_events:int ->
@@ -40,3 +39,9 @@ val trace_run :
   nranks:int ->
   (Mpisim.Mpi.ctx -> unit) ->
   Trace.t * Mpisim.Engine.outcome
+
+(** [streams ~nranks program] — run [program] and return each rank's
+    uncompressed event stream, oldest first: exactly the events the
+    tracer pushes into that rank's compressor.  For measuring and
+    testing {!Compress} on recorded traffic. *)
+val streams : nranks:int -> (Mpisim.Mpi.ctx -> unit) -> Event.t list array

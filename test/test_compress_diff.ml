@@ -1,37 +1,17 @@
-(* Differential tests for the array-backed tail compressor.
+(* Differential tests for the tail compressor.
 
-   {!Compress_ref} is the list-based compressor it replaced.  Both see the
-   same event streams — every push takes its own {!Event.copy}, because
-   absorbing mutates the surviving event — and must produce the same
-   nodes: identical {!Tnode.pp_list}, and identical compute-time
-   statistics, peers and participants on every leaf.  A retention guard
-   checks that absorbed events are not kept alive by the compressor. *)
+   {!Compress_ref} is the list-based compressor that scans every window
+   w = 1..window; {!Compress} tries only the candidates its hash and
+   due-length chains find.  Both see the same event streams — every push
+   takes its own {!Event.copy}, because absorbing mutates the surviving
+   event — and must produce the same nodes at the same window: identical
+   {!Tnode.pp_list}, and identical compute-time statistics, peers and
+   participants on every leaf.  A retention guard checks that absorbed
+   events are not kept alive by the compressor. *)
 
 open Scalatrace
 
 let t name f = Alcotest.test_case name `Quick f
-
-(* Per-rank event streams exactly as the tracer would push them. *)
-let record_streams ~nranks program =
-  let streams = Array.make nranks [] and last = Array.make nranks 0. in
-  let hook =
-    {
-      Mpisim.Hooks.nil with
-      on_enter =
-        (fun ~world_rank ~time call ->
-          let time_gap = time -. last.(world_rank) in
-          match Event.of_call ~world_rank ~time_gap call with
-          | None -> ()
-          | Some e -> streams.(world_rank) <- e :: streams.(world_rank));
-      on_return =
-        (fun ~world_rank ~time (call : Mpisim.Call.t) _ ->
-          match call.op with
-          | Compute _ | Wtime -> ()
-          | _ -> last.(world_rank) <- time);
-    }
-  in
-  ignore (Mpisim.Mpi.run ~hooks:[ hook ] ~nranks program);
-  Array.map List.rev streams
 
 (* What [pp_list] abbreviates, exactly: the compute-time statistics
    bit for bit, and the full peer (a [P_map] prints only its length) and
@@ -70,23 +50,42 @@ let compress_both ?window ?foldable ~nranks stream =
     stream;
   (Compress.contents a, Compress_ref.contents b)
 
-let windows = [ 1; 2; 64 ]
+let windows = [ 1; 2; 64; 256 ]
 
-let check_streams ?(windows = windows) ~what ~nranks streams =
+let check_streams ?(windows = windows) ?foldable ~what ~nranks streams =
   List.iter
     (fun window ->
       Array.iteri
         (fun r stream ->
-          let got, want = compress_both ~window ~nranks stream in
+          let got, want = compress_both ~window ?foldable ~nranks stream in
           check_same ~what:(Printf.sprintf "%s rank %d window %d" what r window)
             got want)
         streams)
     windows
 
-let app_streams name ~wanted =
+let app_streams ?(cls = Apps.Params.S) name ~wanted =
   let app = Option.get (Apps.Registry.find name) in
   let nranks = Apps.Registry.fit_nranks app ~wanted in
-  (nranks, record_streams ~nranks (app.program ~cls:Apps.Params.S ()))
+  (nranks, Tracer.streams ~nranks (app.program ~cls ()))
+
+(* A one-rank event, equivalent to exactly the events of the same
+   [site]. *)
+let synthetic site =
+  let h = Util.Histogram.create () in
+  Util.Histogram.add h 1e-6;
+  {
+    Event.site = Util.Callsite.synthetic site;
+    kind = Event.E_barrier;
+    peer = Event.P_none;
+    bytes = 0;
+    vec = None;
+    tag = 0;
+    comm = 0;
+    parts = None;
+    dtime = h;
+    ranks = Util.Rank_set.singleton 0;
+    hcache = 0;
+  }
 
 let registry_tests =
   [
@@ -103,7 +102,7 @@ let registry_tests =
             check_streams ~what:name ~nranks streams)
           [ "lu"; "mg" ]);
     t "random programs match the list compressor" (fun () ->
-        (* 1000 programs; each seed takes one of the three windows *)
+        (* 1000 programs; each seed takes one of the four windows *)
         List.iter
           (fun mode ->
             for seed = 0 to 499 do
@@ -113,17 +112,13 @@ let registry_tests =
                 ~windows:[ List.nth windows (seed mod List.length windows) ]
                 ~what:(Printf.sprintf "gen seed %d" seed)
                 ~nranks
-                (record_streams ~nranks (Check.Gen.to_app prog))
+                (Tracer.streams ~nranks (Check.Gen.to_app prog))
             done)
           [ `Mixed; `Neighbor ]);
     t "foldable predicate: same rejections" (fun () ->
         let nranks, streams = app_streams "cg" ~wanted:16 in
         let foldable e = not (Event.is_collective e.Event.kind) in
-        Array.iteri
-          (fun r stream ->
-            let got, want = compress_both ~foldable ~nranks stream in
-            check_same ~what:(Printf.sprintf "cg rank %d" r) got want)
-          streams);
+        check_streams ~foldable ~what:"cg" ~nranks streams);
     t "compress_list over a merged trace" (fun () ->
         List.iter
           (fun name ->
@@ -155,27 +150,10 @@ let retention_tests =
     t "absorbed events are collectable" (fun () ->
         let c = Compress.create ~nranks:1 () in
         let weak = Weak.create 2 in
-        let event site =
-          let h = Util.Histogram.create () in
-          Util.Histogram.add h 1e-6;
-          {
-            Event.site = Util.Callsite.synthetic site;
-            kind = Event.E_barrier;
-            peer = Event.P_none;
-            bytes = 0;
-            vec = None;
-            tag = 0;
-            comm = 0;
-            parts = None;
-            dtime = h;
-            ranks = Util.Rank_set.singleton 0;
-            hcache = 0;
-          }
-        in
         let[@inline never] push_all () =
-          Compress.push c (event "a");
-          Compress.push c (event "b");
-          let a2 = event "a" and b2 = event "b" in
+          Compress.push c (synthetic "a");
+          Compress.push c (synthetic "b");
+          let a2 = synthetic "a" and b2 = synthetic "b" in
           Weak.set weak 0 (Some a2);
           Weak.set weak 1 (Some b2);
           Compress.push c a2;
@@ -191,4 +169,45 @@ let retention_tests =
             Alcotest.failf "expected one 2x2 loop, got %d nodes" (List.length nodes));
   ]
 
-let suite = registry_tests @ retention_tests
+let chain_tests =
+  [
+    (* Long tails: hundreds to thousands of unfolded nodes, so each push
+       walks long chains and many loops fall due. *)
+    t "kripke-36 class C streams match the list compressor" (fun () ->
+        let nranks, streams = app_streams ~cls:Apps.Params.C "kripke" ~wanted:36 in
+        check_streams ~windows:[ 64; 256 ] ~what:"kripke C" ~nranks streams);
+    t "hirsd-32 class A streams match the list compressor" (fun () ->
+        let nranks, streams = app_streams ~cls:Apps.Params.A "hirsd" ~wanted:32 in
+        check_streams ~windows:[ 64; 256 ] ~what:"hirsd A" ~nranks streams);
+    t "hand-built streams: loops due after a fold, tails that grow" (fun () ->
+        let stream = List.map synthetic in
+        (* [x (y y)] twice folds into a loop at slot 0, due at tail length
+           3; then x y y, whose y y fold truncates the tail from 4 to 3
+           nodes, where the loop must be extended *)
+        check_streams ~what:"due after fold" ~nranks:1
+          [| stream [ "x"; "y"; "y"; "x"; "y"; "y"; "x"; "y"; "y" ] |];
+        (* (c c c x) three times: the third c extends (c c), which is due
+           at the same tail length as the outer loop below it; the outer
+           loop must stay on the chain for the final x to extend it *)
+        let cccx = [ "c"; "c"; "c"; "x" ] in
+        check_streams ~what:"two loops due together" ~nranks:1
+          [| stream (cccx @ cccx @ cccx) |];
+        (* a 140-node body of leaves and (t t) loops, three times: tails of
+           up to 420 nodes, past several doublings of the arrays *)
+        let body =
+          List.concat (List.init 70 (fun i -> [ Printf.sprintf "s%d" i; "t"; "t" ]))
+        in
+        check_streams ~what:"grow" ~nranks:1 [| stream (body @ body @ body) |];
+        (* a pushed 140-node loop falls due only after five doublings *)
+        let leaves = List.init 140 (fun i -> Tnode.Leaf (synthetic (Printf.sprintf "s%d" i))) in
+        let nodes = Tnode.loop ~count:2 leaves :: leaves in
+        List.iter
+          (fun window ->
+            check_same
+              ~what:(Printf.sprintf "pushed loop window %d" window)
+              (Compress.compress_list ~window ~nranks:1 (List.map Tnode.copy nodes))
+              (Compress_ref.compress_list ~window ~nranks:1 (List.map Tnode.copy nodes)))
+          windows);
+  ]
+
+let suite = registry_tests @ retention_tests @ chain_tests

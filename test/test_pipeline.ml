@@ -272,4 +272,54 @@ let mpip_tests =
         Alcotest.(check bool) "has diff" true (List.length (Mpip.diff a b) >= 2));
   ]
 
-let suite = app_tests @ misc_tests @ replay_tests @ apps_tests @ mpip_tests
+(* RSD counts before and after the rewriting passes ([input_rsds],
+   [final_rsds]).  The compressor finds loop bodies of up to
+   {!Scalatrace.Compress.default_window} nodes: MG's class C V-cycle is
+   longer than 64, and so is the body CG's alignment rebuild folds at
+   1024 ranks. *)
+let rsds ~name ~wanted ~cls =
+  let app = Option.get (Apps.Registry.find name) in
+  let nranks = Apps.Registry.fit_nranks app ~wanted in
+  let report, _ = from_app ~name ~nranks (app.program ~cls ()) in
+  (report.Pipeline.input_rsds, report.Pipeline.final_rsds)
+
+let rsd_tests =
+  let slow name f = Alcotest.test_case name `Slow f in
+  [
+    t "rsd counts of every registry app at 64 ranks class C are pinned" (fun () ->
+        List.iter
+          (fun (name, wanted, cls, want) ->
+            Alcotest.(check (pair int int))
+              (Printf.sprintf "%s raw, final" name)
+              want
+              (rsds ~name ~wanted ~cls))
+          [
+            ("bt", 64, Apps.Params.C, (156, 156));
+            ("cg", 64, Apps.Params.C, (138, 123));
+            ("ep", 64, Apps.Params.C, (4, 4));
+            ("ft", 64, Apps.Params.C, (5, 5));
+            ("is", 64, Apps.Params.C, (194, 5));
+            ("lu", 64, Apps.Params.C, (137, 504));
+            ("mg", 64, Apps.Params.C, (94, 94));
+            ("sp", 64, Apps.Params.C, (156, 156));
+            ("sweep3d", 64, Apps.Params.C, (108, 100));
+            ("ring", 64, Apps.Params.C, (4, 4));
+            ("stencil2d", 64, Apps.Params.C, (11, 11));
+            ("butterfly", 64, Apps.Params.C, (19, 19));
+            ("amg", 64, Apps.Params.C, (43, 13));
+            ("kripke", 64, Apps.Params.C, (2028, 701));
+            ("laghos", 64, Apps.Params.C, (18, 10));
+            ("hirsd", 32, Apps.Params.A, (22130, 12841));
+          ]);
+    slow "mg class C folds its V-cycle at 256 ranks" (fun () ->
+        let raw, final = rsds ~name:"mg" ~wanted:256 ~cls:Apps.Params.C in
+        Alcotest.(check bool) (Printf.sprintf "%d, %d RSDs <= 100" raw final) true
+          (raw <= 100 && final <= 100));
+    slow "cg at 1024 ranks class W: alignment adds no RSDs" (fun () ->
+        let raw, final = rsds ~name:"cg" ~wanted:1024 ~cls:Apps.Params.W in
+        Alcotest.(check bool) (Printf.sprintf "final %d <= raw %d" final raw) true
+          (final <= raw));
+  ]
+
+let suite =
+  app_tests @ misc_tests @ replay_tests @ apps_tests @ mpip_tests @ rsd_tests
