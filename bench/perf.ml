@@ -566,11 +566,49 @@ let compress_smoke () =
           %.0fx limit"
          default ratio max_ratio)
 
-(* Runs under [dune runtest].  Every guard is a ratio of two timings taken
-   in this process, so none depends on the machine's speed or load. *)
+(* Recording a call must not copy it.  MG class C at 64 ranks runs
+   untraced, then under the tracer (recording only, no merge); the words
+   the tracer adds per simulated event, the difference of the two runs'
+   allocated words ([Gc.quick_stat]) divided by the run's events, must be
+   at most 40 (it reads 23.6).  Allocation repeats exactly from run to run,
+   so this guard is a count, not a timing.  An event built with
+   closures, boxed floats and hash tuples, a fresh singleton rank set
+   per call and a copy of every count vector read 86. *)
+let record_smoke () =
+  let max_words = 40. and nranks = 64 in
+  let app = Option.get (Apps.Registry.find "mg") in
+  let program = app.program ~cls:Apps.Params.C () in
+  let allocated hooks =
+    let words () =
+      let s = Gc.quick_stat () in
+      s.Gc.minor_words +. s.Gc.major_words -. s.Gc.promoted_words
+    in
+    let before = words () in
+    let outcome = Mpisim.Mpi.run ~hooks ~nranks program in
+    (words () -. before, outcome.Mpisim.Engine.events)
+  in
+  let untraced, events = allocated [] in
+  let tracer = Scalatrace.Tracer.create ~nranks () in
+  let traced, _ = allocated [ Scalatrace.Tracer.hook tracer ] in
+  let per_event = (traced -. untraced) /. float_of_int events in
+  Printf.printf
+    "perf smoke: mg C %d ranks, %d events, recording allocates %.1f words \
+     per event (limit %.0f)\n%!"
+    nranks events per_event max_words;
+  if per_event > max_words then
+    failwith
+      (Printf.sprintf
+         "perf smoke: recording allocated %.1f words per event, over the %.0f \
+          limit"
+         per_event max_words)
+
+(* Runs under [dune runtest].  Every timing guard is a ratio of two
+   timings taken in this process, so none depends on the machine's speed
+   or load; the recording guard counts allocated words. *)
 let smoke () =
   lower_smoke ();
   load_smoke ();
   merge_smoke ();
   scale_smoke ();
-  compress_smoke ()
+  compress_smoke ();
+  record_smoke ()

@@ -18,27 +18,20 @@ type outcome = {
   dropped_events : int;
 }
 
-(* A collective wait is keyed by (communicator, participant signature,
-   slot).  The signature is "" for full-communicator collectives — the
-   historical key, byte-compatible behavior — and the comma-joined sorted
-   world participant set for neighborhood collectives, so disjoint
-   participant groups on one communicator advance independently instead
-   of mis-accounting each other's arrival bitmap. *)
-type coll_key = int * string * int
+(* A collective wait is keyed by (communicator, participant key, slot)
+   ({!Traversal.participants}), so disjoint participant groups on one
+   communicator advance independently instead of mis-accounting each
+   other's arrival bitmap. *)
+type coll_key = int * int array * int
 
 type node_state = {
   rank : int;
   mutable cursor : Traversal.cursor;
   mutable finished : bool;
   mutable blocked : coll_key option;
-  coll_seq : (int * string, int) Hashtbl.t; (* (comm, psig) -> next slot *)
+  coll_seq : (int * int array, int) Hashtbl.t;
+      (* (comm, participant key) -> next slot *)
 }
-
-let psig_of (e : Event.t) =
-  match e.Event.parts with
-  | None -> ""
-  | Some ps ->
-      String.concat "," (List.map string_of_int (Array.to_list ps))
 
 (* Collective-wait state is indexed so the hot per-arrival operations are
    sublinear in the communicator size: arrivals are marked in a bool array
@@ -127,7 +120,7 @@ let merge_collective (key : coll_key) arrivals members =
   | (_, first, _) :: rest ->
       List.iter
         (fun (r, (e : Event.t), _) ->
-          if e.Event.kind <> first.Event.kind then
+          if not (Event.kind_equal e.Event.kind first.Event.kind) then
             raise
               (Align_error
                  (Printf.sprintf
@@ -156,12 +149,14 @@ let merge_collective (key : coll_key) arrivals members =
           if 2 * (!r mod n) >= n then mean + 1 else mean
         end
       in
+      (* [vec] and [parts] are never mutated, so the merged RSD shares
+         them; arrivals at one RSD share its event, hence its [vec] *)
       let vec =
         if
           List.for_all
-            (fun (_, (e : Event.t), _) -> e.vec = first.vec)
+            (fun (_, (e : Event.t), _) -> e.vec == first.vec || e.vec = first.vec)
             arrivals
-        then Option.map Array.copy first.vec
+        then first.vec
         else None
       in
       let peer =
@@ -196,7 +191,7 @@ let merge_collective (key : coll_key) arrivals members =
         vec;
         tag = first.tag;
         comm = first.comm;
-        parts = Option.map Array.copy first.parts;
+        parts = first.parts;
         dtime;
         ranks = members;
         hcache = 0;
@@ -253,11 +248,12 @@ let run_policy ?(policy : policy = `Strict) (trace : Trace.t) =
     | Some m -> m
     | None -> raise (Align_error (Printf.sprintf "unknown communicator %d" cid))
   in
+  let projections = Trace.projections trace in
   let states =
     Array.init nranks (fun rank ->
         {
           rank;
-          cursor = Traversal.start (Trace.project trace ~rank);
+          cursor = Traversal.start projections.(rank);
           finished = false;
           blocked = None;
           coll_seq = Hashtbl.create 8;
@@ -346,13 +342,13 @@ let run_policy ?(policy : policy = `Strict) (trace : Trace.t) =
           s.cursor <- after
         end
         else begin
-          let psig = psig_of e in
-          let seq_key = (e.comm, psig) in
+          let parts = Traversal.participants e in
+          let seq_key = (e.comm, parts) in
           let slot =
             Option.value ~default:0 (Hashtbl.find_opt s.coll_seq seq_key)
           in
           Hashtbl.replace s.coll_seq seq_key (slot + 1);
-          let key = (e.comm, psig, slot) in
+          let key = (e.comm, parts, slot) in
           let w =
             match Hashtbl.find_opt waits key with
             | Some w -> w

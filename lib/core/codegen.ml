@@ -36,20 +36,30 @@ let peer_groups ~nranks (e : Event.t) =
   | Event.P_map m ->
       (* only participants matter; stale observations are dropped *)
       let m = List.filter (fun (r, _) -> Util.Rank_set.mem r ranks) m in
+      (* One sort of (key, rank) pairs, then one pass over the runs of
+         equal keys: the groups in ascending key order.  Filtering the
+         map once per distinct key made LU's grouping quadratic in the
+         rank count. *)
       let group_by f tag =
-        let keys = List.sort_uniq compare (List.map f m) in
-        List.map
-          (fun k ->
-            let rs =
-              List.filter_map (fun (r, p) -> if f (r, p) = k then Some r else None) m
-            in
-            (Util.Rank_set.of_list rs, tag k))
-          keys
+        let by_key (k, r) (k', r') =
+          match Int.compare k k' with 0 -> Int.compare r r' | c -> c
+        in
+        let rec groups acc = function
+          | [] -> List.rev acc
+          | (k, r) :: rest ->
+              let rec run rs = function
+                | (k', r') :: rest when k' = k -> run (r' :: rs) rest
+                | rest -> (rs, rest)
+              in
+              let rs, rest = run [ r ] rest in
+              groups ((Util.Rank_set.of_list rs, tag k) :: acc) rest
+        in
+        groups [] (List.sort by_key (List.map (fun (r, p) -> (f r p, r)) m))
       in
       let by_offset =
-        group_by (fun (r, p) -> (p - r + nranks) mod nranks) (fun d -> `Rel d)
+        group_by (fun r p -> (p - r + nranks) mod nranks) (fun d -> `Rel d)
       in
-      let by_abs = group_by (fun (_, p) -> p) (fun a -> `Abs a) in
+      let by_abs = group_by (fun _ p -> p) (fun a -> `Abs a) in
       if List.length by_offset <= List.length by_abs then by_offset else by_abs
 
 (* Peer expression for a task subset.  For a singleton subset everything is

@@ -29,6 +29,9 @@ let rec peek c =
 
 let consumed c = c.seen
 
+let participants (e : Event.t) =
+  match e.parts with None -> [||] | Some ps -> ps
+
 (* ------------------------------------------------------------------ *)
 
 (* The rebuild collects per-rank compressed segments between *anchors* —
@@ -49,6 +52,7 @@ type item = {
 type rebuild = {
   nranks : int;
   comms : (int * Util.Rank_set.t) list;
+  singletons : Util.Rank_set.t array; (* shared by rank r's emitted events *)
   mutable per_rank : Compress.t array; (* open segment of each rank *)
   mutable items : item list; (* reversed emission order *)
 }
@@ -62,15 +66,17 @@ let rebuild_create ~nranks ~comms =
   {
     nranks;
     comms;
+    singletons = Array.init nranks Util.Rank_set.singleton;
     per_rank = Array.init nranks (fun _ -> fresh_compressor ~nranks ());
     items = [];
   }
 
 (* Narrow generalized peers to this rank: keeping a multi-rank P_map on a
    singleton-rank event would misrepresent the participant set. *)
-let narrowed ~nranks rank (e : Event.t) =
+let narrowed t rank (e : Event.t) =
+  let nranks = t.nranks in
   let e' = Event.copy e in
-  e'.ranks <- Util.Rank_set.singleton rank;
+  e'.ranks <- t.singletons.(rank);
   (match e'.peer with
   | Event.P_map _ | Event.P_rel _ -> (
       match Event.peer_of e ~rank ~nranks with
@@ -80,7 +86,7 @@ let narrowed ~nranks rank (e : Event.t) =
   e'
 
 let emit_single t ~rank e =
-  Compress.push t.per_rank.(rank) (narrowed ~nranks:t.nranks rank e)
+  Compress.push t.per_rank.(rank) (narrowed t rank e)
 
 let emit_group t ~ranks e =
   let e' = Event.copy e in

@@ -24,6 +24,13 @@ val peek : cursor -> (Scalatrace.Event.t * cursor) option
     "the k-th event of this rank" used by deadlock bookkeeping. *)
 val consumed : cursor -> int
 
+(** A collective's participant key: its declared participant set, or
+    [[||]] for the whole communicator.  Algorithms 1 and 2 number each
+    rank's collectives per (communicator, key) and wait for each instance
+    under (communicator, key, slot).  The key is the event's own array,
+    shared by every iteration of its RSD, so building it costs nothing. *)
+val participants : Scalatrace.Event.t -> int array
+
 (** {1 Output rebuilding}
 
     Algorithm 1 rewrites the trace by re-emitting events in traversal

@@ -17,11 +17,9 @@ type blocked_reason =
   | B_send of entry
   | B_recv of entry
   | B_wait
-  | B_coll of (int * string * int)
-      (* (comm, participant signature, slot); the signature is "" for
-         full-communicator collectives and the comma-joined declared
-         participant set for neighborhood collectives — same keying as
-         {!Align} *)
+  | B_coll of (int * int array * int)
+      (* (comm, {!Traversal.participants}, slot), the keying {!Align}
+         uses *)
 
 type node_state = {
   rank : int;
@@ -30,7 +28,7 @@ type node_state = {
   mutable finished : bool;
   mutable blocked : blocked_reason option;
   mutable n_pending : int; (* L1: own unmatched ops *)
-  coll_seq : (int * string, int) Hashtbl.t;
+  coll_seq : (int * int array, int) Hashtbl.t;
 }
 
 (* Runnable ranks in a binary min-heap on (operations consumed, rank): the
@@ -91,11 +89,6 @@ end
 (* Certificate ledger of one (src, dst, comm, tag) channel: program-order
    positions of the last send and the last receive matched on it. *)
 type channel = { mutable last_send : int; mutable last_recv : int }
-
-let psig_of (e : Event.t) =
-  match e.Event.parts with
-  | None -> ""
-  | Some ps -> String.concat "," (List.map string_of_int (Array.to_list ps))
 
 type coll_wait = {
   members : Util.Rank_set.t;
@@ -205,11 +198,12 @@ let traversal_resolve (trace : Trace.t) =
     | Some m -> m
     | None -> raise (Wildcard_error (Printf.sprintf "unknown communicator %d" cid))
   in
+  let projections = Trace.projections trace in
   let states =
     Array.init nranks (fun rank ->
         {
           rank;
-          cursor = Traversal.start (Trace.project trace ~rank);
+          cursor = Traversal.start projections.(rank);
           after = Traversal.start [];
           finished = false;
           blocked = None;
@@ -223,7 +217,7 @@ let traversal_resolve (trace : Trace.t) =
      them). *)
   let pending_sends = Array.init nranks (fun _ -> Util.Deque.create ~capacity:4 ()) in
   let pending_recvs = Array.init nranks (fun _ -> Util.Deque.create ~capacity:4 ()) in
-  let waits : (int * string * int, coll_wait) Hashtbl.t = Hashtbl.create 64 in
+  let waits : (int * int array * int, coll_wait) Hashtbl.t = Hashtbl.create 64 in
   (* RSD identity: structural hashing would conflate distinct-but-equal
      events, so leaves get explicit ids by physical identity. *)
   let id_of = id_in trace in
@@ -400,13 +394,13 @@ let traversal_resolve (trace : Trace.t) =
           | Event.E_wait | Event.E_waitall _ ->
               if s.n_pending = 0 then s.cursor <- after else block B_wait after
           | _ when Event.is_collective e.kind ->
-              let psig = psig_of e in
-              let seq_key = (e.comm, psig) in
+              let parts = Traversal.participants e in
+              let seq_key = (e.comm, parts) in
               let slot =
                 Option.value ~default:0 (Hashtbl.find_opt s.coll_seq seq_key)
               in
               Hashtbl.replace s.coll_seq seq_key (slot + 1);
-              let key = (e.comm, psig, slot) in
+              let key = (e.comm, parts, slot) in
               let w =
                 match Hashtbl.find_opt waits key with
                 | Some w -> w

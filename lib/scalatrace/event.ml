@@ -85,143 +85,211 @@ let kind_name = function
 
 let sum = Array.fold_left ( + ) 0
 
-let make ~world_rank ~time_gap ~site ~kind ~peer ~bytes ~vec ~tag ~comm =
-  let dtime = Util.Histogram.create () in
-  Util.Histogram.add dtime (Float.max 0. time_gap);
-  { site; kind; peer; bytes; vec; tag; comm; parts = None;
-    dtime; ranks = Util.Rank_set.singleton world_rank; hcache = 0 }
+(* [of_call] runs once per recorded MPI call, so it and the helpers below
+   are top-level functions: a local closure would be allocated on every
+   call. *)
 
-let of_call ~world_rank ~time_gap (call : Mpisim.Call.t) =
-  let comm = Mpisim.Comm.id call.comm in
-  let site = call.site in
-  let world_of r = Mpisim.Comm.world_of_local call.comm r in
-  let mk = make ~world_rank ~time_gap ~site ~comm in
-  (* Neighbor offsets are positions in the declared participant set:
-     offset o from participant i reaches participant (i + o) mod q.  A
-     rank-relative stencil therefore produces the same [vec] on every
-     rank, which is what lets RSD merging keep it exact. *)
-  let neighbor_fields ~parts ~neighbors =
-    let q, pos_of =
-      if Array.length parts = 0 then
-        (Mpisim.Comm.size call.comm, fun l -> l)
-      else
-        ( Array.length parts,
-          fun l ->
-            let rec find i = if parts.(i) = l then i else find (i + 1) in
-            find 0 )
-    in
-    let me =
-      match Mpisim.Comm.local_of_world call.comm world_rank with
-      | Some l -> pos_of l
-      | None -> 0
-    in
-    let offsets =
-      Array.map (fun nb -> (pos_of nb - me + q) mod q) neighbors
-    in
-    Array.sort compare offsets;
-    let parts =
-      if Array.length parts = 0 then None
-      else Some (Array.map world_of parts)
-    in
-    (offsets, parts)
+(* [Float.max 0. gap] without boxing its result; a NaN gap still reaches
+   [Histogram.add], which rejects it. *)
+let clamp_gap gap = if gap > 0. then gap else if gap <= 0. then 0. else gap
+
+let event ~ranks ~time_gap (call : Mpisim.Call.t) kind peer ~bytes ~tag ~vec
+    ~parts =
+  let dtime = Util.Histogram.create () in
+  Util.Histogram.add dtime (clamp_gap time_gap);
+  { site = call.site; kind; peer; bytes; vec; tag;
+    comm = Mpisim.Comm.id call.comm; parts; dtime; ranks; hcache = 0 }
+
+(* an event without count vector or declared participant set *)
+let plain ~ranks ~time_gap call kind peer ~bytes ~tag =
+  event ~ranks ~time_gap call kind peer ~bytes ~tag ~vec:None ~parts:None
+
+let rec same_counts (a : int array) b i =
+  i < 0 || (a.(i) = b.(i) && same_counts a b (i - 1))
+
+(* A v-collective.  The application may overwrite its count array after
+   the call, so the event keeps a copy, unless the rank's previous copy
+   [last_vec] is equal: counts repeat from one call to the next, and a
+   copy of a 1024-entry row goes straight to the major heap. *)
+let v_collective ~ranks ~last_vec ~time_gap call kind peer counts =
+  let n = Array.length counts in
+  let vec =
+    if n = Array.length last_vec && same_counts counts last_vec (n - 1) then
+      last_vec
+    else Array.copy counts
   in
-  let p2p_tag t = t in
+  event ~ranks ~time_gap call kind peer ~bytes:(sum counts) ~tag:0
+    ~vec:(Some vec) ~parts:None
+
+let abs_peer comm r = P_abs (Mpisim.Comm.world_of_local comm r)
+
+let src_peer comm = function
+  | Mpisim.Call.Any_source -> P_any
+  | Rank r -> abs_peer comm r
+
+let recv_tag = function Mpisim.Call.Any_tag -> -1 | Tag t -> t
+
+(* Position of communicator-local rank [l] in a declared participant set
+   ([[||]] = the whole communicator, where positions are local ranks). *)
+let pos_in parts l =
+  if Array.length parts = 0 then l
+  else
+    let rec find i = if parts.(i) = l then i else find (i + 1) in
+    find 0
+
+(* A neighborhood collective.  Neighbor offsets are positions in the
+   declared participant set: offset o from participant i reaches
+   participant (i + o) mod q.  A rank-relative stencil therefore produces
+   the same [vec] on every rank, which is what lets RSD merging keep it
+   exact. *)
+let neighbor ~ranks ~world_rank ~time_gap (call : Mpisim.Call.t) kind ~bytes
+    ~parts ~neighbors =
+  let comm = call.comm in
+  let q =
+    if Array.length parts = 0 then Mpisim.Comm.size comm else Array.length parts
+  in
+  let me =
+    match Mpisim.Comm.local_of_world comm world_rank with
+    | Some l -> pos_in parts l
+    | None -> 0
+  in
+  let offsets = Array.make (Array.length neighbors) 0 in
+  for i = 0 to Array.length neighbors - 1 do
+    offsets.(i) <- (pos_in parts neighbors.(i) - me + q) mod q
+  done;
+  Array.sort Int.compare offsets;
+  let parts =
+    if Array.length parts = 0 then None
+    else Some (Array.map (Mpisim.Comm.world_of_local comm) parts)
+  in
+  event ~ranks ~time_gap call kind P_none ~bytes ~tag:(Array.length neighbors)
+    ~vec:(Some offsets) ~parts
+
+let of_call ~ranks ~last_vec ~world_rank ~time_gap (call : Mpisim.Call.t) =
+  let comm = call.comm in
   match call.op with
   | Compute _ | Wtime -> None
   | Send { dst; bytes; tag } ->
-      Some (mk ~kind:E_send ~peer:(P_abs (world_of dst)) ~bytes ~vec:None ~tag:(p2p_tag tag))
+      Some (plain ~ranks ~time_gap call E_send (abs_peer comm dst) ~bytes ~tag)
   | Isend { dst; bytes; tag } ->
-      Some (mk ~kind:E_isend ~peer:(P_abs (world_of dst)) ~bytes ~vec:None ~tag:(p2p_tag tag))
+      Some (plain ~ranks ~time_gap call E_isend (abs_peer comm dst) ~bytes ~tag)
   | Recv { src; bytes; tag } ->
-      let peer = match src with Mpisim.Call.Any_source -> P_any | Rank r -> P_abs (world_of r) in
-      let tag = match tag with Mpisim.Call.Any_tag -> -1 | Tag t -> t in
-      Some (mk ~kind:E_recv ~peer ~bytes ~vec:None ~tag)
+      Some
+        (plain ~ranks ~time_gap call E_recv (src_peer comm src) ~bytes
+           ~tag:(recv_tag tag))
   | Irecv { src; bytes; tag } ->
-      let peer = match src with Mpisim.Call.Any_source -> P_any | Rank r -> P_abs (world_of r) in
-      let tag = match tag with Mpisim.Call.Any_tag -> -1 | Tag t -> t in
-      Some (mk ~kind:E_irecv ~peer ~bytes ~vec:None ~tag)
-  | Wait _ -> Some (mk ~kind:E_wait ~peer:P_none ~bytes:0 ~vec:None ~tag:0)
+      Some
+        (plain ~ranks ~time_gap call E_irecv (src_peer comm src) ~bytes
+           ~tag:(recv_tag tag))
+  | Wait _ -> Some (plain ~ranks ~time_gap call E_wait P_none ~bytes:0 ~tag:0)
   | Waitall reqs ->
-      Some (mk ~kind:(E_waitall (List.length reqs)) ~peer:P_none ~bytes:0 ~vec:None ~tag:0)
-  | Barrier -> Some (mk ~kind:E_barrier ~peer:P_none ~bytes:0 ~vec:None ~tag:0)
+      Some
+        (plain ~ranks ~time_gap call (E_waitall (List.length reqs)) P_none
+           ~bytes:0 ~tag:0)
+  | Barrier -> Some (plain ~ranks ~time_gap call E_barrier P_none ~bytes:0 ~tag:0)
   | Bcast { root; bytes } ->
-      Some (mk ~kind:E_bcast ~peer:(P_abs (world_of root)) ~bytes ~vec:None ~tag:0)
+      Some (plain ~ranks ~time_gap call E_bcast (abs_peer comm root) ~bytes ~tag:0)
   | Reduce { root; bytes } ->
-      Some (mk ~kind:E_reduce ~peer:(P_abs (world_of root)) ~bytes ~vec:None ~tag:0)
-  | Allreduce { bytes } -> Some (mk ~kind:E_allreduce ~peer:P_none ~bytes ~vec:None ~tag:0)
+      Some (plain ~ranks ~time_gap call E_reduce (abs_peer comm root) ~bytes ~tag:0)
+  | Allreduce { bytes } ->
+      Some (plain ~ranks ~time_gap call E_allreduce P_none ~bytes ~tag:0)
   | Gather { root; bytes_per_rank } ->
-      Some (mk ~kind:E_gather ~peer:(P_abs (world_of root)) ~bytes:bytes_per_rank ~vec:None ~tag:0)
+      Some
+        (plain ~ranks ~time_gap call E_gather (abs_peer comm root)
+           ~bytes:bytes_per_rank ~tag:0)
   | Gatherv { root; bytes_from } ->
       Some
-        (mk ~kind:E_gatherv ~peer:(P_abs (world_of root)) ~bytes:(sum bytes_from)
-           ~vec:(Some (Array.copy bytes_from)) ~tag:0)
+        (v_collective ~ranks ~last_vec ~time_gap call E_gatherv (abs_peer comm root)
+           bytes_from)
   | Allgather { bytes_per_rank } ->
-      Some (mk ~kind:E_allgather ~peer:P_none ~bytes:bytes_per_rank ~vec:None ~tag:0)
-  | Allgatherv { bytes_from } ->
       Some
-        (mk ~kind:E_allgatherv ~peer:P_none ~bytes:(sum bytes_from)
-           ~vec:(Some (Array.copy bytes_from)) ~tag:0)
+        (plain ~ranks ~time_gap call E_allgather P_none ~bytes:bytes_per_rank
+           ~tag:0)
+  | Allgatherv { bytes_from } ->
+      Some (v_collective ~ranks ~last_vec ~time_gap call E_allgatherv P_none bytes_from)
   | Scatter { root; bytes_per_rank } ->
-      Some (mk ~kind:E_scatter ~peer:(P_abs (world_of root)) ~bytes:bytes_per_rank ~vec:None ~tag:0)
+      Some
+        (plain ~ranks ~time_gap call E_scatter (abs_peer comm root)
+           ~bytes:bytes_per_rank ~tag:0)
   | Scatterv { root; bytes_to } ->
       Some
-        (mk ~kind:E_scatterv ~peer:(P_abs (world_of root)) ~bytes:(sum bytes_to)
-           ~vec:(Some (Array.copy bytes_to)) ~tag:0)
+        (v_collective ~ranks ~last_vec ~time_gap call E_scatterv (abs_peer comm root)
+           bytes_to)
   | Alltoall { bytes_per_pair } ->
-      Some (mk ~kind:E_alltoall ~peer:P_none ~bytes:bytes_per_pair ~vec:None ~tag:0)
-  | Alltoallv { bytes_to } ->
       Some
-        (mk ~kind:E_alltoallv ~peer:P_none ~bytes:(sum bytes_to)
-           ~vec:(Some (Array.copy bytes_to)) ~tag:0)
+        (plain ~ranks ~time_gap call E_alltoall P_none ~bytes:bytes_per_pair
+           ~tag:0)
+  | Alltoallv { bytes_to } ->
+      Some (v_collective ~ranks ~last_vec ~time_gap call E_alltoallv P_none bytes_to)
   | Reduce_scatter { bytes_per_rank } ->
       Some
-        (mk ~kind:E_reduce_scatter ~peer:P_none ~bytes:(sum bytes_per_rank)
-           ~vec:(Some (Array.copy bytes_per_rank)) ~tag:0)
+        (v_collective ~ranks ~last_vec ~time_gap call E_reduce_scatter P_none
+           bytes_per_rank)
   | Neighbor_alltoall { parts; neighbors; bytes_per_neighbor } ->
-      let offsets, parts = neighbor_fields ~parts ~neighbors in
       Some
-        { (mk ~kind:E_neighbor_alltoall ~peer:P_none ~bytes:bytes_per_neighbor
-             ~vec:(Some offsets) ~tag:(Array.length neighbors))
-          with parts }
+        (neighbor ~ranks ~world_rank ~time_gap call E_neighbor_alltoall
+           ~bytes:bytes_per_neighbor ~parts ~neighbors)
   | Neighbor_allgather { parts; neighbors; bytes } ->
-      let offsets, parts = neighbor_fields ~parts ~neighbors in
       Some
-        { (mk ~kind:E_neighbor_allgather ~peer:P_none ~bytes
-             ~vec:(Some offsets) ~tag:(Array.length neighbors))
-          with parts }
+        (neighbor ~ranks ~world_rank ~time_gap call E_neighbor_allgather ~bytes
+           ~parts ~neighbors)
   | Comm_split { color; key } ->
       (* color/key preserved as a per-rank map entry so splits replay *)
-      Some (mk ~kind:E_comm_split ~peer:(P_map [ (world_rank, color) ]) ~bytes:key ~vec:None ~tag:0)
-  | Comm_dup -> Some (mk ~kind:E_comm_dup ~peer:P_none ~bytes:0 ~vec:None ~tag:0)
-  | Finalize -> Some (mk ~kind:E_finalize ~peer:P_none ~bytes:0 ~vec:None ~tag:0)
+      Some
+        (plain ~ranks ~time_gap call E_comm_split
+           (P_map [ (world_rank, color) ])
+           ~bytes:key ~tag:0)
+  | Comm_dup -> Some (plain ~ranks ~time_gap call E_comm_dup P_none ~bytes:0 ~tag:0)
+  | Finalize -> Some (plain ~ranks ~time_gap call E_finalize P_none ~bytes:0 ~tag:0)
 
 let same_vec a b =
   match (a, b) with
   | None, None -> true
-  | Some x, Some y -> x = y
+  | Some x, Some y ->
+      x == y
+      || Array.length x = Array.length y && same_counts x y (Array.length x - 1)
   | _ -> false
 
 let same_parts = same_vec
 
+(* Constant constructors are immediates, so [==] compares them exactly. *)
+let kind_equal a b =
+  match (a, b) with
+  | E_waitall n, E_waitall m -> n = m
+  | E_waitall _, _ | _, E_waitall _ -> false
+  | _ -> a == b
+
+let peer_equal a b =
+  match (a, b) with
+  | P_none, P_none | P_any, P_any -> true
+  | P_abs x, P_abs y | P_rel x, P_rel y -> x = y
+  | P_map m, P_map n ->
+      m == n || List.equal (fun (r, p) (r', p') -> r = r' && p = p') m n
+  | (P_none | P_any | P_abs _ | P_rel _ | P_map _), _ -> false
+
 (* Wildcardness must survive merging, so P_any only merges with P_any. *)
 let peer_class = function
-  | P_any -> `Any
-  | P_none -> `None
-  | P_abs _ | P_rel _ | P_map _ -> `Concrete
+  | P_any -> 1
+  | P_none -> 2
+  | P_abs _ | P_rel _ | P_map _ -> 3
+
+let kind_hash = function E_waitall n -> 64 + n | k -> Hashtbl.hash k
 
 (* Structural hash over exactly the fields [mergeable] compares.  Those
    fields are immutable (peer_class is stable under [absorb]/[generalize]:
-   both preserve `Concrete), so the hash is computed once and cached.
-   [mergeable a b] implies [hash a = hash b]. *)
+   both preserve a concrete peer), so the hash is computed once and
+   cached.  [mergeable a b] implies [hash a = hash b].  The field hashes
+   are mixed arithmetically, then scrambled by [Hashtbl.hash] on the
+   resulting int: hashing a tuple of them would allocate it. *)
+let mix h x = (h * 1_000_003) + x
+
 let hash e =
   if e.hcache <> 0 then e.hcache
   else begin
-    let pc = match peer_class e.peer with `Any -> 1 | `None -> 2 | `Concrete -> 3 in
-    let h =
-      Hashtbl.hash
-        (Util.Callsite.hash e.site, e.kind, e.bytes, e.tag, e.comm, e.vec,
-         e.parts, pc)
-    in
+    let h = mix (Util.Callsite.hash e.site) (kind_hash e.kind) in
+    let h = mix (mix (mix h e.bytes) e.tag) e.comm in
+    let h = mix (mix h (Hashtbl.hash e.vec)) (Hashtbl.hash e.parts) in
+    let h = Hashtbl.hash (mix h (peer_class e.peer)) in
     let h = if h = 0 then 1 else h in
     e.hcache <- h;
     h
@@ -230,7 +298,8 @@ let hash e =
 let mergeable a b =
   hash a = hash b
   && Util.Callsite.equal a.site b.site
-  && a.kind = b.kind && a.bytes = b.bytes && a.tag = b.tag && a.comm = b.comm
+  && kind_equal a.kind b.kind
+  && a.bytes = b.bytes && a.tag = b.tag && a.comm = b.comm
   && same_vec a.vec b.vec
   && same_parts a.parts b.parts
   && peer_class a.peer = peer_class b.peer
@@ -254,8 +323,7 @@ let absorb ~nranks ~into e =
      every absorb would make merging a p-rank trace O(p^2 log p) per RSD.
      [generalize] normalizes once at the end. *)
   (match (into.peer, e.peer) with
-  | P_none, P_none | P_any, P_any -> ()
-  | pa, pb when pa = pb -> ()
+  | pa, pb when peer_equal pa pb -> ()
   | _ ->
       let merged = observations e ~nranks @ observations into ~nranks in
       into.peer <- (if merged = [] then into.peer else P_map merged));
@@ -289,13 +357,8 @@ let peer_of e ~rank ~nranks =
   | P_rel d -> Some ((rank + d + nranks) mod nranks)
   | P_map m -> List.assoc_opt rank m
 
-let copy e =
-  {
-    e with
-    dtime = Util.Histogram.copy e.dtime;
-    vec = Option.map Array.copy e.vec;
-    parts = Option.map Array.copy e.parts;
-  }
+(* [vec], [parts] and the rank set are never mutated, so they are shared. *)
+let copy e = { e with dtime = Util.Histogram.copy e.dtime }
 
 let pp_peer ppf = function
   | P_none -> ()

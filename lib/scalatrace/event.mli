@@ -51,14 +51,16 @@ type t = {
       (** exact per-rank sizes of v-collectives; for neighborhood
           collectives, the sorted relative neighbor offsets in
           participant-position space (identical on every rank of a
-          stencil, which keeps RSD merging exact) *)
+          stencil, which keeps RSD merging exact).  Never mutated once
+          the event exists: events share it (see {!copy}). *)
   tag : int;  (** p2p tag; [-1] encodes MPI_ANY_TAG; neighbor degree for
                   neighborhood collectives *)
   comm : int;  (** communicator id *)
   parts : int array option;
       (** declared participant set as sorted world ranks; [None] means
           the whole communicator (every pre-existing event, so old
-          traces stay byte-identical on disk) *)
+          traces stay byte-identical on disk).  Never mutated once the
+          event exists, like [vec]. *)
   dtime : Util.Histogram.t;  (** computation time preceding this event *)
   mutable ranks : Util.Rank_set.t;  (** participating world ranks *)
   mutable hcache : int;
@@ -66,10 +68,21 @@ type t = {
           building records literally *)
 }
 
-(** [of_call ~world_rank ~time_gap call] converts an intercepted MPI call
-    into a singleton event; [None] for pseudo-calls ([compute],
-    [MPI_Wtime]). *)
-val of_call : world_rank:int -> time_gap:float -> Mpisim.Call.t -> t option
+(** [of_call ~ranks ~last_vec ~world_rank ~time_gap call] converts an
+    intercepted MPI call of [world_rank] into an event; [None] for
+    pseudo-calls ([compute], [MPI_Wtime]).  [ranks] becomes the event's
+    participant set: a recorder passes the one [Rank_set.singleton
+    world_rank] it keeps for the rank (sets are immutable, so its events
+    share it).  A v-collective whose counts equal [last_vec] stores
+    [last_vec] itself as its [vec] instead of a copy; pass the [vec] of
+    the rank's previous event that had one, or [[||]]. *)
+val of_call :
+  ranks:Util.Rank_set.t ->
+  last_vec:int array ->
+  world_rank:int ->
+  time_gap:float ->
+  Mpisim.Call.t ->
+  t option
 
 (** Structural hash over exactly the fields {!mergeable} compares (cached
     in [hcache] after the first call — those fields never change once the
@@ -82,6 +95,13 @@ val hash : t -> int
     timing are excluded — they are merged, not compared.  Prefiltered by
     {!hash}, so the common non-match case is one integer compare. *)
 val mergeable : t -> t -> bool
+
+(** Kind equality ([E_waitall] counts included), without polymorphic
+    [=]. *)
+val kind_equal : kind -> kind -> bool
+
+(** Peer equality, by constructor and payload. *)
+val peer_equal : peer -> peer -> bool
 
 (** [absorb ~nranks ~into e] merges [e]'s timing, participants, and peer
     observations into [into].  Differing peers combine into [P_map] form;
@@ -102,7 +122,9 @@ val is_p2p : kind -> bool
 (** MPI-style name, e.g. ["MPI_Irecv"]. *)
 val kind_name : kind -> string
 
-(** Deep copy (histogram and mutable fields included). *)
+(** A copy that absorbing into either side leaves the other unchanged:
+    the timing histogram is copied, while [vec], [parts] and the rank set,
+    which are never mutated, are shared. *)
 val copy : t -> t
 
 val pp : Format.formatter -> t -> unit

@@ -3,7 +3,7 @@ and loop = { count : int; body : t list; l_len : int; l_hash : int }
 
 let hash = function
   | Leaf e -> Event.hash e
-  | Loop l -> Hashtbl.hash (l.count, l.l_hash)
+  | Loop l -> Hashtbl.hash ((l.l_hash * 1_000_003) + l.count)
 
 let loop ~count body =
   let l_len, l_hash =
@@ -28,7 +28,7 @@ let equiv_ranks a b =
   let leaf_eq x y =
     Event.mergeable x y
     && Util.Rank_set.equal x.Event.ranks y.Event.ranks
-    && x.Event.peer = y.Event.peer
+    && Event.peer_equal x.Event.peer y.Event.peer
   in
   equiv_gen leaf_eq a b
 
@@ -74,6 +74,67 @@ let rec project nodes ~rank =
           | [] -> None
           | body -> Some (loop ~count body)))
     nodes
+
+(* One walk for every rank.  [top.(r)] is the innermost frame rank r has
+   open: its projected nodes so far.  A rank opens a frame for a loop
+   when its first leaf inside the loop is seen, saving the enclosing
+   frame in [saved.(r)], so a loop costs only the ranks that occur in it
+   and a rank that never occurs in a loop gets no (empty) copy of it.
+   Node lists are walked backwards, so every frame is built in order and
+   none is reversed. *)
+let projections nodes ~nranks =
+  let top = Array.make nranks []
+  and saved = Array.make nranks [] (* enclosing frames, innermost first *)
+  and depth = Array.make nranks 0 (* loops rank r has a frame open in *) in
+  (* [path]: for each enclosing loop, innermost first, the ranks with a
+     frame open in it.  Rank r's frames cover the outermost loops of the
+     path, so the [missing] innermost ones are opened, outermost first. *)
+  let rec open_frames r path missing =
+    if missing > 0 then
+      match path with
+      | touched :: outer ->
+          open_frames r outer (missing - 1);
+          touched := r :: !touched;
+          saved.(r) <- top.(r) :: saved.(r);
+          top.(r) <- []
+      | [] -> assert false
+  in
+  let add_leaf path d n r =
+    if depth.(r) < d then begin
+      open_frames r path (d - depth.(r));
+      depth.(r) <- d
+    end;
+    top.(r) <- n :: top.(r)
+  in
+  let close_loop count r =
+    match saved.(r) with
+    | parent :: outer ->
+        top.(r) <- loop ~count top.(r) :: parent;
+        saved.(r) <- outer;
+        depth.(r) <- depth.(r) - 1
+    | [] -> assert false
+  in
+  let rec walk path d nodes =
+    List.iter
+      (function
+        | Leaf e as n ->
+            List.iter
+              (fun (first, last, stride) ->
+                (* ranks outside [0, nranks) are in no projection *)
+                let r = ref first in
+                while !r <= last && !r < nranks do
+                  if !r >= 0 then add_leaf path d n !r;
+                  r := !r + stride
+                done)
+              (Util.Rank_set.intervals e.Event.ranks)
+        | Loop { count; body; _ } ->
+            let touched = ref [] in
+            walk (touched :: path) (d + 1) body;
+            List.iter (close_loop count) !touched)
+      (List.rev nodes)
+  in
+  walk [] 0 nodes;
+  top
 
 let rec iter_leaves f nodes =
   List.iter

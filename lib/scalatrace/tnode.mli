@@ -63,6 +63,12 @@ val event_count_for : t list -> rank:int -> int
     loops dropped. *)
 val project : t list -> rank:int -> t list
 
+(** [projections nodes ~nranks] is [[| project nodes ~rank:0; ...;
+    project nodes ~rank:(nranks - 1) |]], node for node and with the same
+    physical leaves, built in one walk: it costs the total size of the
+    projections instead of [nranks] walks of [nodes]. *)
+val projections : t list -> nranks:int -> t list array
+
 (** [iter_leaves f nodes] visits every leaf (without expanding loop
     counts). *)
 val iter_leaves : (Event.t -> unit) -> t list -> unit

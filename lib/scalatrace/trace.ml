@@ -19,6 +19,7 @@ let rsd_count t = Tnode.rsd_count t.nodes
 let event_count t = Tnode.event_count t.nodes
 
 let project t ~rank = Tnode.project t.nodes ~rank
+let projections t = Tnode.projections t.nodes ~nranks:t.nranks
 
 (* Buckets keyed by [Event.hash], each holding (event, id) pairs newest
    first, so a physical event that occurs twice resolves to its last id. *)

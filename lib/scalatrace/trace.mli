@@ -34,6 +34,10 @@ val text_size : t -> int
 (** [project t ~rank] — the event-node sequence rank [rank] executes. *)
 val project : t -> rank:int -> Tnode.t list
 
+(** Every rank's {!project}, indexed by rank, in one walk of the trace
+    ({!Tnode.projections}). *)
+val projections : t -> Tnode.t list array
+
 (** [leaf_index t] numbers the leaves of [t] in {!Tnode.iter_leaves}
     order and returns an O(1) lookup by physical identity: [Some id] for a
     leaf of [t] (the last id when one physical event occurs twice), [None]

@@ -1,34 +1,59 @@
+(* Per-rank recording state, shared by the tracer and [streams]. *)
+type recorder = {
+  last_return : float array; (* time of each rank's last MPI return *)
+  singletons : Util.Rank_set.t array;
+      (* [singleton r], shared by every event of rank r *)
+  last_vec : int array array;
+      (* [vec] of rank r's latest event that had one, [||] before it *)
+}
+
 type t = {
   nranks : int;
   compressors : Compress.t array;
-  last_return : float array;
+  recording : recorder;
   mutable comms : (int * Util.Rank_set.t) list; (* comm id -> world members *)
 }
+
+let recorder ~nranks =
+  {
+    last_return = Array.make nranks 0.;
+    singletons = Array.init nranks Util.Rank_set.singleton;
+    last_vec = Array.make nranks [||];
+  }
 
 let create ~nranks () =
   {
     nranks;
     compressors = Array.init nranks (fun _ -> Compress.create ~nranks ());
-    last_return = Array.make nranks 0.;
+    recording = recorder ~nranks;
     comms = [ (0, Util.Rank_set.all nranks) ];
   }
 
 (* A call's event carries the compute gap since its rank's last MPI return. *)
-let event_of last_return ~world_rank ~time call =
-  Event.of_call ~world_rank ~time_gap:(time -. last_return.(world_rank)) call
+let event_of rc ~world_rank ~time call =
+  let e =
+    Event.of_call ~ranks:rc.singletons.(world_rank)
+      ~last_vec:rc.last_vec.(world_rank) ~world_rank
+      ~time_gap:(time -. rc.last_return.(world_rank))
+      call
+  in
+  (match e with
+  | Some { Event.vec = Some v; _ } -> rc.last_vec.(world_rank) <- v
+  | _ -> ());
+  e
 
-let note_return last_return ~world_rank ~time (call : Mpisim.Call.t) =
+let note_return rc ~world_rank ~time (call : Mpisim.Call.t) =
   match call.op with
   | Compute _ | Wtime -> () (* gaps between MPI calls include local work *)
-  | _ -> last_return.(world_rank) <- time
+  | _ -> rc.last_return.(world_rank) <- time
 
 let on_enter t ~world_rank ~time call =
-  match event_of t.last_return ~world_rank ~time call with
+  match event_of t.recording ~world_rank ~time call with
   | None -> ()
   | Some e -> Compress.push t.compressors.(world_rank) e
 
 let on_return t ~world_rank ~time call (v : Mpisim.Call.value) =
-  note_return t.last_return ~world_rank ~time call;
+  note_return t.recording ~world_rank ~time call;
   match v with
   | V_comm c ->
       let id = Mpisim.Comm.id c in
@@ -63,18 +88,18 @@ let trace_run ?net ?fault ?max_events ?max_virtual_time ?coll_alg ?obs
   (finish t, outcome)
 
 let streams ~nranks program =
-  let streams = Array.make nranks [] and last_return = Array.make nranks 0. in
+  let streams = Array.make nranks [] and rc = recorder ~nranks in
   let hook =
     {
       Mpisim.Hooks.nil with
       on_enter =
         (fun ~world_rank ~time call ->
-          match event_of last_return ~world_rank ~time call with
+          match event_of rc ~world_rank ~time call with
           | None -> ()
           | Some e -> streams.(world_rank) <- e :: streams.(world_rank));
       on_return =
         (fun ~world_rank ~time call _ ->
-          note_return last_return ~world_rank ~time call);
+          note_return rc ~world_rank ~time call);
     }
   in
   ignore (Mpisim.Mpi.run ~hooks:[ hook ] ~nranks program);

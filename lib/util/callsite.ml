@@ -7,8 +7,9 @@ let synthetic name = { file = "<gen>"; line = 0; col = 0; label = name }
 let unknown = { file = "<unknown>"; line = 0; col = 0; label = "" }
 
 let equal a b =
-  a.line = b.line && a.col = b.col && String.equal a.file b.file
-  && String.equal a.label b.label
+  a == b
+  || a.line = b.line && a.col = b.col && String.equal a.file b.file
+     && String.equal a.label b.label
 
 let compare a b =
   match String.compare a.file b.file with
@@ -21,7 +22,11 @@ let compare a b =
       | c -> c)
   | c -> c
 
-let hash t = Hashtbl.hash (t.file, t.line, t.col, t.label)
+(* Mixed arithmetically: hashing a tuple would allocate it on every call. *)
+let hash t =
+  let h = (Hashtbl.hash t.file * 31) + t.line in
+  let h = (h * 31) + t.col in
+  (h * 31) + Hashtbl.hash t.label
 
 let encode t = Printf.sprintf "%S %d %d %S" t.file t.line t.col t.label
 

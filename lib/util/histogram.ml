@@ -10,21 +10,32 @@ let log_ratio = 0.5 *. log 2.
    [blo + k], both ends are nonzero, and an empty summary holds [||].
    Every recorded MPI call owns one summary and most hold a single
    sample, so a dense 128-slot array per summary would dominate the
-   memory of a trace. *)
-type t = {
-  mutable count : int;
+   memory of a trace.
+
+   The float statistics live in their own all-float record, which OCaml
+   stores flat: updating a field writes the unboxed double in place,
+   where a float field of a mixed record would allocate a fresh box on
+   every [add] and [merge_into]. *)
+type stats = {
   mutable sum : float;
   mutable sumsq : float;
   mutable min_v : float;
   mutable max_v : float;
   mutable first : float;
+}
+
+type t = {
+  mutable count : int;
+  s : stats;
   mutable blo : int; (* bucket index of [buckets.(0)]; unused when empty *)
   mutable buckets : int array; (* bucket 0 additionally holds all x < base *)
 }
 
 let create () =
-  { count = 0; sum = 0.; sumsq = 0.; min_v = infinity; max_v = neg_infinity;
-    first = 0.; blo = 0; buckets = [||] }
+  { count = 0;
+    s = { sum = 0.; sumsq = 0.; min_v = infinity; max_v = neg_infinity;
+          first = 0. };
+    blo = 0; buckets = [||] }
 
 (* Widen the stored range to cover buckets [lo..hi]. *)
 let widen t lo hi =
@@ -58,32 +69,33 @@ let bucket_mid i = base *. exp ((float_of_int i +. 0.5) *. log_ratio)
 let add t x =
   if not (Float.is_finite x) || x < 0. then
     invalid_arg "Histogram.add: sample must be finite and non-negative";
-  if t.count = 0 then t.first <- x;
+  let s = t.s in
+  if t.count = 0 then s.first <- x;
   t.count <- t.count + 1;
-  t.sum <- t.sum +. x;
-  t.sumsq <- t.sumsq +. (x *. x);
-  if x < t.min_v then t.min_v <- x;
-  if x > t.max_v then t.max_v <- x;
+  s.sum <- s.sum +. x;
+  s.sumsq <- s.sumsq +. (x *. x);
+  if x < s.min_v then s.min_v <- x;
+  if x > s.max_v then s.max_v <- x;
   bump t (bucket_index x) 1
 
 let count t = t.count
-let sum t = t.sum
-let min_value t = if t.count = 0 then 0. else t.min_v
-let max_value t = if t.count = 0 then 0. else t.max_v
-let mean t = if t.count = 0 then 0. else t.sum /. float_of_int t.count
+let sum t = t.s.sum
+let min_value t = if t.count = 0 then 0. else t.s.min_v
+let max_value t = if t.count = 0 then 0. else t.s.max_v
+let mean t = if t.count = 0 then 0. else t.s.sum /. float_of_int t.count
 
 let variance t =
   if t.count = 0 then 0.
   else
     let m = mean t in
-    let v = (t.sumsq /. float_of_int t.count) -. (m *. m) in
+    let v = (t.s.sumsq /. float_of_int t.count) -. (m *. m) in
     if v < 0. then 0. else v
 
-let first_sample t = t.first
+let first_sample t = t.s.first
 
 let rest_mean t =
   if t.count <= 1 then mean t
-  else (t.sum -. t.first) /. float_of_int (t.count - 1)
+  else (t.s.sum -. t.s.first) /. float_of_int (t.count - 1)
 
 (* Buckets outside the stored range are empty: below it the running count
    stays 0 (< target, since q > 0), above it the count never grows again,
@@ -119,25 +131,27 @@ let of_stats ~count ~sum ~min ~max ~first =
        and non-negative";
   let t = create () in
   if count > 0 then begin
+    let s = t.s in
     t.count <- count;
-    t.sum <- sum;
+    s.sum <- sum;
     let mean = sum /. float_of_int count in
-    t.sumsq <- float_of_int count *. mean *. mean;
-    t.min_v <- min;
-    t.max_v <- max;
-    t.first <- first;
+    s.sumsq <- float_of_int count *. mean *. mean;
+    s.min_v <- min;
+    s.max_v <- max;
+    s.first <- first;
     bump t (bucket_index mean) count
   end;
   t
 
 let merge_into t other =
   if other.count > 0 then begin
-    if t.count = 0 then t.first <- other.first;
+    let s = t.s and o = other.s in
+    if t.count = 0 then s.first <- o.first;
     t.count <- t.count + other.count;
-    t.sum <- t.sum +. other.sum;
-    t.sumsq <- t.sumsq +. other.sumsq;
-    if other.min_v < t.min_v then t.min_v <- other.min_v;
-    if other.max_v > t.max_v then t.max_v <- other.max_v;
+    s.sum <- s.sum +. o.sum;
+    s.sumsq <- s.sumsq +. o.sumsq;
+    if o.min_v < s.min_v then s.min_v <- o.min_v;
+    if o.max_v > s.max_v then s.max_v <- o.max_v;
     let ob = other.buckets and olo = other.blo in
     let n = Array.length ob in
     widen t olo (olo + n - 1);
@@ -147,7 +161,14 @@ let merge_into t other =
     done
   end
 
-let copy t = { t with buckets = Array.copy t.buckets }
+(* Both blocks are copied: a copy sharing [s] would see every later
+   [add] on the original. *)
+let copy t =
+  let s = t.s in
+  { t with
+    s = { sum = s.sum; sumsq = s.sumsq; min_v = s.min_v; max_v = s.max_v;
+          first = s.first };
+    buckets = Array.copy t.buckets }
 
 let pp ppf t =
   Format.fprintf ppf "{n=%d mean=%.3es min=%.3es max=%.3es}"

@@ -91,8 +91,9 @@ let union a b =
   in
   match (a, b) with
   | [], t | t, [] -> t
+  | _ when a == b -> a
   | _, [ { first = r; last = r'; _ } ] when r = r' ->
-      let m = List.fold_left (fun acc iv -> max acc iv.last) min_int a in
+      let m = List.fold_left (fun acc iv -> Int.max acc iv.last) min_int a in
       if r > m then append_rank a r
       else if r = m then a
       else lift2 merge a b
@@ -135,8 +136,17 @@ let cardinal t = List.fold_left (fun n iv -> n + interval_card iv) 0 t
 (* The interval representation is canonical — every constructor funnels
    through [of_sorted_ranks] or builds the form it would ([append_rank],
    [range], [singleton]) — so set equality is structural equality, O(#intervals)
-   instead of O(cardinal). *)
-let equal (a : t) (b : t) = a = b
+   instead of O(cardinal), compared field by field without the polymorphic
+   [=]. *)
+let rec equal (a : t) (b : t) =
+  a == b
+  ||
+  match (a, b) with
+  | [], [] -> true
+  | x :: xs, y :: ys ->
+      x.first = y.first && x.last = y.last && x.stride = y.stride
+      && equal xs ys
+  | _ -> false
 
 let subset a b = is_empty (diff a b)
 
@@ -170,4 +180,4 @@ let pp ppf t =
 
 let to_string t = Format.asprintf "%a" pp t
 
-let compare a b = compare (to_list a) (to_list b)
+let compare a b = if a == b then 0 else compare (to_list a) (to_list b)

@@ -72,7 +72,17 @@ let unit_tests =
         Histogram.add h 1.0;
         let c = Histogram.copy h in
         Histogram.add h 100.0;
-        Alcotest.(check int) "copy count" 1 (Histogram.count c));
+        Histogram.add c 0.5;
+        Alcotest.(check int) "copy count" 2 (Histogram.count c);
+        feq "copy sum" 1.5 (Histogram.sum c);
+        feq "copy min" 0.5 (Histogram.min_value c);
+        feq "copy max" 1.0 (Histogram.max_value c);
+        feq "copy variance" 0.0625 (Histogram.variance c);
+        Alcotest.(check int) "original count" 2 (Histogram.count h);
+        feq "original sum" 101.0 (Histogram.sum h);
+        feq "original min" 1.0 (Histogram.min_value h);
+        feq "original max" 100.0 (Histogram.max_value h);
+        feq "original quantile" 100.0 (Histogram.quantile h 1.));
     t "draw within range" (fun () ->
         let h = Histogram.create () in
         List.iter (Histogram.add h) [ 0.01; 0.02; 0.03 ];
@@ -88,7 +98,7 @@ let unit_tests =
         Histogram.add h 3e-6;
         let words = Obj.reachable_words (Obj.repr h) in
         Alcotest.(check bool)
-          (Printf.sprintf "%d words <= 24" words) true (words <= 24));
+          (Printf.sprintf "%d words <= 13" words) true (words <= 13));
     t "of_stats rejects corrupt statistics" (fun () ->
         let ok = Histogram.of_stats ~count:0 ~sum:0. ~min:0. ~max:0. ~first:0. in
         Alcotest.(check int) "empty accepted" 0 (Histogram.count ok);

@@ -10,6 +10,7 @@ let () =
       ("scalatrace", Test_scalatrace.suite);
       ("merge_diff", Test_merge_diff.suite);
       ("compress", Test_compress_diff.suite);
+      ("fastpath", Test_fastpath.suite);
       ("conceptual", Test_conceptual.suite);
       ("lowerdiff", Test_lowerdiff.suite);
       ("benchgen", Test_benchgen.suite);

@@ -78,7 +78,10 @@ let event_tests =
         let call =
           { Call.op = Call.Send { dst = 1; bytes = 10; tag = 0 }; comm; site = site_a }
         in
-        match Event.of_call ~world_rank:4 ~time_gap:0.5 call with
+        match
+          Event.of_call ~ranks:(Util.Rank_set.singleton 4) ~last_vec:[||]
+            ~world_rank:4 ~time_gap:0.5 call
+        with
         | Some e ->
             Alcotest.(check bool) "peer world" true (e.peer = Event.P_abs 6);
             Alcotest.(check int) "comm id" 3 e.Event.comm;
@@ -87,20 +90,36 @@ let event_tests =
     t "of_call skips compute and wtime" (fun () ->
         let comm = Comm.world 2 in
         let mk op = { Call.op; comm; site = site_a } in
-        Alcotest.(check bool) "compute" true
-          (Event.of_call ~world_rank:0 ~time_gap:0. (mk (Call.Compute 1.)) = None);
-        Alcotest.(check bool) "wtime" true
-          (Event.of_call ~world_rank:0 ~time_gap:0. (mk Call.Wtime) = None));
+        let of_call call =
+          Event.of_call ~ranks:(Util.Rank_set.singleton 0) ~last_vec:[||]
+            ~world_rank:0 ~time_gap:0. call
+        in
+        Alcotest.(check bool) "compute" true (of_call (mk (Call.Compute 1.)) = None);
+        Alcotest.(check bool) "wtime" true (of_call (mk Call.Wtime) = None));
     t "v-collective records vector" (fun () ->
         let comm = Comm.world 3 in
-        let call =
-          { Call.op = Call.Alltoallv { bytes_to = [| 1; 2; 3 |] }; comm; site = site_a }
+        let counts = [| 1; 2; 3 |] in
+        let call = { Call.op = Call.Alltoallv { bytes_to = counts }; comm; site = site_a } in
+        let vec ~last_vec =
+          match
+            Event.of_call ~ranks:(Util.Rank_set.singleton 1) ~last_vec
+              ~world_rank:1 ~time_gap:0. call
+          with
+          | Some { Event.bytes; vec = Some v; _ } ->
+              Alcotest.(check int) "total" 6 bytes;
+              v
+          | _ -> Alcotest.fail "expected an event with a vector"
         in
-        match Event.of_call ~world_rank:1 ~time_gap:0. call with
-        | Some e ->
-            Alcotest.(check int) "total" 6 e.Event.bytes;
-            Alcotest.(check bool) "vec" true (e.Event.vec = Some [| 1; 2; 3 |])
-        | None -> Alcotest.fail "expected event");
+        (* the application's array is copied, never kept *)
+        let v = vec ~last_vec:[| 1; 2 |] in
+        Alcotest.(check bool) "vec" true (v = counts && v != counts);
+        (* an equal previous copy is shared instead of copied again *)
+        let previous = [| 1; 2; 3 |] in
+        Alcotest.(check bool) "shared" true (vec ~last_vec:previous == previous);
+        let other = [| 1; 2; 4 |] in
+        let v = vec ~last_vec:other in
+        Alcotest.(check bool) "unequal not shared" true
+          (v = counts && v != other && v != counts));
   ]
 
 (* -------------------------------------------------------------- *)
