@@ -45,8 +45,9 @@ let () =
         "perf-smoke   guards on the merge's cost against the traced run, on \
          Lower's speed against the application, on v3 against v2 load time, \
          on the engine's per-event cost at 1024 against 64 ranks, on \
-         compression at the default window against window 64, and on the \
-         words recording allocates per event (runs under dune runtest)"
+         compression at the default window against window 64, on the \
+         words the engine allocates per event, and on the words recording \
+         allocates per event (runs under dune runtest)"
   | names ->
       List.iter
         (fun n ->

@@ -1,32 +1,59 @@
-type cell = { mutable calls : int; mutable bytes : int }
-
-type t = { table : (string, cell) Hashtbl.t }
+(* One counter pair per profiled operation, indexed by [slot], so a call
+   costs no string hash.  [names.(i)] is set when slot [i] is first
+   counted. *)
+type t = { n_calls : int array; n_bytes : int array; names : string array }
 
 type entry = { op_name : string; calls : int; bytes : int }
 
-let create () = { table = Hashtbl.create 32 }
+let n_slots = 24
+
+let slot : Mpisim.Call.op -> int = function
+  | Send _ -> 0
+  | Isend _ -> 1
+  | Recv _ -> 2
+  | Irecv _ -> 3
+  | Wait _ -> 4
+  | Waitall _ -> 5
+  | Barrier -> 6
+  | Bcast _ -> 7
+  | Reduce _ -> 8
+  | Allreduce _ -> 9
+  | Gather _ -> 10
+  | Gatherv _ -> 11
+  | Allgather _ -> 12
+  | Allgatherv _ -> 13
+  | Scatter _ -> 14
+  | Scatterv _ -> 15
+  | Alltoall _ -> 16
+  | Alltoallv _ -> 17
+  | Reduce_scatter _ -> 18
+  | Neighbor_alltoall _ -> 19
+  | Neighbor_allgather _ -> 20
+  | Comm_split _ -> 21
+  | Comm_dup -> 22
+  | Finalize -> 23
+  | Compute _ | Wtime -> -1
+
+let create () =
+  {
+    n_calls = Array.make n_slots 0;
+    n_bytes = Array.make n_slots 0;
+    names = Array.make n_slots "";
+  }
 
 let record t ~world_rank ~(call : Mpisim.Call.t) =
-  match call.op with
-  | Compute _ | Wtime -> ()
-  | op ->
-      let name = Mpisim.Call.op_name op in
-      let cell =
-        match Hashtbl.find_opt t.table name with
-        | Some c -> c
-        | None ->
-            let c = { calls = 0; bytes = 0 } in
-            Hashtbl.replace t.table name c;
-            c
-      in
-      let p = Mpisim.Comm.size call.comm in
-      let rank =
-        match Mpisim.Comm.local_of_world call.comm world_rank with
-        | Some l -> l
-        | None -> 0
-      in
-      cell.calls <- cell.calls + 1;
-      cell.bytes <- cell.bytes + Mpisim.Call.local_bytes op ~p ~rank
+  let i = slot call.op in
+  if i >= 0 then begin
+    if t.n_calls.(i) = 0 then t.names.(i) <- Mpisim.Call.op_name call.op;
+    let p = Mpisim.Comm.size call.comm in
+    let rank =
+      match Mpisim.Comm.local_of_world_exn call.comm world_rank with
+      | l -> l
+      | exception Not_found -> 0
+    in
+    t.n_calls.(i) <- t.n_calls.(i) + 1;
+    t.n_bytes.(i) <- t.n_bytes.(i) + Mpisim.Call.local_bytes call.op ~p ~rank
+  end
 
 let hook t =
   {
@@ -35,9 +62,11 @@ let hook t =
   }
 
 let entries t =
-  Hashtbl.fold
-    (fun op_name (c : cell) acc -> { op_name; calls = c.calls; bytes = c.bytes } :: acc)
-    t.table []
+  List.init n_slots Fun.id
+  |> List.filter_map (fun i ->
+         if t.n_calls.(i) = 0 then None
+         else
+           Some { op_name = t.names.(i); calls = t.n_calls.(i); bytes = t.n_bytes.(i) })
   |> List.sort (fun a b -> String.compare a.op_name b.op_name)
 
 let total_calls t = List.fold_left (fun acc e -> acc + e.calls) 0 (entries t)
@@ -52,8 +81,8 @@ let diff a b =
   List.filter_map
     (fun name ->
       let find t =
-        match Hashtbl.find_opt t.table name with
-        | Some c -> (c.calls, c.bytes)
+        match List.find_opt (fun e -> e.op_name = name) (entries t) with
+        | Some e -> (e.calls, e.bytes)
         | None -> (0, 0)
       in
       let ca, ba = find a and cb, bb = find b in

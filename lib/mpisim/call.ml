@@ -88,7 +88,12 @@ let op_name = function
   | Wtime -> "MPI_Wtime"
   | Finalize -> "MPI_Finalize"
 
-let sum = Array.fold_left ( + ) 0
+let sum (a : int array) =
+  let s = ref 0 in
+  for i = 0 to Array.length a - 1 do
+    s := !s + a.(i)
+  done;
+  !s
 
 let local_bytes op ~p ~rank =
   match op with

@@ -27,6 +27,14 @@ val world_of_local : t -> int -> int
     member. *)
 val local_of_world : t -> int -> int option
 
+(** [local_of_world_exn t w] is the [t]-local rank of world rank [w],
+    without an option: the engine's per-event lookups use it.  On a
+    communicator whose local ranks are its world ranks (the world, or a
+    duplicate of it) it is a bounds check; otherwise one lookup in an
+    int-keyed table.  @raise Not_found if [w] is not a member. *)
+val local_of_world_exn : t -> int -> int
+
+(** Membership test, with the cost of {!local_of_world_exn}. *)
 val is_member : t -> world:int -> bool
 
 (** All members as world ranks, in local-rank order. *)

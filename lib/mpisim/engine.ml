@@ -33,6 +33,7 @@ type fiber = (Call.value, unit) Effect.Deep.continuation
    them) live in {!Matchq}; [Mq.msg] travels the virtual wire, [Mq.posted]
    waits in a rank's receive queue. *)
 module Mq = Matchq
+module Itbl = Util.Int_table
 
 (* An eager send whose injection is stalled by receiver flow control. *)
 type parked = {
@@ -46,85 +47,122 @@ type parked = {
 
 type wait_shape = W_send | W_recv | W_wait | W_waitall
 
+(* A request lives in [st.reqs] from its call until its wait completes.
+   Its completion time is written once; the status and the waiter start
+   as the shared sentinels [dummy_status] and [no_waiter], so neither
+   needs an option. *)
 type req_state = {
   r_id : int;
-  r_kind : [ `Send | `Recv ];
-  mutable r_done : float option;
-  mutable r_status : Call.status option;
-  mutable r_waiter : waiter option;
+  mutable r_done : bool;
+  mutable r_done_at : float;
+  mutable r_status : Call.status;
+  mutable r_waiter : waiter;
 }
 
 and waiter = {
   w_rank : int;
-  w_reqs : int array;
+  w_req : int; (* the request of a single-request wait; -1 for Waitall *)
+  w_reqs : int array; (* Waitall's requests, in call order *)
   mutable w_remaining : int;
   mutable w_latest : float;
   w_block_time : float;
   w_shape : wait_shape;
 }
 
+(* Per-rank state holds no float: the rank's clock and the times its
+   progress engine and inbound link are next free live in the float
+   arrays of [state], so writing them allocates nothing. *)
 type rank_state = {
   rs_rank : int;
-  mutable rs_clock : float;
   mutable rs_finished : bool;
   mutable rs_finalized : bool;
-  mutable rs_current : Call.t option;
+  mutable rs_call : Call.t;
+      (* the call the rank is blocked in, parked by the effect handler;
+         [no_call] while the rank runs or before it starts *)
+  mutable rs_fiber : fiber option;
   rs_posted : Mq.Posted.t; (* post order *)
   rs_unexpected : Mq.Unexpected.t; (* arrival order *)
   mutable rs_buffered : int; (* bytes of reserved unexpected eager data *)
   rs_parked : parked Util.Deque.t; (* FIFO *)
-  mutable rs_proc_free : float;
-      (* when the rank's message-progress engine is next available;
-         arriving messages are processed serially *)
-  mutable rs_nic_free : float;
-      (* when the rank's inbound link is next free: transfers into one
-         receiver serialize on the wire, so message bursts queue *)
 }
 
+(* One instance of a collective: the [c_slot]-th operation of the
+   participant set [c_set]. *)
 type coll_state = {
   c_comm : Comm.t;
   c_name : string;
-  c_parts : int array;
-      (* world ranks of the declared participant set (the whole
-         communicator for everything but neighborhood collectives), built
-         once per instance *)
+  c_slot : int;
+  c_set : part_set;
   mutable c_arrivals : (int * float * Call.op) list;
   mutable c_count : int;
       (* length of [c_arrivals]: completion is a counter compare, as in
          Align and Wildcard, so an arrival costs O(1) whatever the size *)
 }
 
+(* A participant set of one communicator: the whole communicator, or a
+   neighborhood collective's declared set.  Disjoint sets on one
+   communicator progress independently.  Each participant's k-th
+   operation on the set joins instance (set, slot k). *)
+and part_set = {
+  ps_parts : int array;
+      (* world ranks in declared order, built once per set and shared by
+         its instances *)
+  ps_next : int array; (* by position in [ps_parts]: the next slot *)
+  ps_open : coll_state Itbl.t; (* instances not yet complete, by slot *)
+}
+
+(* Declared participant sets are keyed by their contents (local ranks),
+   so equal arrays passed by different ranks meet in one set. *)
+module Parts_tbl = Hashtbl.Make (struct
+  type t = int array
+
+  let equal (a : t) b = a = b
+  let hash (a : t) = Array.fold_left (fun h v -> (h * 31) + v) 0 a land max_int
+end)
+
+type comm_state = {
+  cm_comm : Comm.t;
+  cm_full : part_set; (* every member, in local-rank order *)
+  cm_sets : part_set Parts_tbl.t; (* declared participant sets *)
+}
+
+(* The parked call of a rank that runs or has not started. *)
+let no_call : Call.t =
+  { op = Call.Wtime; comm = Comm.world 1; site = Util.Callsite.unknown }
+
 type event =
   | E_start of int
   | E_resume of int * Call.value
-  | E_deliver of Mq.msg
+  | E_deliver of Mq.msg (* at the event's time: eager data or RTS arrival *)
   | E_retransmit of Mq.msg * int  (* next transmission attempt, 0-based *)
+
+(* The current virtual time, in a record of floats only, so advancing it
+   does not box. *)
+type vclock = { mutable now : float }
 
 type state = {
   net : Netmodel.t;
   nranks : int;
   ranks : rank_state array;
+  clock : float array; (* by rank: the rank's virtual clock *)
+  proc_free : float array;
+      (* by rank: when its message-progress engine is next available;
+         arriving messages are processed serially *)
+  nic_free : float array;
+      (* by rank: when its inbound link is next free: transfers into one
+         receiver serialize on the wire, so message bursts queue *)
   events : event Util.Pqueue.t;
-  reqs : (int, req_state) Hashtbl.t;
+  reqs : req_state Itbl.t;
   mutable next_req : int;
+  mutable comms : comm_state array; (* by communicator id, [next_comm] used *)
   mutable next_comm : int;
-  comms : (int, Comm.t) Hashtbl.t;
-  (* Collectives are keyed by (communicator id, participant-set
-     signature, per-rank arrival slot).  The signature is "" for
-     full-communicator operations — the historical keying — and the
-     encoded declared participant set for neighborhood collectives, so
-     disjoint participant groups on one communicator progress
-     independently. *)
-  colls : (int * string * int, coll_state) Hashtbl.t;
-  coll_seq : (int * string * int, int) Hashtbl.t;
   coll_alg : Coll_alg.t;
-  hooks : Hooks.t list;
-  fibers : fiber option array;
+  hooks : Hooks.t array;
   fault : Fault.runtime option;
   max_events : int option;
   max_virtual_time : float option;
   obs : Obs.Sink.t;
-  mutable now : float;
+  vt : vclock;
   mutable n_events : int;
   mutable n_msgs : int;
   mutable n_bytes : int;
@@ -135,20 +173,28 @@ type state = {
 
 let schedule st ~time ev = Util.Pqueue.add st.events ~time ev
 
-let fire_enter st rank call =
-  let time = st.ranks.(rank).rs_clock in
-  List.iter (fun (h : Hooks.t) -> h.on_enter ~world_rank:rank ~time call) st.hooks
+(* Hooks are called in registration order by loops over an array: with
+   no hooks nothing is fired and nothing allocated. *)
+let[@inline] fire_enter st rank call =
+  let hooks = st.hooks in
+  if Array.length hooks > 0 then begin
+    let time = st.clock.(rank) in
+    for i = 0 to Array.length hooks - 1 do
+      hooks.(i).Hooks.on_enter ~world_rank:rank ~time call
+    done
+  end
 
 let fire_fault st ev =
-  List.iter (fun (h : Hooks.t) -> h.on_fault ~time:st.now ev) st.hooks
+  let hooks = st.hooks in
+  for i = 0 to Array.length hooks - 1 do
+    hooks.(i).Hooks.on_fault ~time:st.vt.now ev
+  done
 
-let fire_return st rank time call v =
-  List.iter (fun (h : Hooks.t) -> h.on_return ~world_rank:rank ~time call v) st.hooks
-
-let fire_collective_complete st ~time ~comm ~name ~participants =
-  List.iter
-    (fun (h : Hooks.t) -> h.on_collective_complete ~time ~comm ~name ~participants)
-    st.hooks
+let[@inline] fire_return st rank time call v =
+  let hooks = st.hooks in
+  for i = 0 to Array.length hooks - 1 do
+    hooks.(i).Hooks.on_return ~world_rank:rank ~time call v
+  done
 
 (* ------------------------------------------------------------------ *)
 (* Observability sampling                                              *)
@@ -163,7 +209,7 @@ let obs_sample_period = 256
    counter tracks.  Purely a function of simulation state at a virtual
    time, so sampled traces stay deterministic. *)
 let obs_sample st =
-  let ts = obs_ts st.now in
+  let ts = obs_ts st.vt.now in
   Array.iter
     (fun rs ->
       Obs.Sink.counter st.obs ~pid:Obs.Sink.engine_pid ~tid:rs.rs_rank ~ts
@@ -196,81 +242,159 @@ let obs_sample st =
      ]
     @ fault_series)
 
-let comm_of st cid =
-  match Hashtbl.find_opt st.comms cid with
-  | Some c -> c
-  | None -> raise (Mpi_error (Printf.sprintf "unknown communicator id %d" cid))
+let comm_state st cid =
+  if cid < 0 || cid >= st.next_comm then
+    raise (Mpi_error (Printf.sprintf "unknown communicator id %d" cid));
+  st.comms.(cid)
 
-let new_req st kind =
-  let id = st.next_req in
-  st.next_req <- id + 1;
-  let r = { r_id = id; r_kind = kind; r_done = None; r_status = None; r_waiter = None } in
-  Hashtbl.replace st.reqs id r;
-  r
+let comm_of st cid = (comm_state st cid).cm_comm
 
-let find_req st id =
-  match Hashtbl.find_opt st.reqs id with
-  | Some r -> r
-  | None -> raise (Mpi_error (Printf.sprintf "unknown or freed request %d" id))
+let register_comm st comm =
+  let id = Comm.id comm in
+  assert (id = st.next_comm);
+  let cm =
+    {
+      cm_comm = comm;
+      cm_full =
+        {
+          ps_parts = Comm.members comm;
+          ps_next = Array.make (Comm.size comm) 0;
+          ps_open = Itbl.create 4;
+        };
+      cm_sets = Parts_tbl.create 1;
+    }
+  in
+  if id = Array.length st.comms then begin
+    let grown = Array.make (max 8 (2 * id)) cm in
+    Array.blit st.comms 0 grown 0 id;
+    st.comms <- grown
+  end;
+  st.comms.(id) <- cm;
+  st.next_comm <- id + 1
+
+let new_comm st ~members =
+  let comm = Comm.make ~id:st.next_comm ~members in
+  register_comm st comm;
+  comm
 
 let dummy_status : Call.status =
   { actual_source = -1; actual_tag = -1; received_bytes = 0 }
 
-let status_of_req st id =
-  match (find_req st id).r_status with Some s -> s | None -> dummy_status
+let no_waiter =
+  {
+    w_rank = -1;
+    w_req = -1;
+    w_reqs = [||];
+    w_remaining = 0;
+    w_latest = 0.;
+    w_block_time = 0.;
+    w_shape = W_send;
+  }
+
+let new_req st =
+  let id = st.next_req in
+  st.next_req <- id + 1;
+  let r =
+    {
+      r_id = id;
+      r_done = false;
+      r_done_at = 0.;
+      r_status = dummy_status;
+      r_waiter = no_waiter;
+    }
+  in
+  Itbl.add st.reqs id r;
+  r
+
+let find_req st id =
+  match Itbl.find st.reqs id with
+  | r -> r
+  | exception Not_found ->
+      raise (Mpi_error (Printf.sprintf "unknown or freed request %d" id))
+
+let status_of_req st id = (find_req st id).r_status
 
 (* Resume value owed to a blocked Wait/Send/Recv once its requests finish. *)
-let waiter_value st (w : waiter) : Call.value =
-  match w.w_shape with
+let wait_value st shape ~req ~reqs : Call.value =
+  match shape with
   | W_send -> V_unit
-  | W_recv | W_wait -> V_status (status_of_req st w.w_reqs.(0))
-  | W_waitall -> V_statuses (Array.map (fun id -> status_of_req st id) w.w_reqs)
+  | W_recv | W_wait -> V_status (status_of_req st req)
+  | W_waitall -> V_statuses (Array.map (fun id -> status_of_req st id) reqs)
 
 (* A request lives until its wait completes: the resume value is read
    first, then the waiter's requests are freed, so a run holds only the
    requests still in flight and a second wait on one is an [Mpi_error]. *)
 let waiter_done st (w : waiter) =
-  let v = waiter_value st w in
-  Array.iter (Hashtbl.remove st.reqs) w.w_reqs;
+  let v = wait_value st w.w_shape ~req:w.w_req ~reqs:w.w_reqs in
+  if w.w_shape = W_waitall then Array.iter (Itbl.remove st.reqs) w.w_reqs
+  else Itbl.remove st.reqs w.w_req;
   schedule st ~time:(Float.max w.w_block_time w.w_latest) (E_resume (w.w_rank, v))
 
-let complete_req st (r : req_state) ~time ?status () =
-  assert (r.r_done = None);
-  r.r_done <- Some time;
-  (match status with Some _ -> r.r_status <- status | None -> ());
-  match r.r_waiter with
-  | None -> ()
-  | Some w ->
-      w.w_remaining <- w.w_remaining - 1;
-      w.w_latest <- Float.max w.w_latest time;
-      if w.w_remaining = 0 then waiter_done st w
+let complete_req st (r : req_state) ~time =
+  assert (not r.r_done);
+  r.r_done <- true;
+  r.r_done_at <- time;
+  let w = r.r_waiter in
+  if w != no_waiter then begin
+    w.w_remaining <- w.w_remaining - 1;
+    w.w_latest <- Float.max w.w_latest time;
+    if w.w_remaining = 0 then waiter_done st w
+  end
+
+(* Block [rank]'s fiber until request [id] completes.  A request already
+   complete (an eager send, say) resumes the rank at once, with no
+   waiter. *)
+let block_on_req st rank shape id =
+  let r = find_req st id in
+  let clock = st.clock.(rank) in
+  if r.r_done then begin
+    let v = wait_value st shape ~req:id ~reqs:[||] in
+    Itbl.remove st.reqs id;
+    schedule st ~time:(Float.max clock r.r_done_at) (E_resume (rank, v))
+  end
+  else begin
+    if r.r_waiter != no_waiter then
+      raise (Mpi_error (Printf.sprintf "request %d waited on twice" id));
+    r.r_waiter <-
+      {
+        w_rank = rank;
+        w_req = id;
+        w_reqs = [||];
+        w_remaining = 1;
+        w_latest = clock;
+        w_block_time = clock;
+        w_shape = shape;
+      }
+  end
 
 (* Block [rank]'s fiber until every request in [reqs] completes. *)
-let block_on_reqs st rank shape reqs =
-  let rs = st.ranks.(rank) in
+let block_on_reqs st rank reqs =
+  let clock = st.clock.(rank) in
   let w =
     {
       w_rank = rank;
+      w_req = -1;
       w_reqs = Array.of_list reqs;
       w_remaining = 0;
-      w_latest = rs.rs_clock;
-      w_block_time = rs.rs_clock;
-      w_shape = shape;
+      w_latest = clock;
+      w_block_time = clock;
+      w_shape = W_waitall;
     }
   in
   let pending =
     List.fold_left
       (fun pending id ->
         let r = find_req st id in
-        match r.r_done with
-        | Some t ->
-            w.w_latest <- Float.max w.w_latest t;
-            pending
-        | None ->
-            if r.r_waiter <> None then
-              raise (Mpi_error (Printf.sprintf "request %d waited on twice" id));
-            r.r_waiter <- Some w;
-            pending + 1)
+        if r.r_done then begin
+          w.w_latest <- Float.max w.w_latest r.r_done_at;
+          pending
+        end
+        else begin
+          if r.r_waiter != no_waiter then
+            raise (Mpi_error (Printf.sprintf "request %d waited on twice" id));
+          r.r_waiter <- w;
+          pending + 1
+        end)
       0 reqs
   in
   w.w_remaining <- pending;
@@ -284,21 +408,41 @@ let rank_lines st buf =
     (fun rs ->
       if not rs.rs_finished then begin
         let call =
-          match rs.rs_current with
-          | Some c ->
-              Format.asprintf "%a at %a" Call.pp_op c.op Util.Callsite.pp c.site
-          | None -> "<not started>"
+          if rs.rs_call == no_call then "<not started>"
+          else
+            let c = rs.rs_call in
+            Format.asprintf "%a at %a" Call.pp_op c.op Util.Callsite.pp c.site
         in
         Buffer.add_string buf
           (Printf.sprintf
              "\n  rank %d at t=%.6fs blocked in %s (posted=%d unexpected=%d \
               parked=%d buffered=%dB)"
-             rs.rs_rank rs.rs_clock call
+             rs.rs_rank st.clock.(rs.rs_rank) call
              (Mq.Posted.length rs.rs_posted)
              (Mq.Unexpected.length rs.rs_unexpected)
              (Util.Deque.length rs.rs_parked) rs.rs_buffered)
       end)
     st.ranks
+
+(* The open collective instance on communicator [cid] that [rank] has
+   arrived at, if any.  A rank blocks in every collective it calls, so
+   there is at most one. *)
+let pending_instance st rank cid =
+  if cid < 0 || cid >= st.next_comm then None
+  else begin
+    let cm = st.comms.(cid) in
+    let found = ref None in
+    let scan set =
+      Itbl.iter
+        (fun _ (cs : coll_state) ->
+          if List.exists (fun (w, _, _) -> w = rank) cs.c_arrivals then
+            found := Some cs)
+        set.ps_open
+    in
+    scan cm.cm_full;
+    Parts_tbl.iter (fun _ set -> scan set) cm.cm_sets;
+    !found
+  end
 
 (* Who is each unfinished rank actually waiting for?  Point-to-point calls
    name their peer directly; a rank parked in a collective waits for the
@@ -309,56 +453,40 @@ let wait_edges st =
   let edges = ref [] in
   Array.iter
     (fun rs ->
-      if not rs.rs_finished then
-        match rs.rs_current with
-        | None -> ()
-        | Some c ->
-            let what =
-              Format.asprintf "%a at %a" Call.pp_op c.Call.op Util.Callsite.pp
-                c.Call.site
-            in
-            let world_of l = Comm.world_of_local c.Call.comm l in
-            let waiting_on =
-              match c.Call.op with
-              | Call.Recv { src = Call.Rank s; _ }
-              | Call.Irecv { src = Call.Rank s; _ } ->
-                  [ world_of s ]
-              | Call.Send { dst; _ } | Call.Isend { dst; _ } -> [ world_of dst ]
-              | Call.Recv { src = Call.Any_source; _ }
-              | Call.Irecv { src = Call.Any_source; _ }
-              | Call.Wait _ | Call.Waitall _ | Call.Compute _ | Call.Wtime ->
-                  []
-              | _ ->
-                  (* collective: comm members absent from the pending
-                     instance this rank has arrived at *)
-                  let cid = Comm.id c.Call.comm in
-                  let pending =
-                    Hashtbl.fold
-                      (fun (kcid, _, _) cs acc ->
-                        if
-                          kcid = cid
-                          && List.exists
-                               (fun (w, _, _) -> w = rs.rs_rank)
-                               cs.c_arrivals
-                        then Some cs
-                        else acc)
-                      st.colls None
-                  in
-                  (match pending with
-                  | None -> []
-                  | Some cs ->
-                      cs.c_parts |> Array.to_list
-                      |> List.filter (fun w ->
-                             not
-                               (List.exists
-                                  (fun (a, _, _) -> a = w)
-                                  cs.c_arrivals)))
-            in
-            let missing = List.filter finished waiting_on in
-            edges :=
-              Util.Waitgraph.edge ~rank:rs.rs_rank ~what ~waiting_on ~missing
-                ()
-              :: !edges)
+      if not rs.rs_finished && rs.rs_call != no_call then
+        let c = rs.rs_call in
+        let what =
+          Format.asprintf "%a at %a" Call.pp_op c.Call.op Util.Callsite.pp
+            c.Call.site
+        in
+        let world_of l = Comm.world_of_local c.Call.comm l in
+        let waiting_on =
+          match c.Call.op with
+          | Call.Recv { src = Call.Rank s; _ }
+          | Call.Irecv { src = Call.Rank s; _ } ->
+              [ world_of s ]
+          | Call.Send { dst; _ } | Call.Isend { dst; _ } -> [ world_of dst ]
+          | Call.Recv { src = Call.Any_source; _ }
+          | Call.Irecv { src = Call.Any_source; _ }
+          | Call.Wait _ | Call.Waitall _ | Call.Compute _ | Call.Wtime ->
+              []
+          | _ ->
+              (* collective: comm members absent from the pending
+                 instance this rank has arrived at *)
+              let arrived w (cs : coll_state) =
+                List.exists (fun (a, _, _) -> a = w) cs.c_arrivals
+              in
+              (match pending_instance st rs.rs_rank (Comm.id c.Call.comm) with
+              | None -> []
+              | Some cs ->
+                  cs.c_set.ps_parts |> Array.to_list
+                  |> List.filter (fun w -> not (arrived w cs)))
+        in
+        let missing = List.filter finished waiting_on in
+        edges :=
+          Util.Waitgraph.edge ~rank:rs.rs_rank ~what ~waiting_on ~missing
+            ()
+          :: !edges)
     st.ranks;
   List.rev !edges
 
@@ -378,7 +506,7 @@ let stalled_report st ~reason =
   let buf = Buffer.create 256 in
   Buffer.add_string buf
     (Printf.sprintf "simulation stalled: %s after %d events at t=%.6fs; \
-                     unfinished ranks:" reason st.n_events st.now);
+                     unfinished ranks:" reason st.n_events st.vt.now);
   rank_lines st buf;
   add_wait_graph st buf;
   Buffer.contents buf
@@ -393,12 +521,14 @@ let wire_fault st ~depart =
       (lf, bf, Fault.draw_jitter f)
 
 (* Inbound transfers serialize on the receiver's link. *)
-let wire_arrival st (d : rank_state) ~depart ~bytes =
+let[@inline] wire_arrival st dst ~depart ~bytes =
   let net = st.net in
   let lat_f, bw_f, jitter = wire_fault st ~depart in
-  let start = Float.max (depart +. (net.latency *. lat_f) +. jitter) d.rs_nic_free in
+  let start =
+    Float.max (depart +. (net.latency *. lat_f) +. jitter) st.nic_free.(dst)
+  in
   let arrival = start +. (float_of_int bytes *. net.byte_time *. bw_f) in
-  d.rs_nic_free <- arrival;
+  st.nic_free.(dst) <- arrival;
   arrival
 
 (* Inject one transmission attempt of [m], departing at [depart].  Under
@@ -454,7 +584,7 @@ let transmit st (m : Mq.msg) ~depart ~attempt =
     | _ -> ());
     let arrival =
       match m.m_protocol with
-      | Mq.Eager -> wire_arrival st st.ranks.(m.m_dst) ~depart ~bytes:m.m_bytes
+      | Mq.Eager -> wire_arrival st m.m_dst ~depart ~bytes:m.m_bytes
       | Mq.Rendezvous ->
           (* only the RTS control message travels now; it does not occupy
              the receiver's inbound link *)
@@ -462,7 +592,7 @@ let transmit st (m : Mq.msg) ~depart ~attempt =
           depart +. (st.net.latency *. lat_f) +. jitter
     in
     st.n_inflight_bytes <- st.n_inflight_bytes + m.m_bytes;
-    schedule st ~time:arrival (E_deliver { m with m_arrival = arrival })
+    schedule st ~time:arrival (E_deliver m)
   end
 
 (* Drain flow-controlled senders after [bytes] were released at [time]. *)
@@ -494,17 +624,16 @@ and inject_parked st (d : rank_state) (q : parked) ~time ~reserved =
       m_bytes = q.q_bytes;
       m_comm = q.q_comm;
       m_protocol = Mq.Eager;
-      m_arrival = 0.;
       m_send_req = q.q_send_req;
       m_reserved = reserved;
     }
     ~depart:ti ~attempt:0;
-  complete_req st (find_req st q.q_send_req) ~time:ti ()
+  complete_req st (find_req st q.q_send_req) ~time:ti
 
 (* Message processing occupies the receiver's progress engine serially:
    completion = max(ready, proc_free) + overhead + bytes * rx_copy
    (+ the extra unexpected-queue copy when applicable). *)
-let rx_complete st (d : rank_state) ~ready ~bytes ~unexpected =
+let[@inline] rx_complete st dst ~ready ~bytes ~unexpected =
   let net = st.net in
   let cost =
     net.overhead
@@ -512,8 +641,8 @@ let rx_complete st (d : rank_state) ~ready ~bytes ~unexpected =
     +. (if unexpected then float_of_int bytes *. net.unexpected_copy_per_byte
         else 0.)
   in
-  let tc = Float.max ready d.rs_proc_free +. cost in
-  d.rs_proc_free <- tc;
+  let tc = Float.max ready st.proc_free.(dst) +. cost in
+  st.proc_free.(dst) <- tc;
   tc
 
 (* Status seen by the receiver, with the source translated back into the
@@ -521,9 +650,9 @@ let rx_complete st (d : rank_state) ~ready ~bytes ~unexpected =
 let recv_status st (m : Mq.msg) : Call.status =
   let comm = comm_of st m.m_comm in
   let local =
-    match Comm.local_of_world comm m.m_src with
-    | Some l -> l
-    | None ->
+    match Comm.local_of_world_exn comm m.m_src with
+    | l -> l
+    | exception Not_found ->
         raise
           (Mpi_error
              (Printf.sprintf "sender %d not a member of communicator %d"
@@ -535,33 +664,38 @@ let recv_status st (m : Mq.msg) : Call.status =
    here, so [on_p2p_match] fires exactly once per message, in matching
    order. *)
 let complete_recv st (m : Mq.msg) recv_req ~time =
-  List.iter
-    (fun (h : Hooks.t) ->
-      h.on_p2p_match ~time ~src:m.m_src ~dst:m.m_dst ~tag:m.m_tag
-        ~bytes:m.m_bytes ~comm:m.m_comm)
-    st.hooks;
-  complete_req st recv_req ~time ~status:(recv_status st m) ()
+  let hooks = st.hooks in
+  for i = 0 to Array.length hooks - 1 do
+    hooks.(i).Hooks.on_p2p_match ~time ~src:m.m_src ~dst:m.m_dst ~tag:m.m_tag
+      ~bytes:m.m_bytes ~comm:m.m_comm
+  done;
+  recv_req.r_status <- recv_status st m;
+  complete_req st recv_req ~time
 
-(* A message has physically arrived at its destination. *)
+(* A message has physically arrived at its destination, at the delivery
+   event's time. *)
 let deliver st (m : Mq.msg) =
   st.n_inflight_bytes <- st.n_inflight_bytes - m.m_bytes;
   let d = st.ranks.(m.m_dst) in
-  let ta = m.m_arrival in
+  let ta = st.vt.now in
   match Mq.Posted.take d.rs_posted ~src:m.m_src ~tag:m.m_tag ~comm:m.m_comm with
   | Some p -> (
       let recv_req = find_req st p.p_req in
       match m.m_protocol with
       | Mq.Eager ->
-          let tc = rx_complete st d ~ready:ta ~bytes:m.m_bytes ~unexpected:false in
+          let tc =
+            rx_complete st m.m_dst ~ready:ta ~bytes:m.m_bytes ~unexpected:false
+          in
           (* the receive buffer holds the payload until it is processed *)
           if m.m_reserved then release_buffer st d ~bytes:m.m_bytes ~time:tc;
           complete_recv st m recv_req ~time:tc
       | Mq.Rendezvous ->
           (* Handshake completes on RTS arrival; then the payload moves. *)
-          let data_arrival = wire_arrival st d ~depart:ta ~bytes:m.m_bytes in
-          complete_req st (find_req st m.m_send_req) ~time:data_arrival ();
+          let data_arrival = wire_arrival st m.m_dst ~depart:ta ~bytes:m.m_bytes in
+          complete_req st (find_req st m.m_send_req) ~time:data_arrival;
           let tc =
-            rx_complete st d ~ready:data_arrival ~bytes:m.m_bytes ~unexpected:false
+            rx_complete st m.m_dst ~ready:data_arrival ~bytes:m.m_bytes
+              ~unexpected:false
           in
           complete_recv st m recv_req ~time:tc)
   | None ->
@@ -579,32 +713,44 @@ let post_recv st rank (p : Mq.posted) =
       match m.m_protocol with
       | Mq.Eager ->
           let tc =
-            rx_complete st d ~ready:p.p_time ~bytes:m.m_bytes ~unexpected:true
+            rx_complete st rank ~ready:p.p_time ~bytes:m.m_bytes ~unexpected:true
           in
           if m.m_reserved then release_buffer st d ~bytes:m.m_bytes ~time:tc;
           complete_recv st m recv_req ~time:tc
       | Mq.Rendezvous ->
-          let data_arrival = wire_arrival st d ~depart:p.p_time ~bytes:m.m_bytes in
-          complete_req st (find_req st m.m_send_req) ~time:data_arrival ();
+          let data_arrival =
+            wire_arrival st rank ~depart:p.p_time ~bytes:m.m_bytes
+          in
+          complete_req st (find_req st m.m_send_req) ~time:data_arrival;
           let tc =
-            rx_complete st d ~ready:data_arrival ~bytes:m.m_bytes ~unexpected:false
+            rx_complete st rank ~ready:data_arrival ~bytes:m.m_bytes
+              ~unexpected:false
           in
           complete_recv st m recv_req ~time:tc)
-  | None -> (
+  | None ->
       Mq.Posted.add d.rs_posted p;
       (* Liveness: if the message this receive is waiting for is parked at
          a flow-controlled sender, force its injection past the full
          buffer — it will match the posted receive, not the buffer. *)
-      match
-        Util.Deque.remove_first
-          (fun q -> Mq.accepts p ~src:q.q_src ~tag:q.q_tag ~comm:q.q_comm)
-          d.rs_parked
-      with
-      | Some q -> inject_parked st d q ~time:p.p_time ~reserved:false
-      | None -> ())
+      let parked = d.rs_parked in
+      let n = Util.Deque.length parked and i = ref 0 and found = ref (-1) in
+      while !found < 0 && !i < n do
+        let q = Util.Deque.get parked !i in
+        if Mq.accepts p ~src:q.q_src ~tag:q.q_tag ~comm:q.q_comm then found := !i
+        else incr i
+      done;
+      if !found >= 0 then
+        inject_parked st d (Util.Deque.remove_at parked !found) ~time:p.p_time
+          ~reserved:false
 
 (* ------------------------------------------------------------------ *)
 (* Point-to-point calls                                                *)
+
+(* A send returns when its request completes (blocking) or at once with
+   the request (nonblocking, at [time]). *)
+let[@inline] send_return st rank (req : req_state) ~blocking ~time =
+  if blocking then block_on_req st rank W_send req.r_id
+  else schedule st ~time (E_resume (rank, V_request req.r_id))
 
 let do_send st rank (call : Call.t) ~blocking ~dst ~bytes ~tag =
   let net = st.net in
@@ -612,18 +758,20 @@ let do_send st rank (call : Call.t) ~blocking ~dst ~bytes ~tag =
   let dst_world = Comm.world_of_local comm dst in
   if dst_world = rank then
     raise (Mpi_error (Printf.sprintf "rank %d sending to itself" rank));
-  let rs = st.ranks.(rank) in
-  let t0 = rs.rs_clock in
-  let req = new_req st `Send in
+  let t0 = st.clock.(rank) in
+  let req = new_req st in
   st.n_msgs <- st.n_msgs + 1;
   st.n_bytes <- st.n_bytes + bytes;
-  let return_at time =
-    if blocking then block_on_reqs st rank W_send [ req.r_id ]
-    else schedule st ~time (E_resume (rank, V_request req.r_id))
-  in
   if Netmodel.is_eager net ~bytes then begin
     let d = st.ranks.(dst_world) in
-    let earlier_parked = Util.Deque.exists (fun q -> q.q_src = rank) d.rs_parked in
+    let earlier_parked =
+      let parked = d.rs_parked in
+      let n = Util.Deque.length parked and i = ref 0 in
+      while !i < n && (Util.Deque.get parked !i).q_src <> rank do
+        incr i
+      done;
+      !i < n
+    in
     (* a message that can never fit the buffer is admitted anyway once a
        matching receive is posted (it drains straight into the
        application); liveness depends on this *)
@@ -644,12 +792,12 @@ let do_send st rank (call : Call.t) ~blocking ~dst ~bytes ~tag =
       transmit st
         {
           Mq.m_src = rank; m_dst = dst_world; m_tag = tag; m_bytes = bytes;
-          m_comm = Comm.id comm; m_protocol = Mq.Eager; m_arrival = 0.;
+          m_comm = Comm.id comm; m_protocol = Mq.Eager;
           m_send_req = req.r_id; m_reserved = reserved;
         }
         ~depart:ti ~attempt:0;
-      complete_req st req ~time:ti ();
-      return_at ti
+      complete_req st req ~time:ti;
+      send_return st rank req ~blocking ~time:ti
     end
     else begin
       (* Receiver's unexpected buffer is full (or ordering requires queueing
@@ -660,7 +808,7 @@ let do_send st rank (call : Call.t) ~blocking ~dst ~bytes ~tag =
           q_src = rank; q_tag = tag; q_bytes = bytes;
           q_comm = Comm.id comm; q_call_time = t0; q_send_req = req.r_id;
         };
-      return_at (t0 +. net.overhead)
+      send_return st rank req ~blocking ~time:(t0 +. net.overhead)
     end
   end
   else begin
@@ -669,17 +817,16 @@ let do_send st rank (call : Call.t) ~blocking ~dst ~bytes ~tag =
       {
         Mq.m_src = rank; m_dst = dst_world; m_tag = tag; m_bytes = bytes;
         m_comm = Comm.id comm; m_protocol = Mq.Rendezvous;
-        m_arrival = 0.; m_send_req = req.r_id; m_reserved = false;
+        m_send_req = req.r_id; m_reserved = false;
       }
       ~depart:(t0 +. net.overhead) ~attempt:0;
-    return_at (t0 +. net.overhead)
+    send_return st rank req ~blocking ~time:(t0 +. net.overhead)
   end
 
 let do_recv st rank (call : Call.t) ~blocking ~src ~bytes:_ ~tag =
   let comm = call.comm in
-  let rs = st.ranks.(rank) in
-  let t0 = rs.rs_clock in
-  let req = new_req st `Recv in
+  let t0 = st.clock.(rank) in
+  let req = new_req st in
   let p_src =
     match (src : Call.source) with
     | Any_source -> None
@@ -697,7 +844,7 @@ let do_recv st rank (call : Call.t) ~blocking ~src ~bytes:_ ~tag =
     }
   in
   post_recv st rank p;
-  if blocking then block_on_reqs st rank W_recv [ req.r_id ]
+  if blocking then block_on_req st rank W_recv req.r_id
   else schedule st ~time:(t0 +. st.net.overhead) (E_resume (rank, V_request req.r_id))
 
 (* ------------------------------------------------------------------ *)
@@ -707,13 +854,12 @@ let do_recv st rank (call : Call.t) ~blocking ~src ~bytes:_ ~tag =
    so its arrival list is non-empty wherever the cost and result are
    computed.  A violation is an engine bug; report it with enough context
    to debug rather than dying on a bare [Failure "hd"]. *)
-let first_arrival ~key (c : coll_state) =
+let first_arrival (c : coll_state) =
   match c.c_arrivals with
   | a :: _ -> a
   | [] ->
-      let cid, _, slot = key in
       let members =
-        c.c_parts |> Array.to_list |> List.map string_of_int
+        c.c_set.ps_parts |> Array.to_list |> List.map string_of_int
         |> String.concat ","
       in
       raise
@@ -722,26 +868,37 @@ let first_arrival ~key (c : coll_state) =
               "internal invariant violated: collective %s (communicator %d, \
                slot %d) completed with an empty arrival list; participants \
                {%s}"
-              c.c_name cid slot members))
+              c.c_name (Comm.id c.c_comm) c.c_slot members))
 
-let coll_cost st ~key (c : coll_state) =
+(* A loop, not [Array.fold_left ( + )]: a v-collective sums a row per
+   arrival, O(p) closure calls each at p ranks. *)
+let sum (a : int array) =
+  let s = ref 0 in
+  for i = 0 to Array.length a - 1 do
+    s := !s + a.(i)
+  done;
+  !s
+
+(* The op of the arrival from [c]-local rank [root], or of the latest
+   arrival when [root] has not arrived. *)
+let op_of_root (c : coll_state) root =
+  let rec find = function
+    | [] ->
+        let _, _, op = first_arrival c in
+        op
+    | (w, _, op) :: rest -> (
+        match Comm.local_of_world_exn c.c_comm w with
+        | l when l = root -> op
+        | _ | (exception Not_found) -> find rest)
+  in
+  find c.c_arrivals
+
+let coll_cost st (c : coll_state) =
   let net = st.net in
   let p = Comm.size c.c_comm in
-  let sum = Array.fold_left ( + ) 0 in
   (* Representative op: the root's where rooted sizes matter, else any. *)
-  let op_of_rank want_root =
-    let found =
-      List.find_opt (fun (w, _, _) ->
-          match Comm.local_of_world c.c_comm w with
-          | Some l -> l = want_root
-          | None -> false)
-        c.c_arrivals
-    in
-    match found with
-    | Some (_, _, op) -> op
-    | None -> let (_, _, op) = first_arrival ~key c in op
-  in
-  let (_, _, any_op) = first_arrival ~key c in
+  let op_of_rank = op_of_root c in
+  let (_, _, any_op) = first_arrival c in
   match any_op with
   | Barrier -> Netmodel.barrier_cost net ~p
   | Bcast { root; _ } -> (
@@ -830,10 +987,7 @@ let split_comms st (c : coll_state) =
         Hashtbl.find by_color color |> List.sort compare |> List.map snd
         |> Array.of_list
       in
-      let id = st.next_comm in
-      st.next_comm <- id + 1;
-      let comm = Comm.make ~id ~members in
-      Hashtbl.replace st.comms id comm;
+      let comm = new_comm st ~members in
       Array.iter (fun w -> Hashtbl.replace assignment w comm) members)
     colors;
   fun w -> Hashtbl.find assignment w
@@ -841,22 +995,10 @@ let split_comms st (c : coll_state) =
 (* The representative op of a collective: the root's where rooted payload
    sizes matter (the root's [bytes] drives schedule expansion), else any
    arrival's. *)
-let representative_op ~key (c : coll_state) =
-  let (_, _, any_op) = first_arrival ~key c in
-  let of_rank want_root =
-    match
-      List.find_opt
-        (fun (w, _, _) ->
-          match Comm.local_of_world c.c_comm w with
-          | Some l -> l = want_root
-          | None -> false)
-        c.c_arrivals
-    with
-    | Some (_, _, op) -> op
-    | None -> any_op
-  in
+let representative_op (c : coll_state) =
+  let (_, _, any_op) = first_arrival c in
   match any_op with
-  | Call.Bcast { root; _ } | Call.Reduce { root; _ } -> of_rank root
+  | Call.Bcast { root; _ } | Call.Reduce { root; _ } -> op_of_root c root
   | op -> op
 
 (* Neighborhood collectives under a pluggable strategy: participants are
@@ -867,9 +1009,10 @@ let representative_op ~key (c : coll_state) =
    expansion — {!Coll_alg.neighbor_schedule} decides. *)
 let neighbor_times st (c : coll_state) =
   let comm = c.c_comm in
-  let q = Array.length c.c_parts in
+  let parts = c.c_set.ps_parts in
+  let q = Array.length parts in
   let pos_of_world = Hashtbl.create q in
-  Array.iteri (fun i w -> Hashtbl.replace pos_of_world w i) c.c_parts;
+  Array.iteri (fun i w -> Hashtbl.replace pos_of_world w i) parts;
   let per_rank = Array.make q ([||], 0) in
   let start = Array.make q 0. in
   List.iter
@@ -907,18 +1050,18 @@ let neighbor_times st (c : coll_state) =
    completion time, or [None] for the monolithic analytic path.
    Communicator management and [Finalize] always stay monolithic (they
    synchronize, they do not move data). *)
-let coll_schedule_times st ~key (c : coll_state) =
+let coll_schedule_times st (c : coll_state) =
   match st.coll_alg with
   | `Monolithic -> None
   | sel -> (
-      let (_, _, any_op) = first_arrival ~key c in
+      let (_, _, any_op) = first_arrival c in
       match any_op with
       | Call.Comm_split _ | Call.Comm_dup | Call.Finalize -> None
       | Call.Neighbor_alltoall _ | Call.Neighbor_allgather _ ->
           neighbor_times st c
       | _ -> (
           let p = Comm.size c.c_comm in
-          let op = representative_op ~key c in
+          let op = representative_op c in
           match Coll_alg.expand (Coll_alg.select sel ~op ~p) ~op ~p with
           | None -> None
           | Some sched ->
@@ -938,22 +1081,40 @@ let coll_schedule_times st ~key (c : coll_state) =
                   | Some l -> Some fin.(l)
                   | None -> None)))
 
-let finish_collective st key (c : coll_state) =
-  Hashtbl.remove st.colls key;
-  let t_all =
-    List.fold_left (fun acc (_, t, _) -> Float.max acc t) 0. c.c_arrivals
-  in
-  let (_, _, any_op) = first_arrival ~key c in
+(* One completion event per logical collective, with its participants in
+   arrival order; built only when a hook listens. *)
+let fire_collective_complete st ~time (c : coll_state) =
+  let hooks = st.hooks in
+  if Array.length hooks > 0 then begin
+    let participants =
+      Array.of_list (List.rev_map (fun (w, _, _) -> w) c.c_arrivals)
+    in
+    let comm = Comm.id c.c_comm in
+    for i = 0 to Array.length hooks - 1 do
+      hooks.(i).Hooks.on_collective_complete ~time ~comm ~name:c.c_name
+        ~participants
+    done
+  end
+
+let finish_collective st (c : coll_state) =
+  Itbl.remove c.c_set.ps_open c.c_slot;
+  let t_all = ref 0. and rest = ref c.c_arrivals and more = ref true in
+  while !more do
+    match !rest with
+    | (_, t, _) :: tl ->
+        t_all := Float.max !t_all t;
+        rest := tl
+    | [] -> more := false
+  done;
+  let t_all = !t_all in
+  let (_, _, any_op) = first_arrival c in
   let value_for =
     match any_op with
     | Call.Comm_split _ ->
         let lookup = split_comms st c in
         fun w -> Call.V_comm (lookup w)
     | Call.Comm_dup ->
-        let id = st.next_comm in
-        st.next_comm <- id + 1;
-        let comm = Comm.make ~id ~members:(Comm.members c.c_comm) in
-        Hashtbl.replace st.comms id comm;
+        let comm = new_comm st ~members:(Comm.members c.c_comm) in
         fun _ -> Call.V_comm comm
     | Call.Finalize ->
         fun w ->
@@ -961,20 +1122,15 @@ let finish_collective st key (c : coll_state) =
           Call.V_unit
     | _ -> fun _ -> Call.V_unit
   in
-  let participants =
-    Array.of_list (List.rev_map (fun (w, _, _) -> w) c.c_arrivals)
-  in
-  let cid = match key with k, _, _ -> k in
   (* Whichever strategy runs, exactly one completion event fires for the
      logical collective, timestamped at its last rank's completion. *)
-  match coll_schedule_times st ~key c with
+  match coll_schedule_times st c with
   | None ->
-      let done_at = t_all +. coll_cost st ~key c in
+      let done_at = t_all +. coll_cost st c in
       List.iter
         (fun (w, _, _) -> schedule st ~time:done_at (E_resume (w, value_for w)))
         c.c_arrivals;
-      fire_collective_complete st ~time:done_at ~comm:cid ~name:c.c_name
-        ~participants
+      fire_collective_complete st ~time:done_at c
   | Some fin_of ->
       let done_at =
         List.fold_left
@@ -987,143 +1143,146 @@ let finish_collective st key (c : coll_state) =
           let at = match fin_of w with Some t -> t | None -> done_at in
           schedule st ~time:at (E_resume (w, value_for w)))
         c.c_arrivals;
-      fire_collective_complete st ~time:done_at ~comm:cid ~name:c.c_name
-        ~participants
+      fire_collective_complete st ~time:done_at c
 
-(* Declared participant set of a neighborhood collective, validated for
-   the calling rank: strictly increasing communicator-local ranks, within
-   the communicator, containing the caller; the neighbor list strictly
-   increasing, a subset of the participant set, never the caller.  [[||]]
-   participants mean the whole communicator.  Returns the participant-set
-   signature (the keying component) and the world ranks of a partial set;
-   the whole communicator, which every non-neighborhood operation
-   synchronizes, is [None] under the empty signature, so an arrival never
-   copies the member array. *)
-let participant_set rank (call : Call.t) =
-  let comm = call.comm in
+let mpi_error fmt = Printf.ksprintf (fun msg -> raise (Mpi_error msg)) fmt
+
+(* [check_local_ranks ~rank ~name ~what comm a]: [a] names strictly
+   increasing local ranks of [comm]. *)
+let check_local_ranks ~rank ~name ~what comm a =
   let size = Comm.size comm in
-  match call.op with
-  | Call.Neighbor_alltoall { parts; neighbors; _ }
-  | Call.Neighbor_allgather { parts; neighbors; _ } ->
-      let name = Call.op_name call.op in
-      let local =
-        match Comm.local_of_world comm rank with
-        | Some l -> l
-        | None -> assert false (* membership checked by the caller *)
+  for i = 0 to Array.length a - 1 do
+    let v = a.(i) in
+    if v < 0 || v >= size then
+      mpi_error
+        "rank %d: %s %s names local rank %d outside communicator %d (size \
+         %d)"
+        rank name what v (Comm.id comm) size;
+    if i > 0 && a.(i - 1) >= v then
+      mpi_error "rank %d: %s %s must be strictly increasing" rank name what
+  done
+
+let index_of (a : int array) v =
+  let i = ref 0 in
+  while !i < Array.length a && a.(!i) <> v do
+    incr i
+  done;
+  if !i < Array.length a then !i else -1
+
+(* Validate a neighborhood collective's declared participant set for the
+   calling rank (local rank [local]): strictly increasing
+   communicator-local ranks, within the communicator, containing the
+   caller; the neighbor list strictly increasing, a subset of the
+   participant set, never the caller.  [[||]] participants mean the
+   whole communicator. *)
+let check_neighborhood ~rank ~local (call : Call.t) ~parts ~neighbors =
+  let name = Call.op_name call.op in
+  let whole = Array.length parts = 0 in
+  if not whole then begin
+    check_local_ranks ~rank ~name ~what:"participant set" call.comm parts;
+    if index_of parts local < 0 then
+      mpi_error
+        "rank %d (local %d) calls %s but is not in its declared participant set"
+        rank local name
+  end;
+  check_local_ranks ~rank ~name ~what:"neighbor list" call.comm neighbors;
+  Array.iter
+    (fun nb ->
+      if nb = local then
+        mpi_error "rank %d: %s neighbor list contains itself" rank name;
+      if not (whole || index_of parts nb >= 0) then
+        mpi_error
+          "rank %d: %s neighbor %d is outside the declared participant set"
+          rank name nb)
+    neighbors
+
+(* The declared participant set [parts] (local ranks) of communicator
+   [cm], found by its contents, or made on the first arrival: its key is
+   a copy, its world ranks are translated once. *)
+let declared_set (cm : comm_state) parts =
+  match Parts_tbl.find cm.cm_sets parts with
+  | set -> set
+  | exception Not_found ->
+      let key = Array.copy parts in
+      let set =
+        {
+          ps_parts = Array.map (Comm.world_of_local cm.cm_comm) key;
+          ps_next = Array.make (Array.length key) 0;
+          ps_open = Itbl.create 4;
+        }
       in
-      let check_sorted what a =
-        Array.iteri
-          (fun i v ->
-            if v < 0 || v >= size then
-              raise
-                (Mpi_error
-                   (Printf.sprintf
-                      "rank %d: %s %s names local rank %d outside \
-                       communicator %d (size %d)"
-                      rank name what v (Comm.id comm) size));
-            if i > 0 && a.(i - 1) >= v then
-              raise
-                (Mpi_error
-                   (Printf.sprintf
-                      "rank %d: %s %s must be strictly increasing" rank name
-                      what)))
-          a
-      in
-      let in_parts =
-        if Array.length parts = 0 then fun _ -> true
-        else begin
-          check_sorted "participant set" parts;
-          if not (Array.exists (fun v -> v = local) parts) then
-            raise
-              (Mpi_error
-                 (Printf.sprintf
-                    "rank %d (local %d) calls %s but is not in its declared \
-                     participant set"
-                    rank local name));
-          fun v -> Array.exists (fun u -> u = v) parts
-        end
-      in
-      check_sorted "neighbor list" neighbors;
-      Array.iter
-        (fun nb ->
-          if nb = local then
-            raise
-              (Mpi_error
-                 (Printf.sprintf "rank %d: %s neighbor list contains itself"
-                    rank name));
-          if not (in_parts nb) then
-            raise
-              (Mpi_error
-                 (Printf.sprintf
-                    "rank %d: %s neighbor %d is outside the declared \
-                     participant set"
-                    rank name nb)))
-        neighbors;
-      if Array.length parts = 0 then ("", None)
-      else
-        ( String.concat "," (Array.to_list (Array.map string_of_int parts)),
-          Some (Array.map (fun l -> Comm.world_of_local comm l) parts) )
-  | _ -> ("", None)
+      Parts_tbl.add cm.cm_sets key set;
+      set
+
+let no_parts : int array = [||]
 
 let do_collective st rank (call : Call.t) =
   let comm = call.comm in
-  if not (Comm.is_member comm ~world:rank) then
-    raise
-      (Mpi_error
-         (Printf.sprintf "rank %d calling %s on communicator %d it is not in"
-            rank (Call.op_name call.op) (Comm.id comm)));
-  let cid = Comm.id comm in
-  let psig, parts = participant_set rank call in
-  let slot =
-    Option.value ~default:0 (Hashtbl.find_opt st.coll_seq (cid, psig, rank))
+  let local =
+    match Comm.local_of_world_exn comm rank with
+    | l -> l
+    | exception Not_found ->
+        mpi_error "rank %d calling %s on communicator %d it is not in" rank
+          (Call.op_name call.op) (Comm.id comm)
   in
-  Hashtbl.replace st.coll_seq (cid, psig, rank) (slot + 1);
-  let key = (cid, psig, slot) in
+  let cid = Comm.id comm in
+  let parts =
+    match call.op with
+    | Call.Neighbor_alltoall { parts; neighbors; _ }
+    | Call.Neighbor_allgather { parts; neighbors; _ } ->
+        check_neighborhood ~rank ~local call ~parts ~neighbors;
+        parts
+    | _ -> no_parts
+  in
+  let cm = comm_state st cid in
+  let whole = Array.length parts = 0 in
+  let set = if whole then cm.cm_full else declared_set cm parts in
+  let pos = if whole then local else index_of parts local in
+  let slot = set.ps_next.(pos) in
+  set.ps_next.(pos) <- slot + 1;
   let c =
-    match Hashtbl.find_opt st.colls key with
-    | Some c -> c
-    | None ->
+    match Itbl.find set.ps_open slot with
+    | c -> c
+    | exception Not_found ->
         let c =
           {
             c_comm = comm;
             c_name = Call.op_name call.op;
-            c_parts = (match parts with Some p -> p | None -> Comm.members comm);
+            c_slot = slot;
+            c_set = set;
             c_arrivals = [];
             c_count = 0;
           }
         in
-        Hashtbl.replace st.colls key c;
+        Itbl.add set.ps_open slot c;
         c
   in
   if c.c_name <> Call.op_name call.op then
-    raise
-      (Mpi_error
-         (Printf.sprintf
-            "collective mismatch on communicator %d: rank %d calls %s at %s \
-             but another rank called %s"
-            cid rank (Call.op_name call.op)
-            (Util.Callsite.to_string call.site)
-            c.c_name));
-  c.c_arrivals <- (rank, st.ranks.(rank).rs_clock, call.op) :: c.c_arrivals;
+    mpi_error
+      "collective mismatch on communicator %d: rank %d calls %s at %s but \
+       another rank called %s"
+      cid rank (Call.op_name call.op)
+      (Util.Callsite.to_string call.site)
+      c.c_name;
+  c.c_arrivals <- (rank, st.clock.(rank), call.op) :: c.c_arrivals;
   c.c_count <- c.c_count + 1;
-  if c.c_count = Array.length c.c_parts then
-    finish_collective st key c
+  if c.c_count = Array.length set.ps_parts then finish_collective st c
 
 (* ------------------------------------------------------------------ *)
 (* Call dispatch                                                       *)
 
-let handle_call st rank (call : Call.t) (k : fiber) =
+let handle_call st rank (k : fiber) =
   let rs = st.ranks.(rank) in
-  st.fibers.(rank) <- Some k;
-  rs.rs_current <- Some call;
+  let call = rs.rs_call in
+  rs.rs_fiber <- Some k;
   fire_enter st rank call;
   match call.op with
   | Send { dst; bytes; tag } -> do_send st rank call ~blocking:true ~dst ~bytes ~tag
   | Isend { dst; bytes; tag } -> do_send st rank call ~blocking:false ~dst ~bytes ~tag
   | Recv { src; bytes; tag } -> do_recv st rank call ~blocking:true ~src ~bytes ~tag
   | Irecv { src; bytes; tag } -> do_recv st rank call ~blocking:false ~src ~bytes ~tag
-  | Wait r -> block_on_reqs st rank W_wait [ r ]
-  | Waitall rs_ -> block_on_reqs st rank W_waitall rs_
+  | Wait r -> block_on_req st rank W_wait r
+  | Waitall rs_ -> block_on_reqs st rank rs_
   | Compute d ->
       if not (Float.is_finite d) || d < 0. then
         raise (Mpi_error "compute: duration must be finite and non-negative");
@@ -1132,8 +1291,10 @@ let handle_call st rank (call : Call.t) (k : fiber) =
         | Some f -> d *. Fault.compute_factor f ~rank
         | None -> d
       in
-      schedule st ~time:(rs.rs_clock +. d) (E_resume (rank, V_unit))
-  | Wtime -> schedule st ~time:rs.rs_clock (E_resume (rank, V_time rs.rs_clock))
+      schedule st ~time:(st.clock.(rank) +. d) (E_resume (rank, V_unit))
+  | Wtime ->
+      let now = st.clock.(rank) in
+      schedule st ~time:now (E_resume (rank, V_time now))
   | Barrier | Bcast _ | Reduce _ | Allreduce _ | Gather _ | Gatherv _
   | Allgather _ | Allgatherv _ | Scatter _ | Scatterv _ | Alltoall _
   | Alltoallv _ | Reduce_scatter _ | Neighbor_alltoall _ | Neighbor_allgather _
@@ -1170,29 +1331,28 @@ let run ?(hooks = []) ?(net = Netmodel.bluegene_l) ?fault ?max_events
       ranks =
         Array.init nranks (fun rank ->
             {
-              rs_rank = rank; rs_clock = 0.; rs_finished = false;
-              rs_finalized = false; rs_current = None;
+              rs_rank = rank; rs_finished = false; rs_finalized = false;
+              rs_call = no_call; rs_fiber = None;
               rs_posted = Mq.Posted.create ();
               rs_unexpected = Mq.Unexpected.create ();
               rs_buffered = 0;
               rs_parked = Util.Deque.create ~capacity:4 ();
-              rs_proc_free = 0.; rs_nic_free = 0.;
             });
+      clock = Array.make nranks 0.;
+      proc_free = Array.make nranks 0.;
+      nic_free = Array.make nranks 0.;
       events = Util.Pqueue.create ();
-      reqs = Hashtbl.create 1024;
+      reqs = Itbl.create 1024;
       next_req = 0;
-      next_comm = 1;
-      comms = Hashtbl.create 16;
-      colls = Hashtbl.create 64;
-      coll_seq = Hashtbl.create 64;
+      comms = [||];
+      next_comm = 0;
       coll_alg;
-      hooks;
-      fibers = Array.make nranks None;
+      hooks = Array.of_list hooks;
       fault;
       max_events;
       max_virtual_time;
       obs;
-      now = 0.;
+      vt = { now = 0. };
       n_events = 0;
       n_msgs = 0;
       n_bytes = 0;
@@ -1201,88 +1361,88 @@ let run ?(hooks = []) ?(net = Netmodel.bluegene_l) ?fault ?max_events
       n_inflight_bytes = 0;
     }
   in
-  Hashtbl.replace st.comms 0 world;
+  register_comm st world;
   let start_fiber rank =
+    let rs = st.ranks.(rank) in
     let body () =
       program { rank; nranks; world };
-      let rs = st.ranks.(rank) in
       if not rs.rs_finalized then
         raise
           (Mpi_error (Printf.sprintf "rank %d returned without MPI_Finalize" rank));
       rs.rs_finished <- true
     in
+    (* One handler per rank: a call is parked in [rs_call] and handed to
+       the same continuation consumer, so performing allocates neither an
+       option nor a closure. *)
+    let on_call = Some (fun (k : fiber) -> handle_call st rank k) in
     Effect.Deep.match_with body ()
       {
         retc = (fun () -> ());
         exnc = raise;
         effc =
-          (fun (type a) (eff : a Effect.t) ->
+          (fun (type a) (eff : a Effect.t) :
+               ((a, unit) Effect.Deep.continuation -> unit) option ->
             match eff with
             | Mpi_call call ->
-                Some
-                  (fun (k : (a, unit) Effect.Deep.continuation) ->
-                    handle_call st rank call k)
+                rs.rs_call <- call;
+                on_call
             | _ -> None);
       }
   in
   let resume rank v =
     let rs = st.ranks.(rank) in
-    rs.rs_clock <- Float.max rs.rs_clock st.now;
-    (match rs.rs_current with
-    | Some call -> fire_return st rank rs.rs_clock call v
-    | None -> ());
-    rs.rs_current <- None;
-    match st.fibers.(rank) with
+    let clock = Float.max st.clock.(rank) st.vt.now in
+    st.clock.(rank) <- clock;
+    let call = rs.rs_call in
+    if call != no_call then fire_return st rank clock call v;
+    rs.rs_call <- no_call;
+    match rs.rs_fiber with
     | None -> raise (Mpi_error (Printf.sprintf "resume of idle rank %d" rank))
     | Some k ->
-        st.fibers.(rank) <- None;
+        rs.rs_fiber <- None;
         Effect.Deep.continue k v
   in
   for rank = 0 to nranks - 1 do
     schedule st ~time:0. (E_start rank)
   done;
-  let rec loop () =
-    match Util.Pqueue.pop st.events with
-    | None ->
-        if Array.exists (fun rs -> not rs.rs_finished) st.ranks then
-          raise (Deadlock (deadlock_report st))
-    | Some (t, ev) ->
-        st.now <- t;
-        st.n_events <- st.n_events + 1;
-        (* Watchdog: a run that exceeds its budgets is reported as Stalled
-           with a per-rank diagnostic instead of spinning forever. *)
-        (match st.max_events with
-        | Some budget when st.n_events > budget ->
-            raise
-              (Stalled
-                 (stalled_report st
-                    ~reason:
-                      (Printf.sprintf "event budget exhausted (max_events = %d)"
-                         budget)))
-        | _ -> ());
-        (match st.max_virtual_time with
-        | Some budget when t > budget ->
-            raise
-              (Stalled
-                 (stalled_report st
-                    ~reason:
-                      (Printf.sprintf
-                         "virtual-time budget exhausted (max_virtual_time = \
-                          %gs)"
-                         budget)))
-        | _ -> ());
-        (match ev with
-        | E_start rank -> start_fiber rank
-        | E_resume (rank, v) -> resume rank v
-        | E_deliver m -> deliver st m
-        | E_retransmit (m, attempt) -> transmit st m ~depart:t ~attempt);
-        if st.obs.Obs.Sink.enabled && st.n_events mod obs_sample_period = 0
-        then obs_sample st;
-        loop ()
-  in
-  loop ();
+  let events = st.events in
+  while not (Util.Pqueue.is_empty events) do
+    st.vt.now <- Util.Pqueue.min_time events;
+    let ev = Util.Pqueue.pop_min events in
+    st.n_events <- st.n_events + 1;
+    (* Watchdog: a run that exceeds its budgets is reported as Stalled
+       with a per-rank diagnostic instead of spinning forever. *)
+    (match st.max_events with
+    | Some budget when st.n_events > budget ->
+        raise
+          (Stalled
+             (stalled_report st
+                ~reason:
+                  (Printf.sprintf "event budget exhausted (max_events = %d)"
+                     budget)))
+    | _ -> ());
+    (match st.max_virtual_time with
+    | Some budget when st.vt.now > budget ->
+        raise
+          (Stalled
+             (stalled_report st
+                ~reason:
+                  (Printf.sprintf
+                     "virtual-time budget exhausted (max_virtual_time = %gs)"
+                     budget)))
+    | _ -> ());
+    (match ev with
+    | E_start rank -> start_fiber rank
+    | E_resume (rank, v) -> resume rank v
+    | E_deliver m -> deliver st m
+    | E_retransmit (m, attempt) -> transmit st m ~depart:st.vt.now ~attempt);
+    if st.obs.Obs.Sink.enabled && st.n_events mod obs_sample_period = 0 then
+      obs_sample st
+  done;
+  if Array.exists (fun rs -> not rs.rs_finished) st.ranks then
+    raise (Deadlock (deadlock_report st));
   if st.obs.Obs.Sink.enabled then obs_sample st;
-  let finish_times = Array.map (fun rs -> rs.rs_clock) st.ranks in
+  let finish_times = Array.copy st.clock in
   let fstats =
     match st.fault with
     | Some f -> Fault.stats f

@@ -7,7 +7,6 @@ type msg = {
   m_bytes : int;
   m_comm : int;
   m_protocol : protocol;
-  m_arrival : float;
   m_send_req : int;
   mutable m_reserved : bool;
 }
@@ -27,7 +26,8 @@ let accepts (p : posted) ~src ~tag ~comm =
 
 (* Both queues are FIFOs searched front to back, so the first match is
    the earliest arrival (or post): MPI's matching order.  A queue holds a
-   handful of entries when it is searched, so the scan stops early. *)
+   handful of entries when it is searched, so the scan stops early.  The
+   scans are loops over the deque, so a search allocates no closure. *)
 
 module Unexpected = struct
   type t = msg Util.Deque.t
@@ -35,10 +35,15 @@ module Unexpected = struct
   let create () = Util.Deque.create ~capacity:4 ()
   let length = Util.Deque.length
   let add = Util.Deque.push_back
+
   let take t p =
-    Util.Deque.remove_first
-      (fun m -> accepts p ~src:m.m_src ~tag:m.m_tag ~comm:m.m_comm)
-      t
+    let n = Util.Deque.length t and i = ref 0 and found = ref (-1) in
+    while !found < 0 && !i < n do
+      let m = Util.Deque.get t !i in
+      if accepts p ~src:m.m_src ~tag:m.m_tag ~comm:m.m_comm then found := !i
+      else incr i
+    done;
+    if !found < 0 then None else Some (Util.Deque.remove_at t !found)
 end
 
 module Posted = struct
@@ -47,6 +52,19 @@ module Posted = struct
   let create () = Util.Deque.create ~capacity:4 ()
   let length = Util.Deque.length
   let add = Util.Deque.push_back
-  let take t ~src ~tag ~comm = Util.Deque.remove_first (accepts ~src ~tag ~comm) t
-  let mem t ~src ~tag ~comm = Util.Deque.exists (accepts ~src ~tag ~comm) t
+
+  (* position of the earliest-posted receive accepting the message, or -1 *)
+  let find t ~src ~tag ~comm =
+    let n = Util.Deque.length t and i = ref 0 and found = ref (-1) in
+    while !found < 0 && !i < n do
+      if accepts (Util.Deque.get t !i) ~src ~tag ~comm then found := !i
+      else incr i
+    done;
+    !found
+
+  let take t ~src ~tag ~comm =
+    let i = find t ~src ~tag ~comm in
+    if i < 0 then None else Some (Util.Deque.remove_at t i)
+
+  let mem t ~src ~tag ~comm = find t ~src ~tag ~comm >= 0
 end

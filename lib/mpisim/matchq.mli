@@ -22,7 +22,6 @@ type msg = {
   m_bytes : int;
   m_comm : int;
   m_protocol : protocol;
-  m_arrival : float; (* eager: data arrival; rendezvous: RTS arrival *)
   m_send_req : int;
   mutable m_reserved : bool; (* counted against dst's unexpected buffer *)
 }

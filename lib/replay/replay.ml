@@ -24,6 +24,8 @@ let run ?(net = Mpisim.Netmodel.bluegene_l) ?(hooks = []) ?fault ?max_events
   let nranks = Trace.nranks trace in
   let comm_table = List.filter (fun (id, _) -> id <> 0) (Trace.comms trace) in
   let leaf_id = Trace.leaf_index trace in
+  (* every rank's projection, built in one walk of the trace *)
+  let projections = Trace.projections trace in
   let id_of e =
     match leaf_id e with
     | Some i -> i
@@ -241,7 +243,7 @@ let run ?(net = Mpisim.Netmodel.bluegene_l) ?(hooks = []) ?fault ?max_events
               done)
         nodes
     in
-    walk (Trace.project trace ~rank:r)
+    walk projections.(r)
   in
   let outcome =
     Mpisim.Mpi.run ~hooks ~net ?fault ?max_events ?max_virtual_time ?coll_alg

@@ -626,8 +626,7 @@ let node_of_kind = index_of_kind "nodes:"
    production {!Merge} path.  Compute-time summaries ride on the lowest
    participating rank only ("owner"), so re-merging does not double-count
    timing. *)
-let rank_stream trace ~rank =
-  let nranks = Trace.nranks trace in
+let rank_stream ~nranks ~rank projection =
   Tnode.map_leaves
     (fun (e : Event.t) ->
       let owner = Util.Rank_set.min_elt e.ranks = Some rank in
@@ -642,7 +641,7 @@ let rank_stream trace ~rank =
       if not owner then
         { e' with Event.dtime = Util.Histogram.create (); hcache = 0 }
       else e')
-    (Trace.project trace ~rank)
+    projection
 
 let to_framed trace =
   let buf = Buffer.create 8192 in
@@ -654,8 +653,10 @@ let to_framed trace =
   let manifest = Buffer.create 256 in
   Buffer.add_string manifest
     (Printf.sprintf "events %d" (Trace.event_count trace));
+  let projections = Trace.projections trace in
   for rank = 0 to nranks - 1 do
-    let stream = rank_stream trace ~rank in
+    let stream = rank_stream ~nranks ~rank projections.(rank) in
+    projections.(rank) <- [];
     add_frame buf (Printf.sprintf "rank:%d" rank) (nodes_payload stream);
     Buffer.add_string manifest
       (Printf.sprintf "\nrank %d %d" rank (Tnode.event_count stream))

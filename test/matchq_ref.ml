@@ -46,7 +46,7 @@ module Posted = struct
       msg_matches_posted
         {
           m_src = src; m_dst = -1; m_tag = tag; m_bytes = 0; m_comm = comm;
-          m_protocol = Eager; m_arrival = 0.; m_send_req = -1;
+          m_protocol = Eager; m_send_req = -1;
           m_reserved = false;
         }
         p

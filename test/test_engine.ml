@@ -572,7 +572,7 @@ let queues_agree ops =
             let m =
               {
                 Q.m_src = src; m_dst = 0; m_tag = tag; m_bytes = 8;
-                m_comm = comm; m_protocol = Q.Eager; m_arrival = 0.;
+                m_comm = comm; m_protocol = Q.Eager;
                 m_send_req = id; m_reserved = false;
               }
             in
@@ -689,6 +689,114 @@ let scale_tests =
           ]);
   ]
 
+(* Collectives over declared participant sets: each distinct set on a
+   communicator forms its own instance. *)
+let participant_set_tests =
+  [
+    t "disjoint participant sets on one communicator complete independently"
+      (fun () ->
+        (* The evens and the odds each run two neighbor allgathers over
+           their own declared set.  In the first round rank 0 opens the
+           evens' instance at t=0 but the other evens arrive at 1 ms, after
+           the odds' instance (opened at 0.1 ms) has completed; in the
+           second round the roles swap.  Each set's instance completes on
+           its own members' arrivals. *)
+        let nranks = 8 and late = 1e-3 and early = 1e-4 in
+        let evens = [| 0; 2; 4; 6 |] and odds = [| 1; 3; 5; 7 |] in
+        let first_done = Array.make nranks 0. and second_done = Array.make nranks 0. in
+        let completions = ref [] in
+        let hook =
+          {
+            Hooks.nil with
+            on_collective_complete =
+              (fun ~time:_ ~comm:_ ~name ~participants ->
+                if name = "MPI_Neighbor_allgather" then
+                  completions := Array.to_list participants :: !completions);
+          }
+        in
+        let o =
+          Mpi.run ~hooks:[ hook ] ~nranks (fun ctx ->
+              let even = ctx.rank mod 2 = 0 in
+              let parts = if even then evens else odds in
+              let me = ctx.rank / 2 in
+              let round ~opener ~delay_self ~delay_other done_at =
+                (* the opener enters at once; its set's other members at
+                   [delay_self]; the other set at [delay_other] *)
+                let mine = parts.(0) = opener in
+                Mpi.compute ctx
+                  (if ctx.rank = opener then 0.
+                   else if mine then delay_self
+                   else delay_other);
+                Mpi.neighbor_allgather ~parts ctx
+                  ~neighbors:[| parts.((me + 1) mod 4) |] ~bytes:64;
+                done_at.(ctx.rank) <- Mpi.wtime ctx
+              in
+              round ~opener:0 ~delay_self:late ~delay_other:early first_done;
+              let t1 = Mpi.wtime ctx in
+              (* second round: the odds' set opens first and completes last *)
+              Mpi.compute ctx (2. *. late -. t1);
+              round ~opener:1 ~delay_self:late ~delay_other:early second_done;
+              fin ctx)
+        in
+        Array.iteri
+          (fun r t ->
+            if r mod 2 = 1 then
+              Alcotest.(check bool)
+                (Printf.sprintf "odd rank %d done before the late evens" r)
+                true (t < late)
+            else
+              Alcotest.(check bool)
+                (Printf.sprintf "even rank %d waited for its set" r)
+                true (t >= late))
+          first_done;
+        Array.iteri
+          (fun r t ->
+            if r mod 2 = 0 then
+              Alcotest.(check bool)
+                (Printf.sprintf "even rank %d done before the late odds" r)
+                true (t < 3. *. late)
+            else
+              Alcotest.(check bool)
+                (Printf.sprintf "odd rank %d waited for its set" r)
+                true (t >= 3. *. late))
+          second_done;
+        Alcotest.(check int) "four instances" 4 (List.length !completions);
+        List.iter
+          (fun ps ->
+            let ps = List.sort compare ps in
+            Alcotest.(check bool) "one set per instance" true
+              (ps = Array.to_list evens || ps = Array.to_list odds))
+          !completions;
+        Alcotest.(check bool) "finished" true (o.elapsed >= 3. *. late));
+    t "equal but distinct participant arrays meet in one instance" (fun () ->
+        (* every rank passes its own copy of the same declared set *)
+        let nranks = 6 and set = [| 1; 2; 4 |] in
+        let completions = ref [] in
+        let hook =
+          {
+            Hooks.nil with
+            on_collective_complete =
+              (fun ~time:_ ~comm:_ ~name ~participants ->
+                if name = "MPI_Neighbor_alltoall" then
+                  completions := Array.length participants :: !completions);
+          }
+        in
+        ignore
+          (Mpi.run ~hooks:[ hook ] ~nranks (fun ctx ->
+               (match Array.find_index (fun r -> r = ctx.rank) set with
+               | Some me ->
+                   for _ = 1 to 2 do
+                     Mpi.neighbor_alltoall ~parts:(Array.copy set) ctx
+                       ~neighbors:[| set.((me + 1) mod 3) |]
+                       ~bytes_per_neighbor:32
+                   done
+               | None -> ());
+               fin ctx));
+        Alcotest.(check (list int)) "two instances of three ranks" [ 3; 3 ]
+          !completions);
+  ]
+
 let suite =
   p2p_tests @ coll_tests @ engine_tests @ comm_unit_tests @ differential_tests
   @ queue_oracle_tests @ request_lifetime_tests @ scale_tests
+  @ participant_set_tests

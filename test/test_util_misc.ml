@@ -118,7 +118,63 @@ let pqueue_tests =
         let q = Pqueue.create () in
         for i = 1 to 10 do Pqueue.add q ~time:(float_of_int i) i done;
         Alcotest.(check int) "len" 10 (Pqueue.length q));
+    t "popped values are not reachable from the queue" (fun () ->
+        let q = Pqueue.create () and w = Weak.create 3 in
+        (* the last value out of a queue, and one popped from a deeper heap *)
+        let fill () =
+          let boxed i = Bytes.to_string (Bytes.make 8 (Char.chr (65 + i))) in
+          let a = boxed 0 and b = boxed 1 and c = boxed 2 in
+          Weak.set w 0 (Some a);
+          Weak.set w 1 (Some b);
+          Weak.set w 2 (Some c);
+          Pqueue.add q ~time:1. a;
+          ignore (Pqueue.pop_min q);
+          Pqueue.add q ~time:2. b;
+          Pqueue.add q ~time:3. c;
+          ignore (Pqueue.pop_min q)
+        in
+        fill ();
+        Gc.full_major ();
+        Alcotest.(check bool) "last value out" false (Weak.check w 0);
+        Alcotest.(check bool) "popped from a deeper heap" false (Weak.check w 1);
+        Alcotest.(check bool) "still queued" true (Weak.check w 2);
+        Alcotest.(check int) "one left" 1 (Pqueue.length q));
   ]
+
+(* Pop and add against a model kept as an unordered list of
+   (time, seq, value): the expected pop is its minimum (time, seq). *)
+let pqueue_matches_model ops =
+  let q = Pqueue.create () in
+  let model = ref [] and seq = ref 0 in
+  List.for_all
+    (fun (is_pop, t) ->
+      if is_pop then begin
+        let expected =
+          match !model with
+          | [] -> None
+          | xs ->
+              let ((tm, _, v) as m) =
+                List.fold_left
+                  (fun acc x ->
+                    let (ta, sa, _) = acc and (tx, sx, _) = x in
+                    if (tx, sx) < (ta, sa) then x else acc)
+                  (List.hd xs) (List.tl xs)
+              in
+              model := List.filter (fun x -> x != m) !model;
+              Some (tm, v)
+        in
+        Pqueue.pop q = expected
+      end
+      else begin
+        let tf = float_of_int t in
+        Pqueue.add q ~time:tf !seq;
+        model := (tf, !seq, !seq) :: !model;
+        incr seq;
+        Pqueue.length q = List.length !model
+        && Pqueue.min_time q
+           = List.fold_left (fun m (tm, _, _) -> Float.min m tm) infinity !model
+      end)
+    ops
 
 let pqueue_props =
   List.map (QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| 20260705 |]))
@@ -153,37 +209,17 @@ let pqueue_props =
       QCheck.Test.make ~name:"pqueue interleaved add/pop round-trips"
         ~count:200
         QCheck.(small_list (pair bool (int_range 0 9)))
-        (fun ops ->
-          (* model: a sorted association list with the same (time, seq) key *)
-          let q = Pqueue.create () in
-          let model = ref [] and seq = ref 0 in
-          List.for_all
-            (fun (is_pop, t) ->
-              if is_pop then begin
-                let expected =
-                  match !model with
-                  | [] -> None
-                  | xs ->
-                      let ((tm, _, v) as m) =
-                        List.fold_left
-                          (fun acc x ->
-                            let (ta, sa, _) = acc and (tx, sx, _) = x in
-                            if (tx, sx) < (ta, sa) then x else acc)
-                          (List.hd xs) (List.tl xs)
-                      in
-                      model := List.filter (fun x -> x != m) !model;
-                      Some (tm, v)
-                in
-                Pqueue.pop q = expected
-              end
-              else begin
-                let tf = float_of_int t in
-                Pqueue.add q ~time:tf !seq;
-                model := (tf, !seq, !seq) :: !model;
-                incr seq;
-                Pqueue.length q = List.length !model
-              end)
-            ops);
+        pqueue_matches_model;
+      (* Hundreds of entries over four distinct times: the heap doubles
+         several times (16 -> 512) and almost every sift compares equal
+         times, where only the sequence number keeps pops FIFO. *)
+      QCheck.Test.make ~name:"pqueue long interleavings with ties across growth"
+        ~count:50
+        QCheck.(
+          list_of_size
+            Gen.(int_range 300 1500)
+            (pair (map (fun k -> k = 0) (int_range 0 2)) (int_range 0 3)))
+        pqueue_matches_model;
     ]
 
 let deque_tests =
@@ -230,16 +266,41 @@ let deque_tests =
         List.iter (fun i -> Deque.push_back d i) [ 1; 2 ];
         Deque.clear d;
         Alcotest.(check bool) "empty" true (Deque.is_empty d);
-        Alcotest.(check (option int)) "pop" None (Deque.pop_front d))
+        Alcotest.(check (option int)) "pop" None (Deque.pop_front d));
+    t "removed values are not reachable from the deque" (fun () ->
+        let d = Deque.create ~capacity:2 () and w = Weak.create 4 in
+        (* popped from the front, removed from the middle from either side,
+           and one left in place *)
+        let fill () =
+          let boxed i = Bytes.to_string (Bytes.make 8 (Char.chr (65 + i))) in
+          for i = 0 to 3 do
+            let v = boxed i in
+            Weak.set w i (Some v);
+            Deque.push_back d v
+          done;
+          ignore (Deque.pop_front d);
+          ignore (Deque.remove_at d 2);
+          ignore (Deque.remove_at d 0)
+        in
+        fill ();
+        Gc.full_major ();
+        List.iter
+          (fun i ->
+            Alcotest.(check bool) (Printf.sprintf "value %d gone" i) false
+              (Weak.check w i))
+          [ 0; 1; 3 ];
+        Alcotest.(check bool) "kept value" true (Weak.check w 2);
+        Alcotest.(check int) "one left" 1 (Deque.length d))
   ]
 
 let deque_props =
   List.map (QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| 20260806 |]))
     [
       (* model-based: a Deque behaves exactly like a FIFO list under any
-         interleaving of push/pop/remove_first, including across growth *)
+         interleaving of push/pop/remove_first/remove_at, including across
+         growth *)
       QCheck.Test.make ~name:"deque matches list model" ~count:300
-        QCheck.(list (pair (int_range 0 2) (int_range 0 9)))
+        QCheck.(list (pair (int_range 0 3) (int_range 0 9)))
         (fun ops ->
           let d = Deque.create ~capacity:1 () in
           let model = ref [] in
@@ -257,6 +318,14 @@ let deque_props =
                   | x :: rest ->
                       model := rest;
                       got = Some x)
+              | 3 -> (
+                  match !model with
+                  | [] -> true
+                  | xs ->
+                      let i = v mod List.length xs in
+                      let x = Deque.get d i in
+                      model := List.filteri (fun j _ -> j <> i) xs;
+                      x = List.nth xs i && Deque.remove_at d i = x)
               | _ -> (
                   let pred x = x = v in
                   let got = Deque.remove_first pred d in
