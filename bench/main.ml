@@ -1,9 +1,8 @@
 (* Experiment harness: regenerates every table and figure of the paper.
    Run with no arguments for the full sequence, or name experiments:
 
-     dune exec bench/main.exe                 # everything except micro
-     dune exec bench/main.exe -- fig6 fig7    # a subset
-     dune exec bench/main.exe -- micro        # bechamel micro-benchmarks *)
+     dune exec bench/main.exe                 # everything
+     dune exec bench/main.exe -- fig6 fig7    # a subset *)
 
 let experiments =
   [
@@ -32,12 +31,10 @@ let () =
         "Reproduction harness for 'Automatic Generation of Executable\n\
          Communication Specifications from Parallel Applications'";
       List.iter (fun (name, _, f) -> wall name f) experiments
-  | [ "micro" ] -> Micro.run ()
   | "perf" :: rest -> wall "perf" (Perf.run ~quick:(List.mem "--quick" rest))
   | [ "perf-smoke" ] -> wall "perf-smoke" Perf.smoke
   | [ "list" ] ->
       List.iter (fun (n, d, _) -> Printf.printf "%-12s %s\n" n d) experiments;
-      print_endline "micro        bechamel micro-benchmarks of the pipeline";
       print_endline
         "perf         engine/compressor perf-regression suite -> \
          BENCH_engine.json (add --quick for the smoke-test mode)";
@@ -51,11 +48,9 @@ let () =
   | names ->
       List.iter
         (fun n ->
-          if n = "micro" then Micro.run ()
-          else
-            match List.find_opt (fun (n', _, _) -> n' = n) experiments with
-            | Some (name, _, f) -> wall name f
-            | None ->
-                Printf.eprintf "unknown experiment %S (try 'list')\n" n;
-                exit 1)
+          match List.find_opt (fun (n', _, _) -> n' = n) experiments with
+          | Some (name, _, f) -> wall name f
+          | None ->
+              Printf.eprintf "unknown experiment %S (try 'list')\n" n;
+              exit 1)
         names

@@ -628,10 +628,10 @@ let engine_smoke () =
    untraced, then under the tracer (recording only, no merge); the words
    the tracer adds per simulated event, the difference of the two runs'
    allocated words divided by the run's events, must be at most 40 (it
-   reads 25.6; 23.8 while the untraced run still allocated a closure per
-   hook call site).  An event built with closures, boxed
-   floats and hash tuples, a fresh singleton rank set per call and a copy
-   of every count vector read 86. *)
+   reads 21.9; 25.6 while each timing summary also kept a bucket array).
+   An event built with closures, boxed floats and hash tuples, a fresh
+   singleton rank set per call and a copy of every count vector read
+   86. *)
 let record_smoke () =
   let max_words = 40. and nranks = 64 in
   let app = Option.get (Apps.Registry.find "mg") in

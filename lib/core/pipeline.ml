@@ -50,7 +50,6 @@ type config = {
   fault : Mpisim.Fault.t option;
   max_events : int option;
   max_virtual_time : float option;
-  strategy : Wildcard.strategy option;
   compute_floor_usecs : float option;
   obs : Obs.Sink.t;
   defect : defect option;
@@ -65,7 +64,6 @@ let default =
     fault = None;
     max_events = None;
     max_virtual_time = None;
-    strategy = None;
     compute_floor_usecs = None;
     obs = Obs.Sink.nil;
     defect = None;
@@ -384,7 +382,7 @@ let run cfg source =
                      with this collection, which costs ~80 ms there on a
                      2-vCPU x86 VM. *)
                   if Scalatrace.Trace.has_wildcards trace then Gc.full_major ();
-                  Wildcard.resolve_if_needed ?strategy:cfg.strategy
+                  Wildcard.resolve_if_needed
                     ~on_fallback:(fun msg -> warn (W_wildcard_fallback msg))
                     trace)
         in

@@ -58,8 +58,6 @@ type config = {
   fault : Mpisim.Fault.t option;  (** seeded fault-injection plan *)
   max_events : int option;  (** simulator watchdog budget *)
   max_virtual_time : float option;  (** simulator watchdog budget, seconds *)
-  strategy : Wildcard.strategy option;
-      (** wildcard-resolution strategy (default [`Auto]) *)
   compute_floor_usecs : float option;
       (** drop compute statements shorter than this *)
   obs : Obs.Sink.t;  (** observability sink (default {!Obs.Sink.nil}) *)

@@ -9,8 +9,8 @@
 
 type cursor
 
-(** Cursor at the beginning of a node sequence (normally
-    [Trace.project t ~rank]). *)
+(** Cursor at the beginning of a node sequence (normally one rank's entry
+    of [Trace.projections t]). *)
 val start : Scalatrace.Tnode.t list -> cursor
 
 (** The event under the cursor and the cursor just past it; [None] at the

@@ -563,6 +563,6 @@ let run ?(strategy = `Auto) ?net ?(on_fallback = fun _ -> ()) (trace : Trace.t) 
                  falling back to timed resolution";
               rebuild_resolved trace (timed_resolve ?net trace)))
 
-let resolve_if_needed ?strategy ?net ?on_fallback trace =
-  if Trace.has_wildcards trace then (run ?strategy ?net ?on_fallback trace, true)
+let resolve_if_needed ?net ?on_fallback trace =
+  if Trace.has_wildcards trace then (run ?net ?on_fallback trace, true)
   else (trace, false)

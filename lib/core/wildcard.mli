@@ -75,9 +75,9 @@ val run :
   ?on_fallback:(string -> unit) -> Scalatrace.Trace.t ->
   Scalatrace.Trace.t
 
-(** Run the pass only when the O(r) pre-check finds wildcard receives;
-    returns the trace and whether the pass ran. *)
+(** Run the [`Auto] pass only when the O(r) pre-check finds wildcard
+    receives; returns the trace and whether the pass ran. *)
 val resolve_if_needed :
-  ?strategy:strategy -> ?net:Mpisim.Netmodel.t ->
+  ?net:Mpisim.Netmodel.t ->
   ?on_fallback:(string -> unit) -> Scalatrace.Trace.t ->
   Scalatrace.Trace.t * bool

@@ -4,8 +4,7 @@
     Each instrument is identified by a metric name plus a label set
     (e.g. [("rank", "3")]); labels are sorted internally so the two
     orders of [[("a","1");("b","2")]] address the same instrument.
-    Histograms reuse {!Util.Histogram} (exact count/sum/min/max/mean
-    plus bounded exponential buckets).
+    Histograms reuse {!Util.Histogram} (exact count/sum/min/max/mean).
 
     The dump format is JSONL — one JSON object per line, sorted by
     (name, labels) — so outputs are byte-stable and diffable.

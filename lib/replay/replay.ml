@@ -16,11 +16,8 @@ let uniform_vec ~p ~total =
   let base = total / max 1 p in
   Array.init p (fun i -> if i < p - 1 then base else total - (base * (p - 1)))
 
-type compute_mode = Mean | Draw of int
-
 let run ?(net = Mpisim.Netmodel.bluegene_l) ?(hooks = []) ?fault ?max_events
-    ?max_virtual_time ?coll_alg ?obs ?(compute_scale = 1.0) ?(compute = Mean)
-    trace =
+    ?max_virtual_time ?coll_alg ?obs ?(compute_scale = 1.0) trace =
   let nranks = Trace.nranks trace in
   let comm_table = List.filter (fun (id, _) -> id <> 0) (Trace.comms trace) in
   let leaf_id = Trace.leaf_index trace in
@@ -40,11 +37,6 @@ let run ?(net = Mpisim.Netmodel.bluegene_l) ?(hooks = []) ?fault ?max_events
   in
   let program (ctx : Mpisim.Mpi.ctx) =
     let r = ctx.rank in
-    let gap_rng =
-      match compute with
-      | Mean -> None
-      | Draw seed -> Some (Util.Rng.split (Util.Rng.create ~seed) ~index:r)
-    in
     (* recreate the application's communicators deterministically *)
     let comms = Hashtbl.create 8 in
     Hashtbl.replace comms 0 ctx.world;
@@ -91,12 +83,7 @@ let run ?(net = Mpisim.Netmodel.bluegene_l) ?(hooks = []) ?fault ?max_events
       let site = e.site in
       let comm = comm_of e.comm in
       let p = Mpisim.Comm.size comm in
-      let gap =
-        (match gap_rng with
-        | None -> Util.Histogram.mean e.dtime
-        | Some rng -> Util.Histogram.draw e.dtime ~u:(Util.Rng.float rng))
-        *. compute_scale
-      in
+      let gap = Util.Histogram.mean e.dtime *. compute_scale in
       if gap > 0. then Mpisim.Mpi.compute ctx gap;
       let peer_world () =
         match Event.peer_of e ~rank:r ~nranks with

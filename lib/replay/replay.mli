@@ -1,12 +1,13 @@
 (** ScalaReplay: execute a compressed trace on the simulator.
 
     Each rank walks its projection of the trace, re-issuing every MPI
-    event with computation gaps reconstructed from the per-RSD timing
-    summaries.  Used for (a) the Section 5.2 semantic comparison between
-    original applications and generated benchmarks, and (b) timed wildcard
-    resolution: replaying a trace that still contains [MPI_ANY_SOURCE]
-    lets the simulator's arrival-order matching decide the senders, and
-    the per-instance matches can be recorded via [on_wildcard]. *)
+    event after a computation gap of its RSD's mean compute time (times
+    [compute_scale]), as the generated benchmarks do.  Used for (a) the
+    Section 5.2 semantic comparison between original applications and
+    generated benchmarks, and (b) timed wildcard resolution: replaying a
+    trace that still contains [MPI_ANY_SOURCE] lets the simulator's
+    arrival-order matching decide the senders, and the per-instance
+    matches come back in [wildcard_matches]. *)
 
 exception Replay_error of string
 
@@ -17,19 +18,11 @@ type result = {
           leaf indices count {!Scalatrace.Tnode.iter_leaves} order *)
 }
 
-(** How computation gaps are reconstructed from the per-RSD timing
-    summaries: the histogram mean for every instance (deterministic,
-    total-time preserving — the default and what generated benchmarks do),
-    or per-instance draws from the histogram's distribution, seeded (adds
-    back the variability that summarization flattens). *)
-type compute_mode = Mean | Draw of int
-
 (** [run trace] — replay and return the outcome.
 
     @param net network model (default bluegene_l)
     @param hooks extra interposition clients
     @param compute_scale multiply reconstructed compute gaps (default 1.0)
-    @param compute reconstruction mode (default [Mean])
     @param fault seeded fault-injection plan forwarded to the simulator
     @param max_events / max_virtual_time watchdog budgets forwarded to the
       simulator (a wedged replay raises {!Mpisim.Engine.Stalled})
@@ -45,6 +38,5 @@ val run :
   ?coll_alg:Mpisim.Coll_alg.t ->
   ?obs:Obs.Sink.t ->
   ?compute_scale:float ->
-  ?compute:compute_mode ->
   Scalatrace.Trace.t ->
   result

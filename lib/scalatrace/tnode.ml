@@ -64,17 +64,6 @@ let rec event_count_for_node ~rank = function
 let event_count_for nodes ~rank =
   List.fold_left (fun acc n -> acc + event_count_for_node ~rank n) 0 nodes
 
-let rec project nodes ~rank =
-  List.filter_map
-    (fun n ->
-      match n with
-      | Leaf e -> if Util.Rank_set.mem rank e.Event.ranks then Some n else None
-      | Loop { count; body; _ } -> (
-          match project body ~rank with
-          | [] -> None
-          | body -> Some (loop ~count body)))
-    nodes
-
 (* One walk for every rank.  [top.(r)] is the innermost frame rank r has
    open: its projected nodes so far.  A rank opens a frame for a loop
    when its first leaf inside the loop is seen, saving the enclosing

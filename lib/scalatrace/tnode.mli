@@ -58,15 +58,12 @@ val event_count : t list -> int
     membership). *)
 val event_count_for : t list -> rank:int -> int
 
-(** [project nodes ~rank] — the subsequence visible to [rank]: nodes whose
-    participant set contains it, loop bodies filtered recursively, empty
-    loops dropped. *)
-val project : t list -> rank:int -> t list
-
-(** [projections nodes ~nranks] is [[| project nodes ~rank:0; ...;
-    project nodes ~rank:(nranks - 1) |]], node for node and with the same
-    physical leaves, built in one walk: it costs the total size of the
-    projections instead of [nranks] walks of [nodes]. *)
+(** [projections nodes ~nranks] is every rank's projection of [nodes],
+    indexed by rank: the subsequence visible to the rank (leaves whose
+    participant set contains it, loop bodies filtered recursively, loops
+    left empty dropped), sharing the physical leaves of [nodes].  It is
+    built in one walk, so it costs the total size of the projections
+    instead of [nranks] walks of [nodes]. *)
 val projections : t list -> nranks:int -> t list array
 
 (** [iter_leaves f nodes] visits every leaf (without expanding loop

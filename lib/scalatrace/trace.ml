@@ -18,7 +18,6 @@ let with_nodes t nodes = { t with nodes }
 let rsd_count t = Tnode.rsd_count t.nodes
 let event_count t = Tnode.event_count t.nodes
 
-let project t ~rank = Tnode.project t.nodes ~rank
 let projections t = Tnode.projections t.nodes ~nranks:t.nranks
 
 (* Buckets keyed by [Event.hash], each holding (event, id) pairs newest

@@ -31,10 +31,8 @@ val event_count : t -> int
     used by the scaling experiments. *)
 val text_size : t -> int
 
-(** [project t ~rank] — the event-node sequence rank [rank] executes. *)
-val project : t -> rank:int -> Tnode.t list
-
-(** Every rank's {!project}, indexed by rank, in one walk of the trace
+(** Every rank's projection, indexed by rank: the event-node sequence
+    each rank executes, built in one walk of the trace
     ({!Tnode.projections}). *)
 val projections : t -> Tnode.t list array
 

@@ -7,9 +7,8 @@
     ScalaTrace's trace files, which is what gets handed to the benchmark
     generator in the paper's workflow (Figure 1).  The format stores the
     full RSD/PRSD structure, communicator table, peers, sizes, tags, and
-    the timing summaries (count/sum/min/max/first of each histogram; the
-    bucket detail is dropped, which only affects quantile reconstruction,
-    not the means that drive generation and replay).
+    the timing summaries (the count/sum/min/max/first of each
+    {!Util.Histogram}, which is all a summary holds).
 
     {b v2} ({!to_framed}) — a framed container wrapping the same line
     vocabulary: length-prefixed sections (header / communicator table /
@@ -30,11 +29,13 @@
     frame, which is what the {!Salvage} loader exploits.
 
     [of_text (to_text t)], [of_framed (to_framed t)] and
-    [of_string (to_string t)] yield traces whose structure, projections,
-    and timing means equal [t]'s.  Every strict reader also checks that
-    each event fits its own header: participants in [0, nranks) and
-    inside a communicator of the table, and concrete peers ([P_abs],
-    [P_map]) members of that communicator. *)
+    [of_string (to_string t)] yield traces whose structure, projections
+    and timing summaries (the whole summary of every leaf) equal [t]'s.
+    Every strict reader also checks that each event fits its own header:
+    participants in [0, nranks) and inside a communicator of the table,
+    and concrete peers ([P_abs], [P_map]) members of that communicator,
+    and that each timing summary is one some samples could produce
+    ({!Util.Histogram.of_stats}). *)
 
 exception Format_error of string
 (** Parse failure; the message includes the offending line number (and

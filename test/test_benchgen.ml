@@ -52,11 +52,13 @@ let align_tests =
         in
         let trace, _ = Tracer.trace_run ~nranks:4 prog in
         let aligned = Benchgen.Align.run trace in
+        let before = Trace.projections trace
+        and after = Trace.projections aligned in
         for r = 0 to 3 do
           Alcotest.(check int)
             (Printf.sprintf "rank %d" r)
-            (Tnode.event_count_for (Trace.project trace ~rank:r) ~rank:r)
-            (Tnode.event_count_for (Trace.project aligned ~rank:r) ~rank:r)
+            (Tnode.event_count_for before.(r) ~rank:r)
+            (Tnode.event_count_for after.(r) ~rank:r)
         done);
     t "aligns collectives on subcommunicators" (fun () ->
         let prog (ctx : Mpi.ctx) =
@@ -161,7 +163,7 @@ let wildcard_tests =
               | _ -> ());
               walk after
         in
-        walk (Benchgen.Traversal.start (Trace.project resolved ~rank:0));
+        walk (Benchgen.Traversal.start (Project_ref.of_trace resolved ~rank:0));
         List.iter
           (fun src ->
             Alcotest.(check int)
@@ -244,7 +246,7 @@ let wildcard_tests =
                  then incr n);
                 walk after
           in
-          walk (Benchgen.Traversal.start (Trace.project resolved ~rank:0));
+          walk (Benchgen.Traversal.start (Project_ref.of_trace resolved ~rank:0));
           !n
         in
         Alcotest.(check int) "from 1" 4 (count 1);

@@ -167,8 +167,8 @@ let pair_props =
       QCheck.Test.make ~name:"absorb agrees with the oracle" ~count:1000 arb_pair
         absorb_agrees ]
 
-(* [projections] must be [project] for every rank: the same node shapes
-   and the very same leaf nodes. *)
+(* [projections] must be the oracle's [project] for every rank: the same
+   node shapes and the very same leaf nodes. *)
 let rec same_node a b =
   match (a, b) with
   | Tnode.Leaf _, Tnode.Leaf _ -> a == b
@@ -183,7 +183,7 @@ let check_projections ~what trace =
   Alcotest.(check int) (what ^ ": one per rank") (Trace.nranks trace) (Array.length all);
   Array.iteri
     (fun rank got ->
-      let want = Trace.project trace ~rank in
+      let want = Project_ref.of_trace trace ~rank in
       Alcotest.(check bool)
         (Printf.sprintf "%s rank %d" what rank)
         true

@@ -340,11 +340,9 @@ let checked_tests =
               (List.mem Pipeline.W_wildcard_resolved warnings));
     t "generate_checked: Figure 5 comes back as a typed error" (fun () ->
         let trace, _ = Scalatrace.Tracer.trace_run ~nranks:3 figure5 in
-        match
-          Pipeline.run
-            { Pipeline.default with strategy = Some `Traversal }
-            (Pipeline.From_trace trace)
-        with
+        (* the default [`Auto] resolution re-raises the traversal's
+           potential deadlock *)
+        match Pipeline.run Pipeline.default (Pipeline.From_trace trace) with
         | Ok _ -> Alcotest.fail "expected E_potential_deadlock"
         | Error (Pipeline.E_potential_deadlock _) -> ()
         | Error e -> Alcotest.fail (Pipeline.error_to_string e));

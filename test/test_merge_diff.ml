@@ -74,10 +74,11 @@ let gen_props =
             (Mpisim.Mpi.run ~hooks:[ Tracer.hook tr ] ~nranks
                (Check.Gen.to_app prog));
           let merged = Tracer.finish tr and locals = Tracer.local_traces tr in
+          let projections = Trace.projections merged in
           List.for_all
             (fun r ->
               Tnode.event_count locals.(r)
-              = Tnode.event_count_for (Trace.project merged ~rank:r) ~rank:r)
+              = Tnode.event_count_for projections.(r) ~rank:r)
             (List.init nranks Fun.id));
     ]
 

@@ -21,7 +21,7 @@ let seq_sig trace rank =
           :: !out;
         go after
   in
-  go (Benchgen.Traversal.start (Trace.project trace ~rank));
+  go (Benchgen.Traversal.start (Project_ref.of_trace trace ~rank));
   List.rev !out
 
 let roundtrip_equal a b =

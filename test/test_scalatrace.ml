@@ -257,8 +257,9 @@ let tracer_tests =
         Alcotest.(check bool) "P_rel" true !found);
     t "projection covers every rank exactly" (fun () ->
         let trace, _ = Tracer.trace_run ~nranks:8 (ring 50) in
+        let projections = Trace.projections trace in
         for r = 0 to 7 do
-          let events = Tnode.event_count_for (Trace.project trace ~rank:r) ~rank:r in
+          let events = Tnode.event_count_for projections.(r) ~rank:r in
           Alcotest.(check int) (Printf.sprintf "rank %d" r) ((3 * 50) + 1) events
         done);
     t "compute time lands in dtime histograms" (fun () ->
@@ -317,7 +318,8 @@ let tracer_tests =
         in
         let trace, _ = Tracer.trace_run ~nranks:6 pipeline in
         (* every rank's projection must keep its own event count *)
-        let events r = Tnode.event_count_for (Trace.project trace ~rank:r) ~rank:r in
+        let projections = Trace.projections trace in
+        let events r = Tnode.event_count_for projections.(r) ~rank:r in
         Alcotest.(check int) "head" (5 + 1) (events 0);
         Alcotest.(check int) "interior" (10 + 1) (events 3);
         Alcotest.(check int) "tail" (5 + 1) (events 5));
@@ -353,10 +355,11 @@ let projection_props =
           ignore (Mpi.run ~hooks:[ Tracer.hook tracer ] ~nranks:p (app_of_seed seed));
           let locals = Tracer.local_traces tracer in
           let trace = Tracer.finish tracer in
+          let projections = Trace.projections trace in
           Array.for_all
             (fun r ->
               Tnode.event_count locals.(r)
-              = Tnode.event_count_for (Trace.project trace ~rank:r) ~rank:r)
+              = Tnode.event_count_for projections.(r) ~rank:r)
             (Array.init p Fun.id));
     ]
 

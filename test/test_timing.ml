@@ -126,6 +126,10 @@ let golden_tests =
         feq "sum" (0.75 +. 2e-6) e (* finalize on 1 rank: 0 stages *));
   ]
 
+(* A replay's compute gaps are the RSD means, so a replay is a pure
+   function of the trace: it repeats exactly, and a trace saved and
+   loaded back (every summary restored exactly) replays as the trace it
+   was saved from. *)
 let replay_mode_tests =
   [
     t "draw-based replay is deterministic per seed" (fun () ->
@@ -133,18 +137,26 @@ let replay_mode_tests =
         let trace, _ =
           Scalatrace.Tracer.trace_run ~nranks:8 (app.program ~cls:Apps.Params.S ())
         in
-        let a = (Replay.run ~compute:(Replay.Draw 7) trace).outcome.elapsed in
-        let b = (Replay.run ~compute:(Replay.Draw 7) trace).outcome.elapsed in
-        Alcotest.(check (float 0.)) "same seed" a b);
+        let a = (Replay.run trace).outcome.elapsed in
+        let b = (Replay.run trace).outcome.elapsed in
+        Alcotest.(check (float 0.)) "same elapsed" a b);
     t "draw-based replay stays close to mean-based" (fun () ->
         let app = Option.get (Apps.Registry.find "ep") in
         let trace, _ =
           Scalatrace.Tracer.trace_run ~nranks:4 (app.program ~cls:Apps.Params.S ())
         in
-        let mean = (Replay.run trace).outcome.elapsed in
-        let draw = (Replay.run ~compute:(Replay.Draw 1) trace).outcome.elapsed in
-        Alcotest.(check bool) "within 25%" true
-          (Float.abs (draw -. mean) /. mean < 0.25));
+        let path = Filename.temp_file "replay" ".trace" in
+        let loaded =
+          Fun.protect
+            ~finally:(fun () -> Sys.remove path)
+            (fun () ->
+              Scalatrace.Trace_io.save trace ~path;
+              Scalatrace.Trace_io.load ~path)
+        in
+        Alcotest.(check (float 0.))
+          "loaded v3 replays as traced"
+          (Replay.run trace).outcome.elapsed
+          (Replay.run loaded).outcome.elapsed);
   ]
 
 let suite = golden_tests @ replay_mode_tests

@@ -16,7 +16,7 @@ let seq_sig trace rank =
           :: !out;
         go after
   in
-  go (Benchgen.Traversal.start (Trace.project trace ~rank));
+  go (Benchgen.Traversal.start (Project_ref.of_trace trace ~rank));
   List.rev !out
 
 let roundtrip_equal a b =
@@ -99,21 +99,24 @@ let unit_tests =
    field rewritten.  Accepted, such a trace silently loses every COMPUTE
    statement (nan or negative sum, negative count) or emits [COMPUTE FOR
    inf] (infinite sum), so strict loading must refuse it. *)
-let corrupt_dt ~stat ~value text =
-  let rewrite stats =
-    String.split_on_char ';' stats
-    |> List.mapi (fun i x -> if i = stat then value else x)
-    |> String.concat ";"
-  in
+let map_dt f text =
   String.split_on_char '\n' text
   |> List.map (fun line ->
          String.split_on_char ' ' line
          |> List.map (fun field ->
                 if String.starts_with ~prefix:"dt=" field then
-                  "dt=" ^ rewrite (String.sub field 3 (String.length field - 3))
+                  "dt=" ^ f (String.sub field 3 (String.length field - 3))
                 else field)
          |> String.concat " ")
   |> String.concat "\n"
+
+let corrupt_dt ~stat ~value text =
+  map_dt
+    (fun stats ->
+      String.split_on_char ';' stats
+      |> List.mapi (fun i x -> if i = stat then value else x)
+      |> String.concat ";")
+    text
 
 let dt_corruption_tests =
   let ring =
@@ -445,10 +448,61 @@ let rank_list_test =
         check (String.concat "," (List.init (1 + Random.State.int rng 10) interval))
       done)
 
+(* Statistics no summary can have: an empty summary with a nonzero
+   statistic, min above max, a first sample outside [min, max], and a
+   count above 2^53, where a float count stops being exact.  Every dt
+   field of a ring trace is set to one of them, in v1 and in v3 (with
+   fresh frame checksums); strict loading refuses each. *)
+let impossible_dt_test =
+  t "strict loaders reject timing summaries no writer produces" (fun () ->
+      let ring = traced ~wanted:4 "ring" in
+      let v1 dt = map_dt (fun _ -> dt) (Trace_io.to_text ring)
+      and v3 dt =
+        framed
+          (List.map
+             (fun (k, p) -> (k, map_dt (fun _ -> dt) p))
+             (frames_of (Trace_io.to_string ring)))
+      in
+      let consistent = "2;4;1;3;1" in
+      List.iter
+        (fun bytes ->
+          Alcotest.(check int) "consistent dt loads" (Trace.event_count ring)
+            (Trace.event_count (Trace_io.of_string bytes)))
+        [ v1 consistent; v3 consistent ];
+      List.iter
+        (fun dt ->
+          rejects ~what:"bad dt field" (v1 dt);
+          rejects ~what:"bad dt field" (v3 dt))
+        [ "0;5;1;2;3"; "0;0;0;0;1"; "2;1;5;1;0"; "2;4;1;3;9"; "2;4;1;3;0";
+          "9007199254740993;1;0;1;0" ])
+
+(* Each format stores all five statistics of every summary, so each
+   loads back every leaf's summary exactly, in order. *)
+let exact_timing_test =
+  t "every app's timing summaries load back exactly from v1, v2 and v3"
+    (fun () ->
+      let dtimes trace =
+        let acc = ref [] in
+        Tnode.iter_leaves (fun e -> acc := e.Event.dtime :: !acc) (Trace.nodes trace);
+        List.rev !acc
+      in
+      List.iter
+        (fun name ->
+          let trace = traced ~wanted:16 name in
+          List.iter
+            (fun (format, loaded) ->
+              if dtimes loaded <> dtimes trace then
+                Alcotest.failf "%s: %s summaries differ" name format)
+            [ ("v1", Trace_io.of_text (Trace_io.to_text trace));
+              ("v2", Trace_io.of_string (Trace_io.to_framed trace));
+              ("v3", Trace_io.of_string (Trace_io.to_string trace)) ])
+        all_apps)
+
 let suite =
   List.map app_roundtrip [ "bt"; "cg"; "ep"; "ft"; "is"; "lu"; "mg"; "sp"; "sweep3d" ]
   @ unit_tests @ dt_corruption_tests
   @ List.map v3_stable all_apps
   @ List.map v3_generates_as_v2 all_apps
   @ v3_strict_tests @ header_fit_tests
-  @ [ v3_size_test; compat_test; rank_list_test ]
+  @ [ v3_size_test; compat_test; rank_list_test; impossible_dt_test;
+      exact_timing_test ]
