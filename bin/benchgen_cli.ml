@@ -32,13 +32,13 @@ let fail code msg =
   exit code
 
 let code_of_gen_error = function
-  | Benchgen.E_potential_deadlock _ -> exit_potential_deadlock
-  | Benchgen.E_align _ -> exit_align
-  | Benchgen.E_wildcard _ -> exit_mpi
-  | Benchgen.E_trace_format _ -> exit_trace_format
-  | Benchgen.E_io _ -> exit_io
-  | Benchgen.E_codegen _ -> exit_codegen
-  | Benchgen.E_unrecoverable_trace _ -> exit_unrecoverable
+  | Pipeline.E_potential_deadlock _ -> exit_potential_deadlock
+  | Pipeline.E_align _ -> exit_align
+  | Pipeline.E_wildcard _ -> exit_mpi
+  | Pipeline.E_trace_format _ -> exit_trace_format
+  | Pipeline.E_io _ -> exit_io
+  | Pipeline.E_codegen _ -> exit_codegen
+  | Pipeline.E_unrecoverable_trace _ -> exit_unrecoverable
 
 let guarded f =
   try f () with
@@ -64,7 +64,7 @@ let guarded f =
 
 let warn_all warnings =
   List.iter
-    (fun w -> Printf.eprintf "benchgen: warning: %s\n%!" (Benchgen.warning_to_string w))
+    (fun w -> Printf.eprintf "benchgen: warning: %s\n%!" (Pipeline.warning_to_string w))
     warnings
 
 (* ------------------------------------------------------------------ *)
@@ -390,7 +390,7 @@ let generate_from_trace_cmd =
     match
       Pipeline.run { Pipeline.default with recovery } (Pipeline.From_file file)
     with
-    | Error e -> fail (code_of_gen_error e) (Benchgen.error_to_string e)
+    | Error e -> fail (code_of_gen_error e) (Pipeline.error_to_string e)
     | Ok (artifact, warnings) -> (
         warn_all warnings;
         let report = artifact.Pipeline.report in
@@ -503,7 +503,7 @@ let generate_cmd =
     match
       Pipeline.run cfg (Pipeline.From_app { nranks; app = app.program ~cls () })
     with
-    | Error e -> fail (code_of_gen_error e) (Benchgen.error_to_string e)
+    | Error e -> fail (code_of_gen_error e) (Pipeline.error_to_string e)
     | Ok (artifact, warnings) ->
         warn_all warnings;
         let report = artifact.Pipeline.report in
@@ -675,7 +675,7 @@ let compare_cmd =
         Pipeline.run cfg
           (Pipeline.From_app { nranks; app = app.program ~cls () })
       with
-      | Error e -> fail (code_of_gen_error e) (Benchgen.error_to_string e)
+      | Error e -> fail (code_of_gen_error e) (Pipeline.error_to_string e)
       | Ok v -> v
     in
     warn_all warnings;
@@ -763,7 +763,7 @@ let extrapolate_cmd =
         in
         let report =
           match Pipeline.run cfg (Pipeline.From_trace trace) with
-          | Error e -> fail (code_of_gen_error e) (Benchgen.error_to_string e)
+          | Error e -> fail (code_of_gen_error e) (Pipeline.error_to_string e)
           | Ok (artifact, warnings) ->
               warn_all warnings;
               artifact.Pipeline.report

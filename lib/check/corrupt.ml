@@ -9,6 +9,9 @@
 
    - no mutation may crash or hang the loader or the pipeline — every
      outcome is typed (strict load, salvage report, typed [gen_error]);
+   - strict loading and salvage agree: a case strict loading accepts
+     salvages to the same trace with no damage noted, and a case it
+     refuses salvages damaged or not at all;
    - under best-effort recovery, every salvaged trace with at least two
      surviving ranks must still yield a parseable, replayable benchmark.
 
@@ -179,11 +182,23 @@ let surviving_ranks (report : Scalatrace.Salvage.report) =
 
 (* Run one mutated byte string through load → salvage → best-effort
    pipeline → parse → replay, classifying the outcome and returning the
-   contract violation, if any. *)
+   contract violation, if any.  Strict loading and salvage share one
+   reader, so a case strict loading accepts must salvage to the same
+   trace with no damage noted, and a case it refuses must salvage damaged
+   or not at all. *)
 let check_case cfg ~seed ~app ~mutation bytes =
   let violation what = Some { v_seed = seed; v_app = app; v_mutation = mutation; v_what = what } in
   match Scalatrace.Trace_io.of_string bytes with
-  | _trace -> (O_strict_ok, None, false)
+  | strict -> (
+      let v3 = Scalatrace.Trace_io.to_string in
+      match Scalatrace.Salvage.of_string bytes with
+      | Ok (trace, report)
+        when (not (Scalatrace.Salvage.is_degraded report)) && v3 trace = v3 strict ->
+          (O_strict_ok, None, false)
+      | Ok _ | Error _ ->
+          (O_strict_ok, violation "salvage read a file strict loading accepts differently", false)
+      | exception e ->
+          (O_strict_ok, violation ("salvage loader raised " ^ Printexc.to_string e), false))
   | exception Scalatrace.Trace_io.Format_error _ -> (
       match Scalatrace.Salvage.of_string bytes with
       | Error _ -> (O_unrecoverable, None, false)
@@ -191,6 +206,10 @@ let check_case cfg ~seed ~app ~mutation bytes =
           ( O_unrecoverable,
             violation
               ("salvage loader raised " ^ Printexc.to_string e),
+            false )
+      | Ok (_, report) when not (Scalatrace.Salvage.is_degraded report) ->
+          ( O_salvaged_error "no damage noted",
+            violation "salvage found no damage in a file strict loading refuses",
             false )
       | Ok (trace, report) -> (
           let survivors = surviving_ranks report in

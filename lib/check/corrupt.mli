@@ -12,6 +12,10 @@
     - no mutation may crash or hang the loader or the pipeline — every
       outcome must be typed (clean strict load, a {!Scalatrace.Salvage}
       report, or a typed {!Benchgen.Pipeline.gen_error});
+    - strict loading and salvage agree: a case strict loading accepts
+      must salvage to the same v3 bytes with a report that is not
+      degraded, and a case it refuses must salvage degraded or as
+      unrecoverable;
     - under [`Best_effort] recovery, every salvaged trace with at least
       two surviving ranks must still yield a benchmark that parses and
       replays (bounded by a watchdog).

@@ -7,36 +7,6 @@ module Cgen = Cgen
 module Extrap = Extrap
 module Pipeline = Pipeline
 
-type report = Pipeline.report = {
-  program : Conceptual.Ast.program;
-  text : string;
-  aligned : bool;
-  resolved : bool;
-  input_rsds : int;
-  final_rsds : int;
-  statements : int;
-}
-
-type warning = Pipeline.warning =
-  | W_aligned of { input_rsds : int; output_rsds : int }
-  | W_wildcard_resolved
-  | W_wildcard_fallback of string
-  | W_salvaged of Scalatrace.Salvage.report
-  | W_truncated_frontier of { anchors : int; dropped_events : int }
-  | W_missing_participants of { missing : int list; detail : string }
-
-type gen_error = Pipeline.gen_error =
-  | E_potential_deadlock of string
-  | E_align of string
-  | E_wildcard of string
-  | E_trace_format of string
-  | E_io of string
-  | E_codegen of string
-  | E_unrecoverable_trace of string
-
-let warning_to_string = Pipeline.warning_to_string
-let error_to_string = Pipeline.error_to_string
-
 (* ------------------------------------------------------------------ *)
 (* Fidelity under noise: does the generated benchmark still track the
    original application when the machine misbehaves?  Every trial draws
@@ -63,7 +33,7 @@ type noise_report = {
 }
 
 let validate_under_noise ?(net = Mpisim.Netmodel.bluegene_l) ?(trials = 5)
-    ?(base_seed = 1) ?fault ~nranks app (report : report) =
+    ?(base_seed = 1) ?fault ~nranks app (report : Pipeline.report) =
   if trials < 1 then invalid_arg "validate_under_noise: trials must be >= 1";
   let template =
     match fault with

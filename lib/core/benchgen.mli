@@ -5,9 +5,10 @@
     gated by their O(r) pre-checks.
 
     The pipeline lives in {!Pipeline}: one {!Pipeline.config} record, one
-    {!Pipeline.run} entry point, observability built in.  This module
-    re-exports the stages, the pipeline, and its result types, and adds
-    {!validate_under_noise}. *)
+    {!Pipeline.run} entry point, observability built in; its result and
+    diagnostic types are {!Pipeline.report}, {!Pipeline.warning} and
+    {!Pipeline.gen_error}.  This module re-exports the stages and the
+    pipeline, and adds {!validate_under_noise}. *)
 
 (** Re-exported pipeline stages. *)
 
@@ -21,49 +22,6 @@ module Extrap = Extrap
 
 (** The unified entry point. *)
 module Pipeline = Pipeline
-
-(** The result/diagnostic types are {!Pipeline}'s, re-exported with
-    equality so existing constructors keep working. *)
-
-type report = Pipeline.report = {
-  program : Conceptual.Ast.program;
-  text : string;  (** pretty-printed .ncptl source *)
-  aligned : bool;  (** Algorithm 1 ran *)
-  resolved : bool;  (** Algorithm 2 ran *)
-  input_rsds : int;
-  final_rsds : int;  (** RSDs after the rewriting passes *)
-  statements : int;  (** statements in the generated program *)
-}
-
-type warning = Pipeline.warning =
-  | W_aligned of { input_rsds : int; output_rsds : int }
-      (** Algorithm 1 merged partial-participant collectives *)
-  | W_wildcard_resolved  (** Algorithm 2 pinned wildcard receives *)
-  | W_wildcard_fallback of string
-      (** the [`Auto] strategy abandoned the untimed traversal *)
-  | W_salvaged of Scalatrace.Salvage.report
-      (** the trace file was damaged; generation continued from what the
-          salvage loader recovered *)
-  | W_truncated_frontier of { anchors : int; dropped_events : int }
-      (** best-effort recovery cut the benchmark at the last globally
-          consistent collective frontier *)
-  | W_missing_participants of { missing : int list; detail : string }
-      (** a collective could never complete ([detail] is the wait-for
-          graph) *)
-
-type gen_error = Pipeline.gen_error =
-  | E_potential_deadlock of string  (** paper Figure 5: input can hang *)
-  | E_align of string  (** collective misuse in the trace *)
-  | E_wildcard of string  (** malformed point-to-point structure *)
-  | E_trace_format of string  (** unparseable trace file *)
-  | E_io of string  (** file-system failure *)
-  | E_codegen of string  (** code generation rejected the trace *)
-  | E_unrecoverable_trace of string
-      (** the damaged trace kept nothing usable, or recovery policy
-          forbids generating from what remains *)
-
-val warning_to_string : warning -> string
-val error_to_string : gen_error -> string
 
 (** {1 Fidelity under noise}
 
@@ -109,5 +67,5 @@ val validate_under_noise :
   ?fault:Mpisim.Fault.t ->
   nranks:int ->
   (Mpisim.Mpi.ctx -> unit) ->
-  report ->
+  Pipeline.report ->
   noise_report

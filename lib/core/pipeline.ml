@@ -255,30 +255,28 @@ let drop_tail_node trace =
 exception Unrecoverable of string
 
 (* Load a trace file under the configured recovery mode: [`Strict] takes
-   the fast strict parser (any damage is a format error); the tolerant
-   modes fall back to the salvage loader and report what was recovered. *)
+   the strict reader (any damage is a format error); the tolerant modes
+   read the file once with the salvage loader, which shares that reader,
+   and report what was recovered when the file shows damage. *)
 let load_with_recovery cfg ~warn metrics path =
   let text = In_channel.with_open_bin path In_channel.input_all in
   match cfg.recovery with
   | `Strict -> Scalatrace.Trace_io.of_string ~path text
   | `Salvage | `Best_effort -> (
-      match Scalatrace.Trace_io.of_string ~path text with
-      | trace -> trace
-      | exception Scalatrace.Trace_io.Format_error _ -> (
-          match Scalatrace.Salvage.of_string ~path text with
-          | Error msg -> raise (Unrecoverable (path ^ ": " ^ msg))
-          | Ok (trace, report) ->
-              Obs.Metrics.inc metrics ~by:report.frames_dropped
-                "salvage.frames_dropped";
-              Obs.Metrics.inc metrics
-                ~by:(List.length report.ranks_missing)
-                "salvage.ranks_missing";
-              (match Scalatrace.Salvage.events_lost report with
-              | Some n -> Obs.Metrics.inc metrics ~by:n "salvage.events_lost"
-              | None -> ());
-              if Scalatrace.Salvage.is_degraded report then
-                warn (W_salvaged report);
-              trace))
+      match Scalatrace.Salvage.of_string ~path text with
+      | Error msg -> raise (Unrecoverable (path ^ ": " ^ msg))
+      | Ok (trace, report) ->
+          if Scalatrace.Salvage.is_degraded report then begin
+            Obs.Metrics.inc metrics ~by:report.frames_dropped "salvage.frames_dropped";
+            Obs.Metrics.inc metrics
+              ~by:(List.length report.ranks_missing)
+              "salvage.ranks_missing";
+            (match Scalatrace.Salvage.events_lost report with
+            | Some n -> Obs.Metrics.inc metrics ~by:n "salvage.events_lost"
+            | None -> ());
+            warn (W_salvaged report)
+          end;
+          trace)
 
 let acquire cfg ~warn clock metrics source =
   with_span cfg.obs clock "trace" (fun () ->
@@ -382,7 +380,7 @@ let run cfg source =
                      with this collection, which costs ~80 ms there on a
                      2-vCPU x86 VM. *)
                   if Scalatrace.Trace.has_wildcards trace then Gc.full_major ();
-                  Wildcard.resolve_if_needed
+                  Wildcard.resolve_if_needed ?net:cfg.net
                     ~on_fallback:(fun msg -> warn (W_wildcard_fallback msg))
                     trace)
         in

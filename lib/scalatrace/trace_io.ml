@@ -1,18 +1,15 @@
 exception Format_error of string
 
-(* All parse errors go through [fail]: "line N: ..." with an optional
-   source (file path) prefix, so a failure inside a multi-file workflow
+(* Every damage message is "line N: ..." with an optional source (file
+   path, and frame) prefix, so a failure inside a multi-file workflow
    names the offending file, not just the line. *)
+let where ?src line s =
+  match src with
+  | None -> Printf.sprintf "line %d: %s" line s
+  | Some p -> Printf.sprintf "%s: line %d: %s" p line s
+
 let fail ?src line fmt =
-  Printf.ksprintf
-    (fun s ->
-      let where =
-        match src with
-        | None -> Printf.sprintf "line %d" line
-        | Some p -> Printf.sprintf "%s: line %d" p line
-      in
-      raise (Format_error (Printf.sprintf "%s: %s" where s)))
-    fmt
+  Printf.ksprintf (fun s -> raise (Format_error (where ?src line s))) fmt
 
 (* ------------------------------------------------------------------ *)
 (* Writing                                                              *)
@@ -268,84 +265,66 @@ let parse_event ?src lineno rest =
       }
   | [] -> fail ?src lineno "empty event"
 
-(* One step of the node-stream parser: feed a trimmed line into the open
-   loop stack.  Shared by the strict parsers and the salvage loader;
-   [seen] is told the line of every event parsed. *)
-type node_stack = (int * Tnode.t list ref) list ref
+(* The node-stream parser: the loop/event/end lines of a v1 body or of
+   one frame, fed into the open-loop stack.  [header], given for v1,
+   takes that format's nranks/comm lines wherever they stand.  The parse
+   stops at the first malformed line, and a loop still open at the end
+   is dropped whole (its count and body are not trustworthy), so [nodes]
+   is the longest well-formed prefix.  [events] keeps every event parsed
+   with its line, for the header-fit check. *)
+type stream = {
+  nodes : Tnode.t list;  (* completed top-level nodes *)
+  events : (int * Event.t) list;  (* in line order *)
+  error : string option;  (* the malformed line's message *)
+  closed : bool;  (* no loop left open *)
+  last : int;  (* the stream's last line *)
+}
 
-let fresh_stack () : node_stack = ref [ (0, ref []) ]
-
-let stack_push_node (stack : node_stack) n =
-  match !stack with
-  | (_, body) :: _ -> body := n :: !body
-  | [] -> assert false
-
-let node_line_step ?src ?(seen = fun _ _ -> ()) (stack : node_stack) lineno
-    line =
-  match String.index_opt line ' ' with
-  | None when line = "end" -> (
-      match !stack with
-      | (count, body) :: rest when rest <> [] ->
-          stack := rest;
-          stack_push_node stack (Tnode.loop ~count (List.rev !body))
-      | _ -> fail ?src lineno "unmatched end")
-  | None -> fail ?src lineno "cannot parse %S" line
-  | Some sp -> (
-      let word = String.sub line 0 sp in
-      let rest = String.sub line (sp + 1) (String.length line - sp - 1) in
-      match word with
-      | "loop" ->
-          let count =
-            try int_of_string rest with Failure _ -> fail ?src lineno "bad loop count"
-          in
-          stack := (count, ref []) :: !stack
-      | "event" ->
-          let e = parse_event ?src lineno rest in
-          seen lineno e;
-          stack_push_node stack (Tnode.Leaf e)
-      | _ -> fail ?src lineno "unknown directive %S" word)
-
-(* Completed top-level nodes of a (possibly still-open) stack: open loops
-   are dropped wholesale — their counts and bodies are not trustworthy. *)
-let stack_completed (stack : node_stack) =
-  match List.rev !stack with
-  | (_, top) :: _ -> List.rev !top
-  | [] -> []
-
-let stack_closed (stack : node_stack) = match !stack with [ _ ] -> true | _ -> false
-
-(* Strict node-stream parser over [lines]; line numbers are offset by
-   [lineno0] so errors point into the enclosing file. *)
-let parse_nodes ?src ?seen ?(lineno0 = 0) lines =
-  let stack = fresh_stack () in
-  List.iteri
-    (fun i raw ->
-      let line = String.trim raw in
-      if line <> "" then node_line_step ?src ?seen stack (lineno0 + i + 1) line)
-    lines;
-  if not (stack_closed stack) then
-    fail ?src (lineno0 + List.length lines) "unterminated loop at end of input";
-  stack_completed stack
-
-(* Salvage variant: parse the longest well-formed prefix; never raises.
-   Returns the completed nodes, whether the stream was cut short, and the
-   first error (if any). *)
-let parse_nodes_prefix ?(lineno0 = 0) lines =
-  let stack = fresh_stack () in
-  let error = ref None in
-  (try
-     List.iteri
-       (fun i raw ->
-         let line = String.trim raw in
-         if line <> "" then
-           try node_line_step stack (lineno0 + i + 1) line
-           with Format_error msg ->
-             error := Some msg;
-             raise Exit)
-       lines
-   with Exit -> ());
-  let truncated = !error <> None || not (stack_closed stack) in
-  (stack_completed stack, truncated, !error)
+let parse_stream ?src ?(header = fun _ _ _ -> false) ~lineno0 lines =
+  let stack = ref [ (0, ref []) ] and events = ref [] in
+  let push n = match !stack with (_, body) :: _ -> body := n :: !body | [] -> assert false in
+  let step lineno line =
+    match String.index_opt line ' ' with
+    | None when line = "end" -> (
+        match !stack with
+        | (count, body) :: (_ :: _ as outer) ->
+            stack := outer;
+            push (Tnode.loop ~count (List.rev !body))
+        | _ -> fail ?src lineno "unmatched end")
+    | None -> fail ?src lineno "cannot parse %S" line
+    | Some sp -> (
+        let word = String.sub line 0 sp in
+        let rest = String.sub line (sp + 1) (String.length line - sp - 1) in
+        match word with
+        | "loop" ->
+            let count =
+              try int_of_string rest with Failure _ -> fail ?src lineno "bad loop count"
+            in
+            stack := (count, ref []) :: !stack
+        | "event" ->
+            let e = parse_event ?src lineno rest in
+            events := (lineno, e) :: !events;
+            push (Tnode.Leaf e)
+        | _ -> if not (header lineno word rest) then fail ?src lineno "unknown directive %S" word)
+  in
+  let error =
+    match
+      List.iteri
+        (fun i raw ->
+          let line = String.trim raw in
+          if line <> "" then step (lineno0 + i + 1) line)
+        lines
+    with
+    | () -> None
+    | exception Format_error msg -> Some msg
+  in
+  {
+    nodes = (match List.rev !stack with (_, top) :: _ -> List.rev !top | [] -> []);
+    events = List.rev !events;
+    error;
+    closed = (match !stack with [ _ ] -> true | _ -> false);
+    last = lineno0 + List.length lines;
+  }
 
 (* ------------------------------------------------------------------ *)
 (* Events inside their own header                                       *)
@@ -354,15 +333,9 @@ let parse_nodes_prefix ?(lineno0 = 0) lines =
    ranks of the trace and members of a communicator in the table, and a
    concrete peer is a member of that communicator too.  Generation trusts
    all four (a peer outside the world becomes "TO TASK 9" in a 4-task
-   benchmark), so loaders check them once, after assembly.  A
-   comm_split's map holds colours, not ranks, so its peer is exempt. *)
-type comm_table = (int * (Util.Rank_set.t * bool)) list
-
-let comm_table ~nranks comms : comm_table =
-  let world = Util.Rank_set.all nranks in
-  List.map (fun (id, members) -> (id, (members, Util.Rank_set.equal members world))) comms
-
-let event_problem ~nranks (table : comm_table) (e : Event.t) =
+   benchmark), so the readers check every event.  A comm_split's map
+   holds colours, not ranks, so its peer is exempt. *)
+let event_problem ~nranks table (e : Event.t) =
   match (Util.Rank_set.min_elt e.ranks, Util.Rank_set.max_elt e.ranks) with
   | Some lo, Some hi when lo < 0 || hi >= nranks ->
       Some (Printf.sprintf "ranks %s outside [0, %d)" (ranks_to_string e.ranks) nranks)
@@ -389,13 +362,66 @@ let event_problem ~nranks (table : comm_table) (e : Event.t) =
               (fun p -> Printf.sprintf "peer %d outside communicator %d" p e.comm)
               peer)
 
-(* The [seen] hook of the strict parsers. *)
-let check_fit ?src ~nranks table lineno e =
-  match event_problem ~nranks table e with
-  | Some why -> fail ?src lineno "event %s" why
-  | None -> ()
+(* The header-fit check: each event of [events] that does not fit goes
+   to [damage]; returns those misfits, in line order. *)
+let misfits ~damage ~nranks comms =
+  let world = Util.Rank_set.all nranks in
+  let table =
+    List.map (fun (id, members) -> (id, (members, Util.Rank_set.equal members world))) comms
+  in
+  fun ?src events ->
+    List.filter_map
+      (fun (line, e) ->
+        match event_problem ~nranks table e with
+        | None -> None
+        | Some why ->
+            damage (where ?src line ("event " ^ why));
+            Some e)
+      events
 
-(* Per-rank event counts of [nodes] (loops expanded), ranks outside
+(* [nodes] without the leaves in [bad] (physically, and in the order the
+   leaves come in) and without the loops that leaves empty; with how many
+   leaves went.  Misfits inside a loop left open were never in [nodes]. *)
+let drop bad nodes =
+  if bad = [] then (nodes, 0)
+  else
+    let bad = ref bad and gone = ref 0 in
+    let rec filter ns =
+      List.filter_map
+        (fun n ->
+          match n with
+          | Tnode.Leaf e -> (
+              match !bad with
+              | b :: rest when b == e ->
+                  bad := rest;
+                  incr gone;
+                  None
+              | _ -> Some n)
+          | Tnode.Loop { count; body; _ } -> (
+              match filter body with [] -> None | body -> Some (Tnode.loop ~count body)))
+        ns
+    in
+    let nodes = filter nodes in
+    (nodes, !gone)
+
+(* A stream's own damage: the line that stopped its parse, or else the
+   loop it left open. *)
+let stream_damage ~damage ~open_loop p =
+  match p.error with
+  | Some msg -> damage msg
+  | None -> if not p.closed then damage (open_loop ())
+
+(* One frame's node stream, its damage reported in line order: the
+   events that do not fit the header come before the line that stopped
+   the parse, and a loop left open comes last.  The nodes come back
+   without the misfits, with how many went. *)
+let frame_stream ~damage ?src ~fit p =
+  let bad = fit ?src p.events in
+  stream_damage ~damage p ~open_loop:(fun () ->
+      where ?src p.last "unterminated loop at end of input");
+  drop bad p.nodes
+
+(* Per-rank events of [nodes] (loops expanded), ranks outside
    [0, nranks) ignored: one pass over the leaves' intervals. *)
 let rank_event_counts ~nranks nodes =
   let counts = Array.make nranks 0 in
@@ -417,63 +443,6 @@ let rank_event_counts ~nranks nodes =
   in
   List.iter (go 1) nodes;
   counts
-
-let of_text ?path text =
-  let src = path in
-  let lines = String.split_on_char '\n' text in
-  let nranks = ref 0 in
-  let comms = ref [] in
-  let events = ref [] in
-  let seen lineno e = events := (lineno, e) :: !events in
-  let stack = fresh_stack () in
-  List.iteri
-    (fun i raw ->
-      let lineno = i + 1 in
-      let line = String.trim raw in
-      if line = "" then ()
-      else if lineno = 1 then begin
-        if line <> "scalatrace-trace 1" then
-          fail ?src lineno "not a scalatrace trace (bad magic %S)" line
-      end
-      else
-        match String.index_opt line ' ' with
-        | Some sp
-          when (let w = String.sub line 0 sp in w = "nranks" || w = "comm") -> (
-            let word = String.sub line 0 sp in
-            let rest = String.sub line (sp + 1) (String.length line - sp - 1) in
-            match word with
-            | "nranks" -> (
-                try nranks := int_of_string rest
-                with Failure _ -> fail ?src lineno "bad nranks")
-            | _ -> (
-                match String.split_on_char ' ' rest with
-                | [ id; members ] -> (
-                    try
-                      comms :=
-                        (int_of_string id, ranks_of_string ?src lineno members)
-                        :: !comms
-                    with Failure _ -> fail ?src lineno "bad comm id")
-                | _ -> fail ?src lineno "bad comm line"))
-        | _ -> node_line_step ?src ~seen stack lineno line)
-    lines;
-  if not (stack_closed stack) then
-    raise
-      (Format_error
-         (match src with
-         | None -> "unterminated loop at end of input"
-         | Some p -> p ^ ": unterminated loop at end of input"));
-  if !nranks <= 0 then
-    raise
-      (Format_error
-         (match src with
-         | None -> "missing or invalid nranks"
-         | Some p -> p ^ ": missing or invalid nranks"));
-  let comms = List.rev !comms in
-  let table = comm_table ~nranks:!nranks comms in
-  List.iter
-    (fun (lineno, e) -> check_fit ?src ~nranks:!nranks table lineno e)
-    (List.rev !events);
-  Trace.make ~nranks:!nranks ~comms ~nodes:(stack_completed stack)
 
 (* ------------------------------------------------------------------ *)
 (* Framed containers                                                    *)
@@ -537,53 +506,103 @@ let comms_payload trace =
        (fun (id, members) -> Printf.sprintf "comm %d %s" id (ranks_to_string members))
        (Trace.comms trace))
 
-let payload_lines payload =
-  if String.trim payload = "" then [] else String.split_on_char '\n' payload
-
 (* "frame nodes:3" in error messages, after the file path if any. *)
 let in_frame ?src kind =
   Some (match src with None -> "frame " ^ kind | Some p -> p ^ ": frame " ^ kind)
 
-(* Exact (strict) frame scan: any malformation raises.  Returns each
-   frame's kind, payload, and the file line its payload starts on. *)
-let scan_frames_strict ?src text =
-  let n = String.length text in
-  let line_end pos = match String.index_from_opt text pos '\n' with
-    | Some i -> i
-    | None -> n
-  in
-  let lineno = ref 2 in
-  let pos = ref (line_end 0 + 1) in
-  let frames = ref [] in
-  let finished = ref false in
-  while not !finished do
-    if !pos >= n then fail ?src !lineno "missing end frame";
-    let e = line_end !pos in
-    let header = String.sub text !pos (e - !pos) in
-    (match String.split_on_char ' ' header with
-    | [ "frame"; "end"; "0"; _ ] ->
-        finished := true;
-        pos := e + 1
-    | [ "frame"; kind; len_s; crc_s ] -> (
-        match (int_of_string_opt len_s, Util.Crc32.of_hex crc_s) with
-        | Some len, Some crc when len >= 0 && e + 1 + len <= n ->
-            let payload = String.sub text (e + 1) len in
-            if Util.Crc32.string payload <> crc then
-              fail ?src !lineno "frame %s: checksum mismatch" kind;
-            if e + 1 + len < n && text.[e + 1 + len] <> '\n' then
-              fail ?src !lineno "frame %s: missing separator" kind;
-            frames := (kind, payload, !lineno + 1) :: !frames;
-            let newlines = ref 0 in
-            String.iter (fun c -> if c = '\n' then incr newlines) payload;
-            lineno := !lineno + 2 + !newlines;
-            pos := e + 1 + len + 1
-        | Some _, Some _ -> fail ?src !lineno "frame %s: truncated payload" kind
-        | _ -> fail ?src !lineno "bad frame header %S" header)
-    | _ -> fail ?src !lineno "bad frame header %S" header)
-  done;
-  List.rev !frames
+(* A frame's node stream; its payload starts on file line [line]. *)
+let parse_frame ?src ~line payload =
+  parse_stream ?src ~lineno0:(line - 1)
+    (if String.trim payload = "" then [] else String.split_on_char '\n' payload)
 
-let parse_header_payload ?src ?(line = 1) payload =
+type scan = {
+  frames : (string * string * int) list;
+      (* intact frames in file order: kind, payload, the line it starts on *)
+  seen : int;
+  dropped : int;  (* checksum failures, garbled headers, a missing end *)
+  terminated : bool;
+}
+
+(* The frame scanner.  Each frame whose header parses and whose checksum
+   verifies is kept.  At damage it goes on where it can: past a payload
+   whose length it trusts, else from the next line that starts with
+   "frame ".  A missing end-of-trace frame counts as one dropped frame:
+   the file was cut even if every frame before the cut is intact. *)
+let scan_frames ~damage ?src text =
+  let n = String.length text in
+  let line_end pos = match String.index_from_opt text pos '\n' with Some i -> i | None -> n in
+  let is_header p = n - p >= 6 && String.sub text p 6 = "frame " in
+  let newlines a b =
+    let k = ref 0 in
+    for i = a to b - 1 do
+      if String.unsafe_get text i = '\n' then incr k
+    done;
+    !k
+  in
+  let frames = ref [] and seen = ref 0 and dropped = ref 0 in
+  let lineno = ref 2 and pos = ref (line_end 0 + 1) in
+  let terminated = ref false and finished = ref false in
+  while not !finished do
+    if !pos >= n then finished := true
+    else
+      let e = line_end !pos in
+      let header = String.sub text !pos (e - !pos) in
+      let bad fmt = Printf.ksprintf (fun s -> damage (where ?src !lineno s)) fmt in
+      let skip_line () =
+        incr dropped;
+        incr lineno;
+        pos := e + 1
+      in
+      if not (String.starts_with ~prefix:"frame " header) then begin
+        bad "bad frame header %S" header;
+        let rec resync p = if p >= n || is_header p then p else resync (line_end p + 1) in
+        let p = resync (e + 1) in
+        lineno := !lineno + 1 + newlines (e + 1) (min p n);
+        pos := p
+      end
+      else
+        match String.split_on_char ' ' header with
+        | [ "frame"; "end"; "0"; _ ] ->
+            terminated := true;
+            finished := true
+        | [ "frame"; kind; len_s; crc_s ] -> (
+            incr seen;
+            match (int_of_string_opt len_s, Util.Crc32.of_hex crc_s) with
+            | Some len, Some crc when len >= 0 && e + 1 + len <= n ->
+                let payload = String.sub text (e + 1) len in
+                if Util.Crc32.string payload <> crc then begin
+                  bad "frame %s: checksum mismatch" kind;
+                  incr dropped
+                end
+                else begin
+                  if e + 1 + len < n && text.[e + 1 + len] <> '\n' then
+                    bad "frame %s: missing separator" kind;
+                  frames := (kind, payload, !lineno + 1) :: !frames
+                end;
+                lineno := !lineno + 2 + newlines (e + 1) (e + 1 + len);
+                pos := e + 1 + len + 1
+            | Some len, Some _ ->
+                bad "frame %s: truncated payload" kind;
+                if len >= 0 then begin
+                  incr dropped;
+                  finished := true
+                end
+                else skip_line ()
+            | _ ->
+                bad "bad frame header %S" header;
+                skip_line ())
+        | _ ->
+            bad "bad frame header %S" header;
+            skip_line ()
+  done;
+  if not !terminated then begin
+    damage (where ?src !lineno "missing end frame");
+    incr seen;
+    incr dropped
+  end;
+  { frames = List.rev !frames; seen = !seen; dropped = !dropped; terminated = !terminated }
+
+let parse_header_payload ?src ~line payload =
   match String.split_on_char ' ' (String.trim payload) with
   | [ "nranks"; v ] -> (
       match int_of_string_opt v with
@@ -591,7 +610,7 @@ let parse_header_payload ?src ?(line = 1) payload =
       | _ -> fail ?src line "bad nranks in header frame")
   | _ -> fail ?src line "bad header frame"
 
-let parse_comms_payload ?src ?(line = 1) payload =
+let parse_comms_payload ?src ~line payload =
   List.filter_map
     (fun raw ->
       let line' = String.trim raw in
@@ -607,14 +626,14 @@ let parse_comms_payload ?src ?(line = 1) payload =
 
 let parse_ranks ?src s = ranks_of_string ?src 0 s
 
+(* The index of a "rank:3" or "nodes:3" frame kind. *)
 let index_of_kind prefix kind =
   let k = String.length prefix in
   if String.starts_with ~prefix kind then
-    int_of_string_opt (String.sub kind k (String.length kind - k))
+    match int_of_string_opt (String.sub kind k (String.length kind - k)) with
+    | Some i when i >= 0 -> Some i
+    | _ -> None
   else None
-
-let rank_of_kind = index_of_kind "rank:"
-let node_of_kind = index_of_kind "nodes:"
 
 (* ------------------------------------------------------------------ *)
 (* Format v2: one singleton projection per rank                         *)
@@ -665,6 +684,7 @@ let to_framed trace =
   Buffer.add_string buf end_marker;
   Buffer.contents buf
 
+(* Lenient: the total (if present) and the per-rank counts it could read. *)
 let parse_timing_payload payload =
   let events = ref None and per_rank = ref [] in
   List.iter
@@ -679,57 +699,6 @@ let parse_timing_payload payload =
       | _ -> ())
     (String.split_on_char '\n' payload);
   (!events, List.rev !per_rank)
-
-let assemble ~nranks ~comms streams = Merge.merge ~nranks ~comms streams
-
-let of_framed ?path text =
-  let src = path in
-  if framed_version text <> Some 2 then
-    fail ?src 1 "not a framed scalatrace trace (bad magic)";
-  let frames = scan_frames_strict ?src text in
-  let find kind =
-    List.find_map (fun (k, p, line) -> if k = kind then Some (p, line) else None) frames
-  in
-  let nranks =
-    match find "header" with
-    | Some (p, line) -> parse_header_payload ?src ~line p
-    | None -> fail ?src 1 "missing header frame"
-  in
-  let comms =
-    match find "comms" with
-    | Some (p, line) -> parse_comms_payload ?src ~line p
-    | None -> fail ?src 1 "missing comms frame"
-  in
-  let table = comm_table ~nranks comms in
-  let streams =
-    Array.init nranks (fun r ->
-        let kind = Printf.sprintf "rank:%d" r in
-        match find kind with
-        | Some (payload, line) ->
-            let src = in_frame ?src kind in
-            parse_nodes ?src ~seen:(check_fit ?src ~nranks table) ~lineno0:(line - 1)
-              (payload_lines payload)
-        | None -> fail ?src 1 "missing frame for rank %d" r)
-  in
-  let trace = assemble ~nranks ~comms streams in
-  (match find "timing" with
-  | None -> fail ?src 1 "missing timing frame"
-  | Some (p, line) ->
-      let events, per_rank = parse_timing_payload p in
-      (match events with
-      | Some expect when expect <> Trace.event_count trace ->
-          fail ?src line "event-count manifest mismatch (%d recorded, %d loaded)"
-            expect (Trace.event_count trace)
-      | _ -> ());
-      let counts = rank_event_counts ~nranks (Trace.nodes trace) in
-      List.iter
-        (fun (r, expect) ->
-          if r >= 0 && r < nranks && counts.(r) <> expect then
-            fail ?src line
-              "rank %d event-count manifest mismatch (%d recorded, %d loaded)"
-              r expect counts.(r))
-        per_rank);
-  trace
 
 (* ------------------------------------------------------------------ *)
 (* Format v3: the merged trace, one frame per top-level node            *)
@@ -763,7 +732,7 @@ let manifest_payload ~nranks nodes =
              c)
          !order)
 
-let parse_manifest_payload ?src ?(line = 1) payload =
+let parse_manifest_payload ?src ~line payload =
   let events = ref None and nodes = ref None and groups = ref [] in
   List.iter
     (fun raw ->
@@ -787,7 +756,7 @@ let parse_manifest_payload ?src ?(line = 1) payload =
 (* The manifest's per-rank counts, one slot per rank of [0, nranks);
    [None] marks a rank no group lists.
    @raise Format_error when a group names a rank twice or out of range. *)
-let manifest_counts ?src ?(line = 1) ~nranks m =
+let manifest_counts ?src ~line ~nranks m =
   let counts = Array.make nranks None in
   List.iter
     (fun (set, c) ->
@@ -817,75 +786,360 @@ let to_string trace =
   Buffer.add_string buf end_marker;
   Buffer.contents buf
 
-(* Strict v3 parse: the frames must come exactly as written — header,
-   comms, manifest, then nodes:0 .. nodes:(k-1) with k from the manifest,
-   each holding one top-level node — and the loaded trace must match the
-   manifest rank by rank.  No per-rank streams and no re-merge. *)
-let of_v3 ?path text =
-  let src = path in
-  let frames = scan_frames_strict ?src text in
-  let take kind = function
-    | (k, payload, line) :: rest when k = kind -> (payload, line, rest)
-    | (k, _, line) :: _ -> fail ?src (line - 1) "expected frame %s, found %s" kind k
-    | [] -> fail ?src 2 "missing %s frame" kind
+(* ------------------------------------------------------------------ *)
+(* One reader per format                                                *)
+
+(* Each reader hands every piece of damage to [damage], with the message
+   strict loading raises.  Strict loading's handler raises it; when the
+   handler returns (salvage), the reader recovers by the format's rule
+   and goes on, so both read a file with the same code.  [damaged] tells
+   whether [damage] has been called: a manifest is only checked against
+   an intact read, since after damage it can only measure the losses. *)
+
+type recovered = {
+  trace : Trace.t;
+  version : int;
+  frames_seen : int;
+  frames_dropped : int;
+  ranks_missing : int list;
+  ranks : (int * int option * bool) list;
+}
+
+(* Damage that leaves nothing to recover from. *)
+exception Unrecoverable of string
+
+let fatal ~damage msg why =
+  damage msg;
+  raise (Unrecoverable why)
+
+let attempt ~damage f =
+  match f () with
+  | v -> Some v
+  | exception Format_error msg ->
+      damage msg;
+      None
+
+let world nranks = [ (0, Util.Rank_set.all nranks) ]
+
+(* v1: the magic on line 1, then nranks/comm lines and the node stream.
+   Recovery keeps the longest good prefix. *)
+let read_v1 ~damage ~damaged ?src text =
+  let first, body =
+    match String.split_on_char '\n' text with
+    | l :: rest -> (String.trim l, rest)
+    | [] -> ("", [])
   in
-  let header, hline, frames = take "header" frames in
-  let nranks = parse_header_payload ?src:(in_frame ?src "header") ~line:hline header in
-  let comms, cline, frames = take "comms" frames in
-  let comms = parse_comms_payload ?src:(in_frame ?src "comms") ~line:cline comms in
-  let manifest, mline, frames = take "manifest" frames in
-  let msrc = in_frame ?src "manifest" in
-  let m = parse_manifest_payload ?src:msrc ~line:mline manifest in
-  let expect = manifest_counts ?src:msrc ~line:mline ~nranks m in
-  let table = comm_table ~nranks comms in
-  let rec nodes i acc = function
-    | [] ->
-        if i < m.m_nodes then fail ?src 2 "missing node frame nodes:%d" i;
-        List.rev acc
-    | (kind, payload, line) :: rest -> (
-        match node_of_kind kind with
-        | None -> fail ?src (line - 1) "unexpected frame %s" kind
-        | Some j when j < i -> fail ?src (line - 1) "duplicate node frame %s" kind
-        | Some j when j > i ->
-            if List.exists (fun (k, _, _) -> node_of_kind k = Some i) rest then
-              fail ?src (line - 1) "node frame %s out of order (expected nodes:%d)" kind i
-            else fail ?src (line - 1) "missing node frame nodes:%d" i
-        | Some _ ->
-            if i >= m.m_nodes then
-              fail ?src (line - 1) "node frame %s beyond the manifest's %d" kind
-                m.m_nodes;
+  if first <> magic_v1 then
+    fatal ~damage
+      (where ?src 1 (Printf.sprintf "not a scalatrace trace (bad magic %S)" first))
+      "no recognizable trace magic";
+  let nranks = ref 0 and comms = ref [] in
+  let header lineno word rest =
+    match word with
+    | "nranks" ->
+        (nranks := try int_of_string rest with Failure _ -> fail ?src lineno "bad nranks");
+        true
+    | "comm" -> (
+        match String.split_on_char ' ' rest with
+        | [ id; members ] ->
+            let members = ranks_of_string ?src lineno members in
+            let id = try int_of_string id with Failure _ -> fail ?src lineno "bad comm id" in
+            comms := (id, members) :: !comms;
+            true
+        | _ -> fail ?src lineno "bad comm line")
+    | _ -> false
+  in
+  let p = parse_stream ?src ~header ~lineno0:1 body in
+  let whole_file msg = match src with None -> msg | Some s -> s ^ ": " ^ msg in
+  stream_damage ~damage p ~open_loop:(fun () ->
+      whole_file "unterminated loop at end of input");
+  if !nranks <= 0 then
+    fatal ~damage (whole_file "missing or invalid nranks") "v1 trace lost its nranks line";
+  let nranks = !nranks and comms = List.rev !comms in
+  let nodes, _ = drop (misfits ~damage ~nranks comms ?src p.events) p.nodes in
+  let got = rank_event_counts ~nranks nodes in
+  let intact = not !damaged in
+  {
+    trace = Trace.make ~nranks ~comms ~nodes;
+    version = 1;
+    frames_seen = 0;
+    frames_dropped = 0;
+    ranks_missing = [];
+    ranks =
+      List.init nranks (fun r -> (got.(r), (if intact then Some 0 else None), not intact));
+  }
+
+let find_frame (sc : scan) kind =
+  List.find_map (fun (k, p, line) -> if k = kind then Some (p, line) else None) sc.frames
+
+(* v2: header, comms, one frame per rank, timing, in any order.  Recovery
+   cuts each rank stream back to its longest good prefix and re-merges;
+   the rank count falls back on the timing manifest or the rank frames,
+   the communicator table on MPI_COMM_WORLD. *)
+let read_v2 ~damage ~damaged ?src text =
+  let sc = scan_frames ~damage ?src text in
+  let find = find_frame sc in
+  let header =
+    match find "header" with
+    | Some (p, line) -> attempt ~damage (fun () -> parse_header_payload ?src ~line p)
+    | None ->
+        damage (where ?src 1 "missing header frame");
+        None
+  in
+  let timing = Option.map (fun (p, line) -> (parse_timing_payload p, line)) (find "timing") in
+  let expected r =
+    match timing with Some ((_, per_rank), _) -> List.assoc_opt r per_rank | None -> None
+  in
+  let nranks =
+    let highest rs = 1 + List.fold_left max 0 rs in
+    match (header, timing) with
+    | Some k, _ -> k
+    | None, Some ((_, (_ :: _ as per_rank)), _) -> highest (List.map fst per_rank)
+    | None, _ -> (
+        match List.filter_map (fun (k, _, _) -> index_of_kind "rank:" k) sc.frames with
+        | [] -> raise (Unrecoverable "no header, timing, or rank frames survived")
+        | rs -> highest rs)
+  in
+  let comms =
+    match find "comms" with
+    | Some (p, line) -> attempt ~damage (fun () -> parse_comms_payload ?src ~line p)
+    | None ->
+        damage (where ?src 1 "missing comms frame");
+        None
+  in
+  let comms = Option.value comms ~default:(world nranks) in
+  let fit = misfits ~damage ~nranks comms in
+  let missing = ref [] and ranks = Array.make nranks (0, None, true) in
+  let streams =
+    Array.init nranks (fun r ->
+        let kind = Printf.sprintf "rank:%d" r in
+        match find kind with
+        | None ->
+            damage (where ?src 1 (Printf.sprintf "missing frame for rank %d" r));
+            missing := r :: !missing;
+            ranks.(r) <- (0, expected r, true);
+            []
+        | Some (payload, line) ->
             let src = in_frame ?src kind in
-            let seen = check_fit ?src ~nranks table in
-            (match parse_nodes ?src ~seen ~lineno0:(line - 1) (payload_lines payload) with
-            | [ n ] -> nodes (i + 1) (n :: acc) rest
-            | ns ->
-                fail ?src (line - 1) "holds %d top-level nodes, expected one"
-                  (List.length ns)))
+            let p = parse_frame ?src ~line payload in
+            let nodes, gone = frame_stream ~damage ?src ~fit p in
+            let cut = p.error <> None || not p.closed in
+            let events = Tnode.event_count nodes in
+            let lost =
+              match expected r with
+              | Some e -> Some (max 0 (e - events))
+              | None -> if cut then None else Some 0
+            in
+            ranks.(r) <- (events, lost, cut || gone > 0);
+            nodes)
   in
-  let nodes = nodes 0 [] frames in
-  let events = Tnode.event_count nodes in
-  if events <> m.m_events then
-    fail ?src:msrc mline "event-count manifest mismatch (%d recorded, %d loaded)"
-      m.m_events events;
-  Array.iteri
-    (fun r got ->
-      match expect.(r) with
-      | None -> fail ?src:msrc mline "manifest does not list rank %d" r
-      | Some c when c <> got ->
-          fail ?src:msrc mline
-            "rank %d event-count manifest mismatch (%d recorded, %d loaded)" r c got
-      | Some _ -> ())
-    (rank_event_counts ~nranks nodes);
-  Trace.make ~nranks ~comms ~nodes
+  if sc.dropped > 0 && Array.for_all (fun s -> s = []) streams then
+    raise (Unrecoverable "no rank stream survived");
+  let trace = Merge.merge ~nranks ~comms streams in
+  (match timing with
+  | None -> damage (where ?src 1 "missing timing frame")
+  | Some ((events, per_rank), line) when not !damaged ->
+      let mismatch fmt = Printf.ksprintf (fun s -> damage (where ?src line s)) fmt in
+      (match events with
+      | Some expect when expect <> Trace.event_count trace ->
+          mismatch "event-count manifest mismatch (%d recorded, %d loaded)" expect
+            (Trace.event_count trace)
+      | _ -> ());
+      let counts = rank_event_counts ~nranks (Trace.nodes trace) in
+      List.iter
+        (fun (r, expect) ->
+          if r >= 0 && r < nranks && counts.(r) <> expect then
+            mismatch "rank %d event-count manifest mismatch (%d recorded, %d loaded)" r expect
+              counts.(r))
+        per_rank
+  | Some _ -> ());
+  {
+    trace;
+    version = 2;
+    frames_seen = sc.seen;
+    frames_dropped = sc.dropped;
+    ranks_missing = List.rev !missing;
+    ranks = Array.to_list ranks;
+  }
+
+(* v3: header, comms, manifest, then nodes:0 .. nodes:(k-1) with k from
+   the manifest, one top-level node each, matching the manifest rank by
+   rank.  No per-rank streams and no re-merge.  Recovery keeps the longest
+   run of intact node frames from nodes:0, looked up by index: global
+   order preserves each rank's order, so the run is a prefix of every
+   rank's stream (later frames are not used even when intact; splicing
+   around a hole would drop events from the middle of some ranks'
+   streams), and the manifest says what each rank lost. *)
+let read_v3 ~damage ~damaged ?src text =
+  let sc = scan_frames ~damage ?src text in
+  let find = find_frame sc in
+  (* the metadata frames lead, in order; a missing one is looked up by kind *)
+  let rest = ref sc.frames in
+  let lead kind parse =
+    (match !rest with
+    | (k, _, _) :: tl when k = kind -> rest := tl
+    | (k, _, line) :: _ ->
+        damage (where ?src (line - 1) (Printf.sprintf "expected frame %s, found %s" kind k))
+    | [] -> damage (where ?src 2 (Printf.sprintf "missing %s frame" kind)));
+    Option.bind (find kind) (fun (p, line) ->
+        attempt ~damage (fun () -> parse ?src:(in_frame ?src kind) ~line p))
+  in
+  let header = lead "header" parse_header_payload in
+  let comms = lead "comms" parse_comms_payload in
+  let manifest = lead "manifest" parse_manifest_payload in
+  let msrc = in_frame ?src "manifest" in
+  let mline = match find "manifest" with Some (_, line) -> line | None -> 2 in
+  let counts nranks =
+    match manifest with
+    | None -> Array.make nranks None
+    | Some m -> (
+        try manifest_counts ?src:msrc ~line:mline ~nranks m
+        with Format_error msg ->
+          damage msg;
+          Array.make nranks None)
+  in
+  let expect = Option.map counts header in
+  (* the first node frame of each index, parsed *)
+  let by_index = Hashtbl.create 64 in
+  List.iter
+    (fun (kind, payload, line) ->
+      match index_of_kind "nodes:" kind with
+      | Some i when not (Hashtbl.mem by_index i) ->
+          Hashtbl.add by_index i (parse_frame ?src:(in_frame ?src kind) ~line payload)
+      | _ -> ())
+    sc.frames;
+  let rec run i acc =
+    match Hashtbl.find_opt by_index i with
+    | None -> (List.rev acc, i, false)
+    | Some p ->
+        if p.error = None && p.closed then run (i + 1) (i :: acc)
+        else (List.rev (i :: acc), i, true)
+  in
+  let run, kept, cut = run 0 [] in
+  let run_nodes i = (Hashtbl.find by_index i).nodes in
+  let nranks =
+    match header with
+    | Some k -> k
+    | None -> (
+        let top = ref 0 in
+        let see set = Option.iter (fun r -> top := max !top (r + 1)) (Util.Rank_set.max_elt set) in
+        Option.iter (fun m -> List.iter (fun (set, _) -> see set) m.m_groups) manifest;
+        List.iter (fun i -> Tnode.iter_leaves (fun e -> see e.Event.ranks) (run_nodes i)) run;
+        if !top = 0 then raise (Unrecoverable "no header, manifest, or node frames survived");
+        !top)
+  in
+  if sc.dropped > 0 && List.for_all (fun i -> run_nodes i = []) run then
+    raise (Unrecoverable "no node frame survived");
+  let comms = Option.value comms ~default:(world nranks) in
+  let fit = misfits ~damage ~nranks comms in
+  let expect = match expect with Some e -> e | None -> counts nranks in
+  (* the node frames in file order, checked as strict loading checks them *)
+  let checked = Hashtbl.create 64 in
+  let m_nodes = Option.map (fun m -> m.m_nodes) manifest in
+  let rec walk i = function
+    | [] -> (
+        match m_nodes with
+        | Some k when i < k ->
+            damage (where ?src 2 (Printf.sprintf "missing node frame nodes:%d" i))
+        | _ -> ())
+    | (kind, _, line) :: frames -> (
+        let here s = damage (where ?src (line - 1) s) in
+        match index_of_kind "nodes:" kind with
+        | None ->
+            here ("unexpected frame " ^ kind);
+            walk i frames
+        | Some j when Hashtbl.mem checked j ->
+            here ("duplicate node frame " ^ kind);
+            walk i frames
+        | Some j ->
+            if j <> i then
+              here
+                (if List.exists (fun (k, _, _) -> index_of_kind "nodes:" k = Some i) frames then
+                   Printf.sprintf "node frame %s out of order (expected nodes:%d)" kind i
+                 else Printf.sprintf "missing node frame nodes:%d" i);
+            (match m_nodes with
+            | Some k when j >= k ->
+                here (Printf.sprintf "node frame %s beyond the manifest's %d" kind k)
+            | _ -> ());
+            let p = Hashtbl.find by_index j and src = in_frame ?src kind in
+            Hashtbl.add checked j (frame_stream ~damage ?src ~fit p);
+            let k = List.length p.nodes in
+            if p.error = None && p.closed && k <> 1 then
+              damage
+                (where ?src (line - 1)
+                   (Printf.sprintf "holds %d top-level nodes, expected one" k));
+            walk (max i (j + 1)) frames)
+  in
+  walk 0 !rest;
+  let nodes = List.concat_map (fun i -> fst (Hashtbl.find checked i)) run in
+  let gone = List.fold_left (fun a i -> a + snd (Hashtbl.find checked i)) 0 run in
+  let got = rank_event_counts ~nranks nodes in
+  (match manifest with
+  | Some m when not !damaged ->
+      let events = Tnode.event_count nodes in
+      let mismatch fmt = Printf.ksprintf (fun s -> damage (where ?src:msrc mline s)) fmt in
+      if events <> m.m_events then
+        mismatch "event-count manifest mismatch (%d recorded, %d loaded)" m.m_events events;
+      Array.iteri
+        (fun r got ->
+          match expect.(r) with
+          | None -> mismatch "manifest does not list rank %d" r
+          | Some c when c <> got ->
+              mismatch "rank %d event-count manifest mismatch (%d recorded, %d loaded)" r c got
+          | Some _ -> ())
+        got
+  | _ -> ());
+  (* without a manifest, the run is known whole only when nothing at all
+     was damaged *)
+  let later = Hashtbl.fold (fun i _ acc -> acc || i > kept) by_index false in
+  let whole = sc.terminated && sc.dropped = 0 && (not cut) && (not later) && gone = 0 in
+  let ranks =
+    List.init nranks (fun r ->
+        let lost =
+          match expect.(r) with
+          | Some c -> Some (max 0 (c - got.(r)))
+          | None -> if whole then Some 0 else None
+        in
+        (got.(r), lost, lost <> Some 0))
+  in
+  {
+    trace = Trace.make ~nranks ~comms ~nodes;
+    version = 3;
+    frames_seen = sc.seen;
+    frames_dropped = sc.dropped;
+    ranks_missing =
+      List.filter
+        (fun r -> match expect.(r) with Some c -> c > 0 && got.(r) = 0 | None -> false)
+        (List.init nranks Fun.id);
+    ranks;
+  }
 
 (* ------------------------------------------------------------------ *)
-(* Files                                                                *)
+(* Entry points                                                         *)
 
-let of_string ?path text =
-  match framed_version text with
-  | Some 3 -> of_v3 ?path text
-  | Some _ -> of_framed ?path text
-  | None -> of_text ?path text
+let read_with reader ~damage ?path text =
+  let damaged = ref false in
+  let damage msg =
+    damaged := true;
+    damage msg
+  in
+  match reader ~damage ~damaged ?src:path text with
+  | r -> Ok r
+  | exception Unrecoverable why -> Error ("unrecoverable: " ^ why)
+
+let reader_for text =
+  match framed_version text with Some 3 -> read_v3 | Some _ -> read_v2 | None -> read_v1
+
+let read ~damage ?path text = read_with (reader_for text) ~damage ?path text
+
+(* Strict loading: the first damage raises. *)
+let strictly reader ?path text =
+  match read_with reader ~damage:(fun msg -> raise (Format_error msg)) ?path text with
+  | Ok r -> r.trace
+  | Error msg -> raise (Format_error msg)
+
+let of_text ?path text = strictly read_v1 ?path text
+let of_string ?path text = strictly (reader_for text) ?path text
 
 let save trace ~path =
   let oc = open_out_bin path in

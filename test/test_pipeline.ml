@@ -321,5 +321,55 @@ let rsd_tests =
           (final <= raw));
   ]
 
+(* Wildcard resolution runs under the configured network.  Ranks 1 and 2
+   swap 8 bytes head to head, so the untimed traversal reports a potential
+   deadlock and [`Auto] falls back to the timed replay.  Rank 0 then
+   receives twice from any source: rank 1 sends after 1 MB to rank 3, rank
+   2 after 8 ms of compute.  The 1 MB takes 9.1 ms over Ethernet (110
+   MB/s), so rank 2's message arrives first there; on Blue Gene/L (6.7 ms
+   at 150 MB/s) rank 1's does. *)
+let wildcard_net_program (ctx : Mpi.ctx) =
+  (match ctx.rank with
+  | 0 ->
+      let site = Mpi.site __POS__ in
+      ignore (Mpi.recv ~site ctx ~src:Call.Any_source ~bytes:8);
+      ignore (Mpi.recv ~site ctx ~src:Call.Any_source ~bytes:8)
+  | 1 | 2 ->
+      let peer = 3 - ctx.rank in
+      Mpi.send ~site:(Mpi.site __POS__) ctx ~dst:peer ~bytes:8;
+      ignore (Mpi.recv ~site:(Mpi.site __POS__) ctx ~src:(Call.Rank peer) ~bytes:8);
+      if ctx.rank = 1 then begin
+        Mpi.send ~site:(Mpi.site __POS__) ctx ~dst:3 ~bytes:1_000_000;
+        Mpi.send ~site:(Mpi.site __POS__) ctx ~dst:0 ~bytes:8
+      end
+      else begin
+        Mpi.compute ~site:(Mpi.site __POS__) ctx 0.008;
+        Mpi.send ~site:(Mpi.site __POS__) ctx ~dst:0 ~bytes:8
+      end
+  | _ -> ignore (Mpi.recv ~site:(Mpi.site __POS__) ctx ~src:(Call.Rank 1) ~bytes:1_000_000));
+  Mpi.finalize ctx
+
+let net_tests =
+  [
+    t "wildcard resolution runs under the configured network" (fun () ->
+        let first_receive net =
+          match
+            Pipeline.run { Pipeline.default with net }
+              (Pipeline.From_app { nranks = 4; app = wildcard_net_program })
+          with
+          | Error e -> Alcotest.fail (Pipeline.error_to_string e)
+          | Ok (a, _) ->
+              List.find
+                (String.starts_with ~prefix:"TASK 0 RECEIVES")
+                (List.map String.trim (String.split_on_char '\n' a.Pipeline.report.text))
+        in
+        let from sender =
+          Printf.sprintf "TASK 0 RECEIVES A 8 BYTE MESSAGE FROM TASK %d USING ANY TAG THEN" sender
+        in
+        Alcotest.(check string) "Blue Gene/L" (from 1) (first_receive None);
+        Alcotest.(check string) "Ethernet" (from 2)
+          (first_receive (Some Netmodel.ethernet_cluster)));
+  ]
+
 let suite =
-  app_tests @ misc_tests @ replay_tests @ apps_tests @ mpip_tests @ rsd_tests
+  app_tests @ misc_tests @ replay_tests @ apps_tests @ mpip_tests @ rsd_tests @ net_tests

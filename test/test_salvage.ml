@@ -191,8 +191,8 @@ let unit_tests =
         let damaged = ablate_rank_frame (Trace_io.to_framed trace) ~rank:0 in
         with_temp_file damaged (fun path ->
             match run_pipeline ~recovery:`Strict path with
-            | Error (Benchgen.E_trace_format _) -> ()
-            | Error e -> Alcotest.fail (Benchgen.error_to_string e)
+            | Error (Benchgen.Pipeline.E_trace_format _) -> ()
+            | Error e -> Alcotest.fail (Benchgen.Pipeline.error_to_string e)
             | Ok _ -> Alcotest.fail "strict mode accepted a damaged trace"));
     t "salvage mode refuses a trace whose collectives cannot complete"
       (fun () ->
@@ -202,7 +202,7 @@ let unit_tests =
         let damaged = ablate_rank_frame (Trace_io.to_framed trace) ~rank:3 in
         with_temp_file damaged (fun path ->
             match run_pipeline ~recovery:`Salvage path with
-            | Error (Benchgen.E_unrecoverable_trace msg) ->
+            | Error (Benchgen.Pipeline.E_unrecoverable_trace msg) ->
                 let contains hay needle =
                   let nl = String.length needle and hl = String.length hay in
                   let rec go i =
@@ -214,7 +214,7 @@ let unit_tests =
                 Alcotest.(check bool)
                   "names the wait-for graph" true
                   (contains msg "waiting on")
-            | Error e -> Alcotest.fail (Benchgen.error_to_string e)
+            | Error e -> Alcotest.fail (Benchgen.Pipeline.error_to_string e)
             | Ok _ -> Alcotest.fail "`Salvage generated from a dead wait"));
     t "best-effort generates a runnable prefix from a damaged trace"
       (fun () ->
@@ -222,16 +222,16 @@ let unit_tests =
         let damaged = ablate_rank_frame (Trace_io.to_framed trace) ~rank:3 in
         with_temp_file damaged (fun path ->
             match run_pipeline ~recovery:`Best_effort path with
-            | Error e -> Alcotest.fail (Benchgen.error_to_string e)
+            | Error e -> Alcotest.fail (Benchgen.Pipeline.error_to_string e)
             | Ok (artifact, warnings) ->
                 let has p = List.exists p warnings in
                 Alcotest.(check bool)
                   "W_salvaged" true
-                  (has (function Benchgen.W_salvaged _ -> true | _ -> false));
+                  (has (function Benchgen.Pipeline.W_salvaged _ -> true | _ -> false));
                 Alcotest.(check bool)
                   "W_truncated_frontier" true
                   (has (function
-                    | Benchgen.W_truncated_frontier _ -> true
+                    | Benchgen.Pipeline.W_truncated_frontier _ -> true
                     | _ -> false));
                 (* the artifact must parse and replay *)
                 let report = artifact.Benchgen.Pipeline.report in
@@ -399,12 +399,12 @@ let v3_tests =
         let cut = String.sub bytes 0 (String.length bytes * 6 / 10) in
         with_temp_file cut (fun path ->
             match run_pipeline ~recovery:`Best_effort path with
-            | Error e -> Alcotest.fail (Benchgen.error_to_string e)
+            | Error e -> Alcotest.fail (Benchgen.Pipeline.error_to_string e)
             | Ok (artifact, warnings) ->
                 Alcotest.(check bool)
                   "W_salvaged" true
                   (List.exists
-                     (function Benchgen.W_salvaged _ -> true | _ -> false)
+                     (function Benchgen.Pipeline.W_salvaged _ -> true | _ -> false)
                      warnings);
                 ignore
                   (Conceptual.Lower.run ~max_events:500_000
@@ -412,9 +412,42 @@ let v3_tests =
                      (Conceptual.Parse.program artifact.Benchgen.Pipeline.report.text))));
   ]
 
+(* A salvage note is strict loading's message, file line and all: a bad
+   dt= field on line 6 of a v1 file, in rank 3's v2 frame and in the first
+   v3 node frame. *)
+let notes_test =
+  t "salvage notes a bad dt= field with strict loading's message" (fun () ->
+      let ring = app_trace "ring" ~nranks:4 in
+      let bad_dt = Test_trace_io.map_dt (fun _ -> "2;nan;1;3;1") in
+      let v1 =
+        String.split_on_char '\n' (Trace_io.to_text ring)
+        |> List.mapi (fun i l -> if i = 5 then bad_dt l else l)
+        |> String.concat "\n"
+      in
+      let in_frame ~version kind bytes =
+        Test_trace_io.framed ~version
+          (Test_trace_io.map_frame kind bad_dt (Test_trace_io.frames_of bytes))
+      in
+      List.iter
+        (fun (where, bytes) ->
+          match Trace_io.of_string bytes with
+          | _ -> Alcotest.failf "%s: strict loading accepted a bad dt field" where
+          | exception Trace_io.Format_error msg -> (
+              Alcotest.(check bool)
+                msg true
+                (Test_fault.contains ~sub:(where ^ ": bad dt field") msg);
+              match Salvage.of_string bytes with
+              | Error m -> Alcotest.fail m
+              | Ok (_, report) -> Alcotest.(check (list string)) where [ msg ] report.notes))
+        [
+          ("line 6", v1);
+          ("frame rank:3: line 29", in_frame ~version:2 "rank:3" (Trace_io.to_framed ring));
+          ("frame nodes:0: line 12", in_frame ~version:3 "nodes:0" (Trace_io.to_string ring));
+        ])
+
 let suite =
   unit_tests
   @ List.map framed_roundtrip all_app_names
   @ List.map migration all_app_names
   @ List.map v3_boundary_sweep [ "bt"; "is"; "lu"; "mg" ]
-  @ v3_tests
+  @ v3_tests @ [ notes_test ]

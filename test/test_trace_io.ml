@@ -498,6 +498,72 @@ let exact_timing_test =
               ("v3", Trace_io.of_string (Trace_io.to_string trace)) ])
         all_apps)
 
+(* Strict loading and salvage read a file with one reader, so strict
+   loading accepts a file exactly when salvage finds no damage in it, and
+   both then read the same trace.  Nine files, two of them sound. *)
+let one_reader_test =
+  t "strict loading accepts exactly the files salvage finds undamaged" (fun () ->
+      let cg = traced ~wanted:8 "cg" in
+      let v3 = frames_of (Trace_io.to_string cg) in
+      let n1 = List.assoc "nodes:1" v3 and n2 = List.assoc "nodes:2" v3 in
+      let one_short p =
+        String.split_on_char '\n' p
+        |> List.map (fun l ->
+               match String.split_on_char ' ' l with
+               | [ "events"; n ] -> Printf.sprintf "events %d" (int_of_string n - 1)
+               | _ -> l)
+        |> String.concat "\n"
+      in
+      let ring = Trace_io.to_text (traced ~wanted:4 "ring") in
+      let magic = String.index ring '\n' in
+      List.iter
+        (fun (what, sound, bytes) ->
+          let strict =
+            match Trace_io.of_string bytes with
+            | trace -> Some trace
+            | exception Trace_io.Format_error _ -> None
+          in
+          Alcotest.(check bool) (what ^ ": strict loading accepts") sound (strict <> None);
+          match (Salvage.of_string bytes, strict) with
+          | Ok (trace, report), Some strict ->
+              Alcotest.(check bool) (what ^ ": salvage degraded") false
+                (Salvage.is_degraded report);
+              Alcotest.(check string) (what ^ ": same trace") (Trace_io.to_string strict)
+                (Trace_io.to_string trace)
+          | Ok (_, report), None ->
+              Alcotest.(check bool) (what ^ ": salvage degraded") true (Salvage.is_degraded report)
+          | Error m, Some _ -> Alcotest.failf "%s: salvage refused a sound file: %s" what m
+          | Error _, None -> ())
+        [
+          ("intact", true, framed v3);
+          ( "duplicate node frame",
+            false,
+            framed
+              (List.concat_map
+                 (fun (k, p) -> if k = "nodes:1" then [ (k, p); (k, p) ] else [ (k, p) ])
+                 v3) );
+          ( "swapped node frames",
+            false,
+            framed
+              (List.map
+                 (fun (k, p) ->
+                   if k = "nodes:1" then ("nodes:2", n2)
+                   else if k = "nodes:2" then ("nodes:1", n1)
+                   else (k, p))
+                 v3) );
+          ("manifest total one short", false, framed (map_frame "manifest" one_short v3));
+          ("unknown frame kind", false, framed (v3 @ [ ("bogus", "x") ]));
+          ( "v2 without timing",
+            false,
+            framed ~version:2
+              (List.filter (fun (k, _) -> k <> "timing") (frames_of (Trace_io.to_framed cg))) );
+          ("v3 without manifest", false, framed (List.filter (fun (k, _) -> k <> "manifest") v3));
+          ( "v1 with a blank line for its magic",
+            false,
+            String.sub ring magic (String.length ring - magic) );
+          ("v1 with a comm line after the body", true, ring ^ "comm 1 0:1:1\n");
+        ])
+
 let suite =
   List.map app_roundtrip [ "bt"; "cg"; "ep"; "ft"; "is"; "lu"; "mg"; "sp"; "sweep3d" ]
   @ unit_tests @ dt_corruption_tests
@@ -505,4 +571,4 @@ let suite =
   @ List.map v3_generates_as_v2 all_apps
   @ v3_strict_tests @ header_fit_tests
   @ [ v3_size_test; compat_test; rank_list_test; impossible_dt_test;
-      exact_timing_test ]
+      exact_timing_test; one_reader_test ]
