@@ -531,13 +531,13 @@ let aggregate agg values =
   | Minimum -> ( match sorted with [] -> 0. | v :: _ -> v)
   | Maximum -> List.fold_left Float.max neg_infinity (0. :: sorted)
 
-let run ?net ?(hooks = []) ?fault ?max_events ?max_virtual_time ?coll_alg ?obs
+let run ?net ?(hooks = []) ?fault ?max_events ?max_virtual_time ?coll_alg
     ~nranks p =
   let logs = ref [] in
   let prog = compile_with_logs ~nranks p logs in
   let outcome =
     Mpisim.Mpi.run ~hooks ?net ?fault ?max_events ?max_virtual_time ?coll_alg
-      ?obs ~nranks prog
+      ~nranks prog
   in
   let keys =
     List.rev !logs |> List.map (fun (k, _, _) -> k) |> List.sort_uniq compare

@@ -50,7 +50,6 @@ val run :
   ?max_events:int ->
   ?max_virtual_time:float ->
   ?coll_alg:Mpisim.Coll_alg.t ->
-  ?obs:Obs.Sink.t ->
   nranks:int ->
   Ast.program ->
   result

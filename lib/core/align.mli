@@ -11,18 +11,21 @@
     recompressed.  Complexity O(p·e); use {!Scalatrace.Trace.has_unaligned_collectives}
     (O(r)) to decide whether the pass is needed.
 
-    The traversal is bounded: on damaged (salvaged) traces where a
-    collective participant's stream ended before arriving, the pass
-    detects the dead wait instead of spinning, reports it as a wait-for
-    graph, and — under [`Best_effort] — cuts the output back to the last
-    channel-balanced world frontier (see {!Frontier}) so generation can
-    still proceed. *)
+    The pass runs on the shared walk ({!Traversal.run}), which ends by
+    construction.  On damaged (salvaged) traces where a collective
+    participant's stream ended before arriving, the walk still runs every
+    rank as far as it can; the pass then reports every dead wait in one
+    wait-for graph and — under [`Best_effort] — cuts the output back to
+    the last channel-balanced world frontier (see {!Frontier}) so
+    generation can still proceed. *)
 
 exception Align_error of string
 (** Collective mismatch: members of one communicator reach different
-    collective operations at the same logical slot, or their parameters
-    disagree on the root.  Under [`Strict] also raised (with the
-    formatted wait-for graph) when a collective can never complete. *)
+    collective operations at the same logical slot, their parameters
+    disagree on the root, a rank reaches a collective it is not a member
+    of, or parked collectives wait on each other in a cycle.  {!run} also
+    raises it (with the formatted wait-for graph) when a collective can
+    never complete. *)
 
 type policy = [ `Strict | `Best_effort ]
 
@@ -52,7 +55,7 @@ val stall_message : stall -> string
 
 val run_policy : ?policy:policy -> Scalatrace.Trace.t -> outcome
 (** Full alignment under a recovery policy.  [`Strict] (default) raises
-    {!Align_error} on dead waits; [`Best_effort] never raises on
+    {!Incomplete} on dead waits; [`Best_effort] never raises on
     truncation — it returns a cut, channel-balanced output instead. *)
 
 val run : Scalatrace.Trace.t -> Scalatrace.Trace.t

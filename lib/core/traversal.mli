@@ -5,7 +5,8 @@
     functional position in one rank's projection of the trace: it expands
     PRSD loops lazily (so traversal is O(events), not O(trace size)) and
     can be stored in per-rank contexts and advanced independently — the
-    "traversal context" of Algorithm 1. *)
+    "traversal context" of Algorithm 1.  The {!walk} drives one cursor per
+    rank for both algorithms. *)
 
 type cursor
 
@@ -24,12 +25,69 @@ val peek : cursor -> (Scalatrace.Event.t * cursor) option
     "the k-th event of this rank" used by deadlock bookkeeping. *)
 val consumed : cursor -> int
 
-(** A collective's participant key: its declared participant set, or
-    [[||]] for the whole communicator.  Algorithms 1 and 2 number each
-    rank's collectives per (communicator, key) and wait for each instance
-    under (communicator, key, slot).  The key is the event's own array,
-    shared by every iteration of its RSD, so building it costs nothing. *)
-val participants : Scalatrace.Event.t -> int array
+(** {1 The walk}
+
+    Algorithms 1 and 2 walk the trace the same way and differ only in
+    what they do at an event that is not a collective.  The walk owns
+    each rank's cursor, the scheduler and the collective rendezvous; its
+    client ({!Align}, {!Wildcard}) owns everything else.
+
+    - {b Scheduler.}  The least-progressed runnable rank runs — fewest
+      events consumed, then the lowest rank — until it parks or ends.
+      This keeps the per-rank traversals in near-lockstep, so wildcard
+      receives match sends from the same logical phase (approximating the
+      real arrival order) instead of letting one sender run iterations
+      ahead.
+    - {b Rendezvous.}  Each rank numbers its collectives per
+      (communicator, participant key), the key being the event's declared
+      participant set or the whole communicator, and a collective instance
+      is (communicator, key, slot).  Its members come from the event's
+      [parts], else from the communicator table.  A rank parks at an
+      instance until every member has arrived; the rank whose arrival
+      completes it keeps running and the others become runnable.
+    - {b Termination.}  Every step consumes an event or parks a rank, and
+      a parked rank runs again only when its collective completes or its
+      client resumes it, so the walk ends without an iteration budget:
+      when every rank has finished, or when no rank can run. *)
+
+(** A collective instance and its arrivals so far. *)
+type collective = private {
+  comm : int;
+  slot : int;
+  members : Util.Rank_set.t;
+  member_arr : int array;  (** [members], ascending *)
+  arrived : bool array;  (** by [member_arr] position *)
+  mutable n_arrived : int;
+  mutable arrivals : (int * Scalatrace.Event.t) list;  (** latest first *)
+}
+
+type walk
+
+(** [walk ~fail t] — every rank of [t] runnable at its first event.  The
+    walk raises [fail msg] at an unknown communicator and at a rank that
+    arrives at a collective it is not a member of. *)
+val walk : fail:(string -> exn) -> Scalatrace.Trace.t -> walk
+
+(** [run w ~step ~complete] walks until no rank can run and tells whether
+    every rank finished.  [step ~rank ~seq e] handles [rank]'s event [e]
+    that is not a collective, [seq] events into its stream: [true] moves
+    the rank past it, [false] parks the rank there until {!resume}.
+    [complete c] sees each collective instance once, when its last member
+    arrives. *)
+val run :
+  walk ->
+  step:(rank:int -> seq:int -> Scalatrace.Event.t -> bool) ->
+  complete:(collective -> unit) ->
+  bool
+
+(** [resume w r] — rank [r], parked by [step], becomes runnable just past
+    the event it parked at. *)
+val resume : walk -> int -> unit
+
+val finished : walk -> int -> bool
+
+(** The collective instances some members reached and others did not. *)
+val pending : walk -> collective list
 
 (** {1 Output rebuilding}
 

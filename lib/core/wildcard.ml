@@ -13,89 +13,12 @@ type entry = {
   ev : Event.t; (* physical RSD event, for resolution recording *)
 }
 
-type blocked_reason =
-  | B_send of entry
-  | B_recv of entry
-  | B_wait
-  | B_coll of (int * int array * int)
-      (* (comm, {!Traversal.participants}, slot), the keying {!Align}
-         uses *)
-
-type node_state = {
-  rank : int;
-  mutable cursor : Traversal.cursor;
-  mutable after : Traversal.cursor; (* cursor past the blocking event *)
-  mutable finished : bool;
-  mutable blocked : blocked_reason option;
-  mutable n_pending : int; (* L1: own unmatched ops *)
-  coll_seq : (int * int array, int) Hashtbl.t;
-}
-
-(* Runnable ranks in a binary min-heap on (operations consumed, rank): the
-   scheduler's least-progressed-first order.  A rank is in the heap at
-   most once, so [nranks] slots suffice; operations allocate nothing,
-   which keeps the traversal from promoting garbage into the major heap. *)
-module Runnable = struct
-  type t = { consumed : int array; rank : int array; mutable size : int }
-
-  let create n = { consumed = Array.make n 0; rank = Array.make n 0; size = 0 }
-
-  let less t i j =
-    t.consumed.(i) < t.consumed.(j)
-    || (t.consumed.(i) = t.consumed.(j) && t.rank.(i) < t.rank.(j))
-
-  let swap t i j =
-    let c = t.consumed.(i) and r = t.rank.(i) in
-    t.consumed.(i) <- t.consumed.(j);
-    t.rank.(i) <- t.rank.(j);
-    t.consumed.(j) <- c;
-    t.rank.(j) <- r
-
-  let rec sift_up t i =
-    let parent = (i - 1) / 2 in
-    if i > 0 && less t i parent then begin
-      swap t i parent;
-      sift_up t parent
-    end
-
-  let rec sift_down t i =
-    let l = (2 * i) + 1 and r = (2 * i) + 2 in
-    let m = if l < t.size && less t l i then l else i in
-    let m = if r < t.size && less t r m then r else m in
-    if m <> i then begin
-      swap t i m;
-      sift_down t m
-    end
-
-  let push t ~consumed ~rank =
-    let i = t.size in
-    t.consumed.(i) <- consumed;
-    t.rank.(i) <- rank;
-    t.size <- i + 1;
-    sift_up t i
-
-  (* The least (consumed, rank) entry's rank, or -1 when empty. *)
-  let pop t =
-    if t.size = 0 then -1
-    else begin
-      let top = t.rank.(0) in
-      t.size <- t.size - 1;
-      swap t 0 t.size;
-      sift_down t 0;
-      top
-    end
-end
+(* Why [step] parked a rank; collectives park inside the walk. *)
+type blocked_reason = B_send of entry | B_recv of entry | B_wait
 
 (* Certificate ledger of one (src, dst, comm, tag) channel: program-order
    positions of the last send and the last receive matched on it. *)
 type channel = { mutable last_send : int; mutable last_recv : int }
-
-type coll_wait = {
-  members : Util.Rank_set.t;
-  n_members : int; (* cardinal of [members], computed once *)
-  mutable n_arrived : int;
-  mutable arrivals : (int * Event.t * Traversal.cursor) list;
-}
 
 let matches ~(send : entry) ~(recv : entry) =
   recv.comm = send.comm
@@ -192,32 +115,16 @@ let rebuild_resolved (trace : Trace.t) queues =
    the traversal's own matching cannot vouch for them, if any. *)
 let traversal_resolve (trace : Trace.t) =
   let nranks = Trace.nranks trace in
-  let comms = Trace.comms trace in
-  let members_of cid =
-    match List.assoc_opt cid comms with
-    | Some m -> m
-    | None -> raise (Wildcard_error (Printf.sprintf "unknown communicator %d" cid))
-  in
-  let projections = Trace.projections trace in
-  let states =
-    Array.init nranks (fun rank ->
-        {
-          rank;
-          cursor = Traversal.start projections.(rank);
-          after = Traversal.start [];
-          finished = false;
-          blocked = None;
-          n_pending = 0;
-          coll_seq = Hashtbl.create 8;
-        })
-  in
+  let walk = Traversal.walk ~fail:(fun msg -> Wildcard_error msg) trace in
+  let blocked = Array.make nranks None in
+  (* L1: each rank's own unmatched operations *)
+  let n_pending = Array.make nranks 0 in
   (* L2: operations awaiting a match in posting order, indexed by the rank
      that must match them.  pending_sends.(d) are sends destined for d;
      pending_recvs.(r) are receives posted by r (so a send to r scans
      them). *)
   let pending_sends = Array.init nranks (fun _ -> Util.Deque.create ~capacity:4 ()) in
   let pending_recvs = Array.init nranks (fun _ -> Util.Deque.create ~capacity:4 ()) in
-  let waits : (int * int array * int, coll_wait) Hashtbl.t = Hashtbl.create 64 in
   (* RSD identity: structural hashing would conflate distinct-but-equal
      events, so leaves get explicit ids by physical identity. *)
   let id_of = id_in trace in
@@ -253,29 +160,21 @@ let traversal_resolve (trace : Trace.t) =
         c.last_recv <- recv.seq
     | None -> Hashtbl.add ledger key { last_send = send.seq; last_recv = recv.seq }
   in
-  let runnable = Runnable.create nranks in
-  let make_runnable s =
-    Runnable.push runnable ~consumed:(Traversal.consumed s.cursor) ~rank:s.rank
-  in
-  Array.iter make_runnable states;
-  let unblock s =
-    s.blocked <- None;
-    s.cursor <- s.after;
-    make_runnable s
+  let unblock r =
+    blocked.(r) <- None;
+    Traversal.resume walk r
   in
   (* [waiting] is the side that sat in L2; blocked owners whose condition
      is now satisfied resume past their blocking event. *)
   let do_match ~(waiting : entry) (send : entry) (recv : entry) =
-    let w = states.(waiting.owner) in
-    w.n_pending <- w.n_pending - 1;
+    n_pending.(waiting.owner) <- n_pending.(waiting.owner) - 1;
     record_channel send recv;
     (if recv.ev.Event.peer = Event.P_any then
        push_resolution (id_of recv.ev, recv.owner) recv send.owner);
     let maybe_unblock owner (matched : entry) =
-      let s = states.(owner) in
-      match s.blocked with
-      | Some (B_send e | B_recv e) when e == matched -> unblock s
-      | Some B_wait when s.n_pending = 0 -> unblock s
+      match blocked.(owner) with
+      | Some (B_send e | B_recv e) when e == matched -> unblock owner
+      | Some B_wait when n_pending.(owner) = 0 -> unblock owner
       | _ -> ()
     in
     maybe_unblock send.owner send;
@@ -341,146 +240,79 @@ let traversal_resolve (trace : Trace.t) =
              (Printf.sprintf "rank %d: unresolvable peer in %s" rank
                 (Event.kind_name e.kind)))
   in
-  let n_finished = ref 0 in
-  (* Advance rank [r] until it blocks or finishes.  Returns unit; the
-     caller inspects the state. *)
-  let advance r =
-    let s = states.(r) in
-    let running = ref true in
-    let block reason after =
-      s.blocked <- Some reason;
-      s.after <- after;
-      running := false
+  (* A rank's operation that is not a collective; [false] parks the rank
+     until a match unblocks it. *)
+  let step ~rank:r ~seq (e : Event.t) =
+    let block reason =
+      blocked.(r) <- Some reason;
+      false
     in
     let post queue entry =
       Util.Deque.push_back queue entry;
-      s.n_pending <- s.n_pending + 1
+      n_pending.(r) <- n_pending.(r) + 1
     in
-    while !running do
-      match Traversal.peek s.cursor with
-      | None ->
-          s.finished <- true;
-          incr n_finished;
-          running := false
-      | Some (e, after) -> (
-          let seq = Traversal.consumed s.cursor in
-          match e.kind with
-          | Event.E_send | Event.E_isend ->
-              let dst = world_peer e r in
-              let entry =
-                { owner = r; peer = Some dst; tag = e.tag; comm = e.comm; seq; ev = e }
-              in
-              if try_match_send entry then s.cursor <- after
-              else begin
-                post pending_sends.(dst) entry;
-                if e.kind = Event.E_send then block (B_send entry) after
-                else s.cursor <- after
-              end
-          | Event.E_recv | Event.E_irecv ->
-              (* wildcard RSDs keep matching as wildcards on every loop
-                 iteration; only the first match pins the recorded source *)
-              let peer =
-                match e.peer with
-                | Event.P_any -> None
-                | _ -> Some (world_peer e r)
-              in
-              let entry = { owner = r; peer; tag = e.tag; comm = e.comm; seq; ev = e } in
-              if try_match_recv entry then s.cursor <- after
-              else begin
-                post pending_recvs.(r) entry;
-                if e.kind = Event.E_recv then block (B_recv entry) after
-                else s.cursor <- after
-              end
-          | Event.E_wait | Event.E_waitall _ ->
-              if s.n_pending = 0 then s.cursor <- after else block B_wait after
-          | _ when Event.is_collective e.kind ->
-              let parts = Traversal.participants e in
-              let seq_key = (e.comm, parts) in
-              let slot =
-                Option.value ~default:0 (Hashtbl.find_opt s.coll_seq seq_key)
-              in
-              Hashtbl.replace s.coll_seq seq_key (slot + 1);
-              let key = (e.comm, parts, slot) in
-              let w =
-                match Hashtbl.find_opt waits key with
-                | Some w -> w
-                | None ->
-                    let members =
-                      match e.Event.parts with
-                      | Some ps ->
-                          Util.Rank_set.of_list (Array.to_list ps)
-                      | None -> members_of e.comm
-                    in
-                    let w =
-                      {
-                        members;
-                        n_members = Util.Rank_set.cardinal members;
-                        n_arrived = 0;
-                        arrivals = [];
-                      }
-                    in
-                    Hashtbl.replace waits key w;
-                    w
-              in
-              w.arrivals <- (r, e, after) :: w.arrivals;
-              w.n_arrived <- w.n_arrived + 1;
-              if w.n_arrived = w.n_members then begin
-                Hashtbl.remove waits key;
-                List.iter
-                  (fun (r', _, after') ->
-                    let s' = states.(r') in
-                    s'.blocked <- None;
-                    s'.cursor <- after';
-                    if r' <> r then make_runnable s')
-                  w.arrivals
-                (* s.cursor updated through the loop above; keep running *)
-              end
-              else block (B_coll key) after
-          | _ ->
-              raise (Wildcard_error "unhandled event kind in traversal"))
-    done
+    match e.kind with
+    | Event.E_send | Event.E_isend ->
+        let dst = world_peer e r in
+        let entry =
+          { owner = r; peer = Some dst; tag = e.tag; comm = e.comm; seq; ev = e }
+        in
+        if try_match_send entry then true
+        else begin
+          post pending_sends.(dst) entry;
+          e.kind <> Event.E_send || block (B_send entry)
+        end
+    | Event.E_recv | Event.E_irecv ->
+        (* wildcard RSDs keep matching as wildcards on every loop
+           iteration; only the first match pins the recorded source *)
+        let peer =
+          match e.peer with
+          | Event.P_any -> None
+          | _ -> Some (world_peer e r)
+        in
+        let entry = { owner = r; peer; tag = e.tag; comm = e.comm; seq; ev = e } in
+        if try_match_recv entry then true
+        else begin
+          post pending_recvs.(r) entry;
+          e.kind <> Event.E_recv || block (B_recv entry)
+        end
+    | Event.E_wait | Event.E_waitall _ -> n_pending.(r) = 0 || block B_wait
+    | _ -> raise (Wildcard_error "unhandled event kind in traversal")
   in
   let deadlock_message () =
+    let at_collective = Hashtbl.create 8 in
+    List.iter
+      (fun (c : Traversal.collective) ->
+        List.iter (fun (r, _) -> Hashtbl.replace at_collective r c) c.arrivals)
+      (Traversal.pending walk);
     let buf = Buffer.create 256 in
     Buffer.add_string buf "potential deadlock: every unfinished rank is blocked:";
-    Array.iter
-      (fun s ->
-        if not s.finished then begin
-          let what =
-            match s.blocked with
-            | Some (B_send e) -> "blocking " ^ describe_entry "send" e
-            | Some (B_recv e) -> "blocking " ^ describe_entry "receive" e
-            | Some B_wait ->
-                Printf.sprintf "a wait on %d pending operations" s.n_pending
-            | Some (B_coll (c, _, slot)) ->
-                Printf.sprintf "a collective on communicator %d (slot %d)" c slot
-            | None -> "<runnable>"
-          in
-          Buffer.add_string buf (Printf.sprintf "\n  rank %d blocked on %s" s.rank what)
-        end)
-      states;
+    for r = 0 to nranks - 1 do
+      if not (Traversal.finished walk r) then begin
+        let what =
+          match (blocked.(r), Hashtbl.find_opt at_collective r) with
+          | Some (B_send e), _ -> "blocking " ^ describe_entry "send" e
+          | Some (B_recv e), _ -> "blocking " ^ describe_entry "receive" e
+          | Some B_wait, _ ->
+              Printf.sprintf "a wait on %d pending operations" n_pending.(r)
+          | None, Some c ->
+              Printf.sprintf "a collective on communicator %d (slot %d)" c.comm c.slot
+          | None, None -> "<runnable>"
+        in
+        Buffer.add_string buf (Printf.sprintf "\n  rank %d blocked on %s" r what)
+      end
+    done;
     Buffer.contents buf
   in
-  (* Scheduling: always advance the least-progressed runnable rank, lowest
-     rank first on ties.  This keeps the per-rank traversals in
-     near-lockstep, so wildcard receives match sends from the same logical
-     phase (approximating the real arrival order) instead of letting one
-     sender run iterations ahead.  Matching unblocks ranks eagerly, so
-     "every unfinished rank is blocked" is exactly the paper's sufficient
-     deadlock condition: the traversal has returned to a blocked node with
-     no unblocking event possible. *)
-  let rec schedule () =
-    match Runnable.pop runnable with
-    | -1 ->
-        if !n_finished < nranks then raise (Potential_deadlock (deadlock_message ()))
-    | r ->
-        advance r;
-        schedule ()
-  in
-  schedule ();
+  (* Scheduling is the walk's ({!Traversal.run}).  Matching unblocks ranks
+     eagerly, so "every unfinished rank is blocked" is exactly the paper's
+     sufficient deadlock condition: the traversal has returned to a blocked
+     node with no unblocking event possible. *)
+  if not (Traversal.run walk ~step ~complete:ignore) then
+    raise (Potential_deadlock (deadlock_message ()));
   let refusal =
     if not !in_order then Some "a channel matched out of program order"
-    else if Array.exists (fun s -> s.n_pending > 0) states then
+    else if Array.exists (fun n -> n > 0) n_pending then
       Some "operations left unmatched at the end of the traversal"
     else None
   in

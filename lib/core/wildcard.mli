@@ -9,11 +9,13 @@
     trace structure is otherwise unchanged (peers are rewritten in place,
     to an absolute rank or a per-rank map).
 
-    The traversal blocks at blocking sends/receives, waits, and
-    collectives, switching to the peer that can unblock it.  A transfer
-    log (the paper's [L3]/unblock events) detects cyclic dependencies: if
-    the traversal returns to a node still blocked on the same event with
-    no unblocking in between, a *potential deadlock* of the original
+    The traversal runs on the shared walk ({!Traversal.run}), which
+    schedules the ranks and parks them at collectives; this pass parks a
+    rank at a blocking send or receive until its match, and at a wait
+    until the rank's pending operations have matched.  A transfer log
+    (the paper's [L3]/unblock events) detects cyclic dependencies: if the
+    traversal returns to a node still blocked on the same event with no
+    unblocking in between, a *potential deadlock* of the original
     application has been found — a sufficient (not necessary) condition —
     and {!Potential_deadlock} is raised rather than hanging.
 
@@ -23,7 +25,8 @@
 exception Potential_deadlock of string
 
 exception Wildcard_error of string
-(** Malformed trace: e.g. a send whose destination cannot be resolved. *)
+(** Malformed trace: e.g. a send whose destination cannot be resolved, or
+    a rank reaching a collective it is not a member of. *)
 
 (** How to choose the concrete sender for each wildcard instance:
 

@@ -17,7 +17,7 @@ let uniform_vec ~p ~total =
   Array.init p (fun i -> if i < p - 1 then base else total - (base * (p - 1)))
 
 let run ?(net = Mpisim.Netmodel.bluegene_l) ?(hooks = []) ?fault ?max_events
-    ?max_virtual_time ?coll_alg ?obs ?(compute_scale = 1.0) trace =
+    ?max_virtual_time ?coll_alg trace =
   let nranks = Trace.nranks trace in
   let comm_table = List.filter (fun (id, _) -> id <> 0) (Trace.comms trace) in
   let leaf_id = Trace.leaf_index trace in
@@ -83,7 +83,7 @@ let run ?(net = Mpisim.Netmodel.bluegene_l) ?(hooks = []) ?fault ?max_events
       let site = e.site in
       let comm = comm_of e.comm in
       let p = Mpisim.Comm.size comm in
-      let gap = Util.Histogram.mean e.dtime *. compute_scale in
+      let gap = Util.Histogram.mean e.dtime in
       if gap > 0. then Mpisim.Mpi.compute ctx gap;
       let peer_world () =
         match Event.peer_of e ~rank:r ~nranks with
@@ -234,7 +234,7 @@ let run ?(net = Mpisim.Netmodel.bluegene_l) ?(hooks = []) ?fault ?max_events
   in
   let outcome =
     Mpisim.Mpi.run ~hooks ~net ?fault ?max_events ?max_virtual_time ?coll_alg
-      ?obs ~nranks program
+      ~nranks program
   in
   let wildcard_matches =
     Hashtbl.fold (fun k q acc -> ((k, List.rev !q) : (int * int) * int list) :: acc) matches []

@@ -1,13 +1,13 @@
 (** ScalaReplay: execute a compressed trace on the simulator.
 
     Each rank walks its projection of the trace, re-issuing every MPI
-    event after a computation gap of its RSD's mean compute time (times
-    [compute_scale]), as the generated benchmarks do.  Used for (a) the
-    Section 5.2 semantic comparison between original applications and
-    generated benchmarks, and (b) timed wildcard resolution: replaying a
-    trace that still contains [MPI_ANY_SOURCE] lets the simulator's
-    arrival-order matching decide the senders, and the per-instance
-    matches come back in [wildcard_matches]. *)
+    event after a computation gap of its RSD's mean compute time, as the
+    generated benchmarks do.  Used for (a) the Section 5.2 semantic
+    comparison between original applications and generated benchmarks,
+    and (b) timed wildcard resolution: replaying a trace that still
+    contains [MPI_ANY_SOURCE] lets the simulator's arrival-order matching
+    decide the senders, and the per-instance matches come back in
+    [wildcard_matches]. *)
 
 exception Replay_error of string
 
@@ -22,13 +22,11 @@ type result = {
 
     @param net network model (default bluegene_l)
     @param hooks extra interposition clients
-    @param compute_scale multiply reconstructed compute gaps (default 1.0)
     @param fault seeded fault-injection plan forwarded to the simulator
     @param max_events / max_virtual_time watchdog budgets forwarded to the
       simulator (a wedged replay raises {!Mpisim.Engine.Stalled})
     @param coll_alg collective algorithm selection forwarded to the
-      simulator (default [`Monolithic])
-    @param obs observability sink forwarded to the simulator *)
+      simulator (default [`Monolithic]) *)
 val run :
   ?net:Mpisim.Netmodel.t ->
   ?hooks:Mpisim.Hooks.t list ->
@@ -36,7 +34,5 @@ val run :
   ?max_events:int ->
   ?max_virtual_time:float ->
   ?coll_alg:Mpisim.Coll_alg.t ->
-  ?obs:Obs.Sink.t ->
-  ?compute_scale:float ->
   Scalatrace.Trace.t ->
   result

@@ -33,7 +33,6 @@
 type t = {
   window : int;
   nranks : int;
-  foldable : Event.t -> bool;
   pows : int array; (* 31^k for k <= window, shared by every compressor *)
   mutable nodes : Tnode.t array; (* oldest first; slots >= len are vacant *)
   mutable pre : int array; (* pre.(i) = prefix hash of nodes.(0 .. i-1) *)
@@ -66,9 +65,9 @@ let pows_upto k =
 
 (* The arrays stay empty until the first push: the wildcard traversal
    creates one compressor per rank per collective anchor. *)
-let create ?(window = default_window) ?(foldable = fun _ -> true) ~nranks () =
+let create ?(window = default_window) ~nranks () =
   if window < 1 then invalid_arg "Compress.create: window < 1";
-  { window; nranks; foldable; pows = pows_upto window; nodes = [||];
+  { window; nranks; pows = pows_upto window; nodes = [||];
     pre = [||]; len = 0; same = [||]; same_head = [||]; due = [||];
     due_head = [||] }
 
@@ -120,13 +119,6 @@ let truncate t len =
   done;
   t.len <- len
 
-let rec all_foldable t = function
-  | Tnode.Leaf e -> t.foldable e
-  | Tnode.Loop { body; _ } -> List.for_all (all_foldable t) body
-
-let rec foldable_from t i hi =
-  i >= hi || (all_foldable t t.nodes.(i) && foldable_from t (i + 1) hi)
-
 (* The structural checks and the candidate walks are top-level functions,
    not local closures: a closure would be allocated on every round. *)
 
@@ -150,7 +142,7 @@ let try_extend t w =
   match t.nodes.(n - w - 1) with
   | Tnode.Loop ({ body; l_len; l_hash; _ } as l)
     when l_len = w && l_hash = (17 * t.pows.(w)) + seg t (n - w) n ->
-      if equiv_from t (n - w) body && foldable_from t (n - w) n then begin
+      if equiv_from t (n - w) body then begin
         List.iteri
           (fun k into -> Tnode.absorb ~nranks:t.nranks ~into t.nodes.(n - w + k))
           body;
@@ -169,8 +161,7 @@ let try_extend t w =
 let try_fold t w =
   let n = t.len in
   let a = n - (2 * w) and b = n - w in
-  if halves_equiv t a b w 0 && foldable_from t a b && foldable_from t b n
-  then begin
+  if halves_equiv t a b w 0 then begin
     for k = 0 to w - 1 do
       Tnode.absorb ~nranks:t.nranks ~into:t.nodes.(a + k) t.nodes.(b + k)
     done;
@@ -247,7 +238,7 @@ let contents t =
   let rec go i acc = if i < 0 then acc else go (i - 1) (t.nodes.(i) :: acc) in
   go (t.len - 1) []
 
-let compress_list ?window ?foldable ~nranks nodes =
-  let t = create ?window ?foldable ~nranks () in
+let compress_list ?window ~nranks nodes =
+  let t = create ?window ~nranks () in
   List.iter (push_node t) nodes;
   contents t

@@ -26,14 +26,8 @@ type t
 val default_window : int
 
 (** [create ~nranks ()] — [window] bounds the loop-body length that can be
-    detected (default {!default_window}).  [foldable] restricts which
-    leaves may enter a PRSD: folds containing a leaf with
-    [foldable e = false] are rejected.
-    Trace-rebuilding passes use it to keep shared (multi-rank) collective
-    RSDs out of per-rank loops, so the final inter-rank merge can unify
-    them; the global merge's own compression then re-folds the loops. *)
-val create :
-  ?window:int -> ?foldable:(Event.t -> bool) -> nranks:int -> unit -> t
+    detected (default {!default_window}). *)
+val create : ?window:int -> nranks:int -> unit -> t
 
 val push : t -> Event.t -> unit
 
@@ -48,5 +42,4 @@ val contents : t -> Tnode.t list
 (** [compress_list ~nranks nodes] — run the same tail compression over an
     existing node list (used by the generator when appending RSDs to its
     output queue, cf. "Compress T_out" in Algorithm 1). *)
-val compress_list :
-  ?window:int -> ?foldable:(Event.t -> bool) -> nranks:int -> Tnode.t list -> Tnode.t list
+val compress_list : ?window:int -> nranks:int -> Tnode.t list -> Tnode.t list

@@ -521,12 +521,14 @@ type scan = {
   seen : int;
   dropped : int;  (* checksum failures, garbled headers, a missing end *)
   terminated : bool;
+  last : int;  (* the line the scan ended on *)
 }
 
 (* The frame scanner.  Each frame whose header parses and whose checksum
    verifies is kept.  At damage it goes on where it can: past a payload
    whose length it trusts, else from the next line that starts with
-   "frame ".  A missing end-of-trace frame counts as one dropped frame:
+   "frame ".  A garbled header line that the resync skips lines past
+   counts as one dropped frame, and so does a missing end-of-trace frame:
    the file was cut even if every frame before the cut is intact. *)
 let scan_frames ~damage ?src text =
   let n = String.length text in
@@ -557,6 +559,10 @@ let scan_frames ~damage ?src text =
         bad "bad frame header %S" header;
         let rec resync p = if p >= n || is_header p then p else resync (line_end p + 1) in
         let p = resync (e + 1) in
+        if p > e + 1 then begin
+          incr seen;
+          incr dropped
+        end;
         lineno := !lineno + 1 + newlines (e + 1) (min p n);
         pos := p
       end
@@ -600,7 +606,13 @@ let scan_frames ~damage ?src text =
     incr seen;
     incr dropped
   end;
-  { frames = List.rev !frames; seen = !seen; dropped = !dropped; terminated = !terminated }
+  {
+    frames = List.rev !frames;
+    seen = !seen;
+    dropped = !dropped;
+    terminated = !terminated;
+    last = !lineno;
+  }
 
 let parse_header_payload ?src ~line payload =
   match String.split_on_char ' ' (String.trim payload) with
@@ -875,7 +887,9 @@ let find_frame (sc : scan) kind =
 (* v2: header, comms, one frame per rank, timing, in any order.  Recovery
    cuts each rank stream back to its longest good prefix and re-merges;
    the rank count falls back on the timing manifest or the rank frames,
-   the communicator table on MPI_COMM_WORLD. *)
+   the communicator table on MPI_COMM_WORLD.  With frames in any order,
+   nothing marks where a missing one belonged: it is reported on the
+   line the scan ended on. *)
 let read_v2 ~damage ~damaged ?src text =
   let sc = scan_frames ~damage ?src text in
   let find = find_frame sc in
@@ -883,7 +897,7 @@ let read_v2 ~damage ~damaged ?src text =
     match find "header" with
     | Some (p, line) -> attempt ~damage (fun () -> parse_header_payload ?src ~line p)
     | None ->
-        damage (where ?src 1 "missing header frame");
+        damage (where ?src sc.last "missing header frame");
         None
   in
   let timing = Option.map (fun (p, line) -> (parse_timing_payload p, line)) (find "timing") in
@@ -904,7 +918,7 @@ let read_v2 ~damage ~damaged ?src text =
     match find "comms" with
     | Some (p, line) -> attempt ~damage (fun () -> parse_comms_payload ?src ~line p)
     | None ->
-        damage (where ?src 1 "missing comms frame");
+        damage (where ?src sc.last "missing comms frame");
         None
   in
   let comms = Option.value comms ~default:(world nranks) in
@@ -915,7 +929,7 @@ let read_v2 ~damage ~damaged ?src text =
         let kind = Printf.sprintf "rank:%d" r in
         match find kind with
         | None ->
-            damage (where ?src 1 (Printf.sprintf "missing frame for rank %d" r));
+            damage (where ?src sc.last (Printf.sprintf "missing frame for rank %d" r));
             missing := r :: !missing;
             ranks.(r) <- (0, expected r, true);
             []
@@ -937,7 +951,7 @@ let read_v2 ~damage ~damaged ?src text =
     raise (Unrecoverable "no rank stream survived");
   let trace = Merge.merge ~nranks ~comms streams in
   (match timing with
-  | None -> damage (where ?src 1 "missing timing frame")
+  | None -> damage (where ?src sc.last "missing timing frame")
   | Some ((events, per_rank), line) when not !damaged ->
       let mismatch fmt = Printf.ksprintf (fun s -> damage (where ?src line s)) fmt in
       (match events with
@@ -973,6 +987,14 @@ let read_v2 ~damage ~damaged ?src text =
 let read_v3 ~damage ~damaged ?src text =
   let sc = scan_frames ~damage ?src text in
   let find = find_frame sc in
+  (* a frame missing at the end belongs on the line after the last intact
+     frame, the one it follows *)
+  let next_line =
+    match List.rev sc.frames with
+    | (_, payload, line) :: _ ->
+        String.fold_left (fun l c -> if c = '\n' then l + 1 else l) (line + 1) payload
+    | [] -> 2
+  in
   (* the metadata frames lead, in order; a missing one is looked up by kind *)
   let rest = ref sc.frames in
   let lead kind parse =
@@ -980,7 +1002,7 @@ let read_v3 ~damage ~damaged ?src text =
     | (k, _, _) :: tl when k = kind -> rest := tl
     | (k, _, line) :: _ ->
         damage (where ?src (line - 1) (Printf.sprintf "expected frame %s, found %s" kind k))
-    | [] -> damage (where ?src 2 (Printf.sprintf "missing %s frame" kind)));
+    | [] -> damage (where ?src next_line (Printf.sprintf "missing %s frame" kind)));
     Option.bind (find kind) (fun (p, line) ->
         attempt ~damage (fun () -> parse ?src:(in_frame ?src kind) ~line p))
   in
@@ -1040,7 +1062,7 @@ let read_v3 ~damage ~damaged ?src text =
     | [] -> (
         match m_nodes with
         | Some k when i < k ->
-            damage (where ?src 2 (Printf.sprintf "missing node frame nodes:%d" i))
+            damage (where ?src next_line (Printf.sprintf "missing node frame nodes:%d" i))
         | _ -> ())
     | (kind, _, line) :: frames -> (
         let here s = damage (where ?src (line - 1) s) in

@@ -7,7 +7,6 @@ open Scalatrace
 type t = {
   window : int;
   nranks : int;
-  foldable : Event.t -> bool;
   pows : int array; (* 31^k, for the rolling-hash window filters *)
   mutable rev : Tnode.t list; (* most recent node first *)
   mutable len : int; (* length of [rev], maintained incrementally *)
@@ -15,7 +14,7 @@ type t = {
   s_pref : int array; (* scratch: prefix sums of hash(k) * 31^k *)
 }
 
-let create ?(window = 64) ?(foldable = fun _ -> true) ~nranks () =
+let create ?(window = 64) ~nranks () =
   if window < 1 then invalid_arg "Compress.create: window < 1";
   let m = (2 * window) + 1 in
   let pows = Array.make (m + 1) 1 in
@@ -25,17 +24,12 @@ let create ?(window = 64) ?(foldable = fun _ -> true) ~nranks () =
   {
     window;
     nranks;
-    foldable;
     pows;
     rev = [];
     len = 0;
     s_nodes = [||]; (* sized lazily: Array.make needs a witness node *)
     s_pref = Array.make (m + 1) 0;
   }
-
-let rec all_foldable t = function
-  | Tnode.Leaf e -> t.foldable e
-  | Tnode.Loop { body; _ } -> List.for_all (all_foldable t) body
 
 (* [split_at n l] = (first n elements, rest); callers guarantee
    [List.length l >= n] via the running [len]. *)
@@ -60,7 +54,7 @@ let try_extend t w =
   match rest with
   | Tnode.Loop ({ body; l_len; _ } as l) :: older when l_len = w ->
       let tail = List.rev tail_rev in
-      if equiv_lists body tail && List.for_all (all_foldable t) tail then begin
+      if equiv_lists body tail then begin
         List.iter2 (fun into n -> Tnode.absorb ~nranks:t.nranks ~into n) body tail;
         (* body unchanged structurally: reuse the cached l_len/l_hash *)
         t.rev <- Tnode.Loop { l with count = l.count + 1 } :: older;
@@ -76,11 +70,7 @@ let try_fold t w =
   let tail_rev, older = split_at (2 * w) t.rev in
   let newer_rev, earlier_rev = split_at w tail_rev in
   let newer = List.rev newer_rev and earlier = List.rev earlier_rev in
-  if
-    equiv_lists earlier newer
-    && List.for_all (all_foldable t) earlier
-    && List.for_all (all_foldable t) newer
-  then begin
+  if equiv_lists earlier newer then begin
     List.iter2
       (fun into n -> Tnode.absorb ~nranks:t.nranks ~into n)
       earlier newer;
@@ -156,7 +146,7 @@ let push t e = push_node t (Tnode.Leaf e)
 
 let contents t = List.rev t.rev
 
-let compress_list ?window ?foldable ~nranks nodes =
-  let t = create ?window ?foldable ~nranks () in
+let compress_list ?window ~nranks nodes =
+  let t = create ?window ~nranks () in
   List.iter (push_node t) nodes;
   contents t

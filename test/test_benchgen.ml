@@ -318,4 +318,42 @@ let map_tests =
           [ "Neighbor_alltoall"; "Neighbor_allgather" ]);
   ]
 
-let suite = align_tests @ wildcard_tests @ map_tests
+(* ---------------------------------------------------------------- *)
+(* One walk for both algorithms                                        *)
+
+let walk_tests =
+  [
+    t "wildcard resolution rejects a non-member arrival as alignment does"
+      (fun () ->
+        (* rank 2 reaches an allreduce on communicator 1 = {0,1}; rank 0
+           then sends to rank 3, which receives from MPI_ANY_SOURCE *)
+        let leaf ?(peer = Event.P_none) ?(comm = 0) kind ranks =
+          let h = Util.Histogram.create () in
+          Util.Histogram.add h 0.;
+          Tnode.Leaf
+            {
+              Event.site = s1; kind; peer; bytes = 8; vec = None; tag = 0; comm;
+              parts = None; dtime = h; ranks = Util.Rank_set.of_list ranks;
+              hcache = 0;
+            }
+        in
+        let trace =
+          Trace.make ~nranks:4
+            ~comms:[ (0, Util.Rank_set.all 4); (1, Util.Rank_set.of_list [ 0; 1 ]) ]
+            ~nodes:
+              [
+                leaf ~comm:1 Event.E_allreduce [ 0; 1; 2 ];
+                leaf ~peer:(Event.P_abs 3) Event.E_send [ 0 ];
+                leaf ~peer:Event.P_any Event.E_recv [ 3 ];
+              ]
+        in
+        List.iter
+          (fun strategy ->
+            match Benchgen.Wildcard.run ~strategy trace with
+            | _ -> Alcotest.fail "expected Wildcard_error"
+            | exception Benchgen.Wildcard.Wildcard_error msg ->
+                Alcotest.(check bool) msg true (Test_fault.contains ~sub:"communicator 1" msg))
+          [ `Auto; `Traversal ]);
+  ]
+
+let suite = align_tests @ wildcard_tests @ map_tests @ walk_tests

@@ -40,9 +40,9 @@ let check_same ~what got want =
   Alcotest.(check bool) (what ^ ": leaf details") true
     (leaf_details got = leaf_details want)
 
-let compress_both ?window ?foldable ~nranks stream =
-  let a = Compress.create ?window ?foldable ~nranks ()
-  and b = Compress_ref.create ?window ?foldable ~nranks () in
+let compress_both ?window ~nranks stream =
+  let a = Compress.create ?window ~nranks ()
+  and b = Compress_ref.create ?window ~nranks () in
   List.iter
     (fun e ->
       Compress.push a (Event.copy e);
@@ -52,12 +52,12 @@ let compress_both ?window ?foldable ~nranks stream =
 
 let windows = [ 1; 2; 64; 256 ]
 
-let check_streams ?(windows = windows) ?foldable ~what ~nranks streams =
+let check_streams ?(windows = windows) ~what ~nranks streams =
   List.iter
     (fun window ->
       Array.iteri
         (fun r stream ->
-          let got, want = compress_both ~window ?foldable ~nranks stream in
+          let got, want = compress_both ~window ~nranks stream in
           check_same ~what:(Printf.sprintf "%s rank %d window %d" what r window)
             got want)
         streams)
@@ -115,10 +115,6 @@ let registry_tests =
                 (Tracer.streams ~nranks (Check.Gen.to_app prog))
             done)
           [ `Mixed; `Neighbor ]);
-    t "foldable predicate: same rejections" (fun () ->
-        let nranks, streams = app_streams "cg" ~wanted:16 in
-        let foldable e = not (Event.is_collective e.Event.kind) in
-        check_streams ~foldable ~what:"cg" ~nranks streams);
     t "compress_list over a merged trace" (fun () ->
         List.iter
           (fun name ->

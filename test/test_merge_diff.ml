@@ -218,4 +218,52 @@ let hirsd_tests =
           (merged_text ~nranks:32 (app.program ~cls:Apps.Params.A ())));
   ]
 
-let suite = registry_tests @ gen_props @ align_tests @ hirsd_tests
+(* Alignment's verdicts when the walk ends with ranks unfinished. *)
+let stuck_tests =
+  [
+    t "opposite collective orders are a cyclic dependency" (fun () ->
+        let both = Util.Rank_set.of_list [ 0; 1 ] in
+        let trace =
+          Trace.make ~nranks:2
+            ~comms:[ (0, Util.Rank_set.all 2); (1, both); (2, both) ]
+            ~nodes:
+              [
+                coll_leaf ~comm:1 ~bytes:8 [ 0 ];
+                coll_leaf ~comm:2 ~bytes:8 [ 1 ];
+                coll_leaf ~comm:2 ~bytes:8 [ 0 ];
+                coll_leaf ~comm:1 ~bytes:8 [ 1 ];
+              ]
+        in
+        match Benchgen.Align.run trace with
+        | _ -> Alcotest.fail "expected Align_error"
+        | exception Benchgen.Align.Align_error msg ->
+            Alcotest.(check bool) msg true
+              (Test_fault.contains ~sub:"cyclic collective dependency" msg));
+    t "a stall names every rank that will never arrive" (fun () ->
+        (* ranks 0 and 1 wait on communicators {0,3} and {1,2}; ranks 2
+           and 3 recorded nothing *)
+        let trace =
+          Trace.make ~nranks:4
+            ~comms:
+              [
+                (0, Util.Rank_set.all 4);
+                (1, Util.Rank_set.of_list [ 0; 3 ]);
+                (2, Util.Rank_set.of_list [ 1; 2 ]);
+              ]
+            ~nodes:[ coll_leaf ~comm:1 ~bytes:8 [ 0 ]; coll_leaf ~comm:2 ~bytes:8 [ 1 ] ]
+        in
+        let check what (st : Benchgen.Align.stall) =
+          Alcotest.(check (list int)) (what ^ ": missing") [ 2; 3 ] st.st_missing;
+          Alcotest.(check (list int))
+            (what ^ ": one edge per parked rank") [ 0; 1 ]
+            (List.sort compare (List.map (fun e -> e.Util.Waitgraph.e_rank) st.st_edges))
+        in
+        (match Benchgen.Align.run_policy ~policy:`Strict trace with
+        | _ -> Alcotest.fail "expected Incomplete"
+        | exception Benchgen.Align.Incomplete st -> check "strict" st);
+        match (Benchgen.Align.run_policy ~policy:`Best_effort trace).stall with
+        | Some st -> check "best-effort" st
+        | None -> Alcotest.fail "best-effort reported no stall");
+  ]
+
+let suite = registry_tests @ gen_props @ align_tests @ hirsd_tests @ stuck_tests

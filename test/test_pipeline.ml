@@ -155,12 +155,6 @@ let replay_tests =
           List.fold_left (fun acc (_, srcs) -> acc + List.length srcs) 0 rep.wildcard_matches
         in
         Alcotest.(check int) "2 matches" 2 total);
-    t "replay respects compute_scale" (fun () ->
-        let ep = Option.get (Apps.Registry.find "ep") in
-        let trace, _ = Scalatrace.Tracer.trace_run ~nranks:4 (ep.program ~cls ()) in
-        let full = (Replay.run trace).outcome.elapsed in
-        let tenth = (Replay.run ~compute_scale:0.1 trace).outcome.elapsed in
-        Alcotest.(check bool) "scaled" true (tenth < 0.2 *. full));
     t "replay recreates subcommunicator collectives" (fun () ->
         let s1 = Mpi.site __POS__ and s2 = Mpi.site __POS__ and s3 = Mpi.site __POS__ in
         let prog (ctx : Mpi.ctx) =
@@ -171,6 +165,32 @@ let replay_tests =
         let trace, _ = Scalatrace.Tracer.trace_run ~nranks:4 prog in
         let rep = Replay.run trace in
         Alcotest.(check bool) "ran" true (rep.outcome.elapsed > 0.));
+    t "replay rejects a collective on a communicator the rank is not in" (fun () ->
+        (* rank 2 reaches an allreduce on communicator 1 = {0,1}, which the
+           replay recreates on ranks 0 and 1 only *)
+        let leaf ~comm kind ranks =
+          let dtime = Util.Histogram.create () in
+          Util.Histogram.add dtime 0.;
+          Scalatrace.Tnode.Leaf
+            {
+              Scalatrace.Event.site = Mpi.site __POS__; kind; peer = Scalatrace.Event.P_none;
+              bytes = 8; vec = None; tag = 0; comm; parts = None; dtime;
+              ranks = Util.Rank_set.of_list ranks; hcache = 0;
+            }
+        in
+        let trace =
+          Scalatrace.Trace.make ~nranks:3
+            ~comms:[ (0, Util.Rank_set.all 3); (1, Util.Rank_set.of_list [ 0; 1 ]) ]
+            ~nodes:
+              [
+                leaf ~comm:1 Scalatrace.Event.E_allreduce [ 0; 1; 2 ];
+                leaf ~comm:0 Scalatrace.Event.E_finalize [ 0; 1; 2 ];
+              ]
+        in
+        match Replay.run trace with
+        | _ -> Alcotest.fail "expected Replay_error"
+        | exception Replay.Replay_error msg ->
+            Alcotest.(check string) "message" "communicator 1 not recreated" msg);
   ]
 
 let apps_tests =

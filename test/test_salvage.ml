@@ -445,9 +445,33 @@ let notes_test =
           ("frame nodes:0: line 12", in_frame ~version:3 "nodes:0" (Trace_io.to_string ring));
         ])
 
+(* A garbled frame header loses its frame: the scan resyncs at the next
+   header and counts the skipped frame as seen and dropped.  A junk line
+   straight before a header skips nothing, so it costs no frame. *)
+let garbled_header_test =
+  t "a frame header without its frame prefix counts as a dropped frame" (fun () ->
+      let lines = String.split_on_char '\n' (Trace_io.to_string (app_trace ~nranks:4 "ring")) in
+      let edit f = String.concat "\n" (List.concat (List.mapi f lines)) in
+      let garbled =
+        edit (fun i l ->
+            [ (if i = 1 then "fr?me" ^ String.sub l 5 (String.length l - 5) else l) ])
+      in
+      let junk =
+        edit (fun _ l -> if String.starts_with ~prefix:"frame comms " l then [ "junk"; l ] else [ l ])
+      in
+      List.iter
+        (fun (what, bytes, seen, dropped) ->
+          match Salvage.of_string bytes with
+          | Error m -> Alcotest.fail m
+          | Ok (_, report) ->
+              Alcotest.(check (pair int int))
+                (what ^ ": frames seen, dropped") (seen, dropped)
+                (report.frames_seen, report.frames_dropped))
+        [ ("garbled header", garbled, 5, 1); ("junk line", junk, 5, 0) ])
+
 let suite =
   unit_tests
   @ List.map framed_roundtrip all_app_names
   @ List.map migration all_app_names
   @ List.map v3_boundary_sweep [ "bt"; "is"; "lu"; "mg" ]
-  @ v3_tests @ [ notes_test ]
+  @ v3_tests @ [ notes_test; garbled_header_test ]

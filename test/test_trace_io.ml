@@ -564,6 +564,32 @@ let one_reader_test =
           ("v1 with a comm line after the body", true, ring ^ "comm 1 0:1:1\n");
         ])
 
+(* A frame that never arrived is reported where it should have started:
+   in v3 the line after the frame it follows, in v2 (frames in any order)
+   the line the scan ended on.  Both files here end with their end frame,
+   so both lines are the end frame's. *)
+let end_line bytes =
+  let stop = find_sub ~sub:"frame end " bytes in
+  String.fold_left (fun l c -> if c = '\n' then l + 1 else l) 1 (String.sub bytes 0 stop)
+
+let missing_frame_line_tests =
+  let cg = lazy (traced ~wanted:8 "cg") in
+  [
+    t "v3 names the line a missing node frame should start on" (fun () ->
+        let fs = frames_of (Trace_io.to_string (Lazy.force cg)) in
+        let last = Printf.sprintf "nodes:%d" (List.length fs - 4) in
+        let bytes = framed (List.filter (fun (k, _) -> k <> last) fs) in
+        rejects
+          ~what:(Printf.sprintf "line %d: missing node frame %s" (end_line bytes) last)
+          bytes);
+    t "v2 names the line its frame scan ended on for a missing frame" (fun () ->
+        let fs = frames_of (Trace_io.to_framed (Lazy.force cg)) in
+        let bytes = framed ~version:2 (List.filter (fun (k, _) -> k <> "rank:4") fs) in
+        rejects
+          ~what:(Printf.sprintf "line %d: missing frame for rank 4" (end_line bytes))
+          bytes);
+  ]
+
 let suite =
   List.map app_roundtrip [ "bt"; "cg"; "ep"; "ft"; "is"; "lu"; "mg"; "sp"; "sweep3d" ]
   @ unit_tests @ dt_corruption_tests
@@ -572,3 +598,4 @@ let suite =
   @ v3_strict_tests @ header_fit_tests
   @ [ v3_size_test; compat_test; rank_list_test; impossible_dt_test;
       exact_timing_test; one_reader_test ]
+  @ missing_frame_line_tests
