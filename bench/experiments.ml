@@ -344,13 +344,12 @@ let scaling () =
       label;
       string_of_int (Scalatrace.Trace.event_count trace);
       string_of_int (Scalatrace.Trace.rsd_count trace);
-      Table.fbytes (Scalatrace.Trace.text_size trace);
       Table.fbytes (file_bytes trace);
       string_of_int report.statements;
     ]
   in
   let header first =
-    [ first; "MPI events"; "RSDs"; "trace size"; "file (v3)"; "generated stmts" ]
+    [ first; "MPI events"; "RSDs"; "file (v3)"; "generated stmts" ]
   in
   Table.print
     ~title:"Trace and benchmark size vs rank count (ring, 1000 iterations)"

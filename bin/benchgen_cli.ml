@@ -342,11 +342,11 @@ let trace_cmd =
         Scalatrace.Trace_io.save trace ~path;
         Printf.printf "wrote %s\n" path
     | None -> Format.printf "%a@." Scalatrace.Trace.pp trace);
+    let saved = String.length (Scalatrace.Trace_io.to_string trace) in
     Printf.printf
-      "run: %.3f virtual seconds; trace: %d RSDs for %d MPI events (%s serialized)\n"
+      "run: %.3f virtual seconds; trace: %d RSDs for %d MPI events; saved file %s (%d bytes)\n"
       outcome.elapsed (Scalatrace.Trace.rsd_count trace)
-      (Scalatrace.Trace.event_count trace)
-      (Util.Table.fbytes (Scalatrace.Trace.text_size trace));
+      (Scalatrace.Trace.event_count trace) (Util.Table.fbytes saved) saved;
     fault_counters outcome sim.fault
   in
   Cmd.v (Cmd.info "trace" ~doc)

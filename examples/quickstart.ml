@@ -35,10 +35,10 @@ let () =
 
   (* trace the application *)
   let trace, original = Scalatrace.Tracer.trace_run ~nranks app in
-  Printf.printf "traced %d MPI events into %d RSDs (%s of trace text)\n\n"
+  Printf.printf "traced %d MPI events into %d RSDs (a %s trace file)\n\n"
     (Scalatrace.Trace.event_count trace)
     (Scalatrace.Trace.rsd_count trace)
-    (Util.Table.fbytes (Scalatrace.Trace.text_size trace));
+    (Util.Table.fbytes (String.length (Scalatrace.Trace_io.to_string trace)));
 
   (* generate the benchmark via the unified pipeline *)
   let module P = Benchgen.Pipeline in

@@ -37,12 +37,6 @@ let coords3 ~px ~py rank =
 
 let rank3 ~px ~py ~x ~y ~z = (z * px * py) + (y * px) + x
 
-let neighbor3 ~px ~py ~pz ~rank ~dx ~dy ~dz =
-  let x, y, z = coords3 ~px ~py rank in
-  let x' = x + dx and y' = y + dy and z' = z + dz in
-  if x' < 0 || x' >= px || y' < 0 || y' >= py || z' < 0 || z' >= pz then None
-  else Some (rank3 ~px ~py ~x:x' ~y:y' ~z:z')
-
 let neighbor3_periodic ~px ~py ~pz ~rank ~dx ~dy ~dz =
   let x, y, z = coords3 ~px ~py rank in
   let wrap v n = ((v mod n) + n) mod n in

@@ -24,9 +24,6 @@ val coords3 : px:int -> py:int -> int -> int * int * int
 
 val rank3 : px:int -> py:int -> x:int -> y:int -> z:int -> int
 
-val neighbor3 :
-  px:int -> py:int -> pz:int -> rank:int -> dx:int -> dy:int -> dz:int -> int option
-
-(** Periodic variant (wraps around). *)
+(** The neighbor at offset ([dx], [dy], [dz]), wrapping around. *)
 val neighbor3_periodic :
   px:int -> py:int -> pz:int -> rank:int -> dx:int -> dy:int -> dz:int -> int

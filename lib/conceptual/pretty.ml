@@ -203,5 +203,3 @@ let program (p : program) =
   seq buf 0 p.body;
   Buffer.add_char buf '\n';
   Buffer.contents buf
-
-let pp_program ppf p = Format.pp_print_string ppf (program p)

@@ -151,48 +151,44 @@ let stall_message stall =
     stall.st_edges
 
 (* Algorithm 1 on the shared walk ({!Traversal.run}): an event that is
-   not a collective is emitted as its rank reaches it, a collective once,
-   merged, when its last member arrives.  The walk ends by construction,
-   and ends with ranks unfinished only at a cycle or at *dead waits* — a
-   parked collective whose missing member's stream already ended.  Under
-   [`Strict] a dead wait raises; under [`Best_effort] the output is cut
-   back to the last channel-balanced world frontier (see {!Frontier}). *)
+   not a collective is narrowed to its rank and pushed as the rank
+   reaches it, a collective merged and anchored once, when its last
+   member arrives, all into one {!Merge} builder (the paper's T_out).
+   The walk ends by construction, and ends with ranks unfinished only at
+   a cycle or at *dead waits* — a parked collective whose missing
+   member's stream already ended.  Under [`Strict] a dead wait raises;
+   under [`Best_effort] the output is cut back to the last
+   channel-balanced world frontier (see {!Frontier}). *)
 let run_policy ?(policy : policy = `Strict) (trace : Trace.t) =
-  let rebuild =
-    Traversal.rebuild_create ~nranks:(Trace.nranks trace) ~comms:(Trace.comms trace)
-  in
+  let nranks = Trace.nranks trace and comms = Trace.comms trace in
+  let b = Merge.create ~nranks in
+  let singletons = Array.init nranks Util.Rank_set.singleton in
   let walk = Traversal.walk ~fail:(fun msg -> Align_error msg) trace in
   let finished =
     Traversal.run walk
       ~step:(fun ~rank ~seq:_ e ->
-        Traversal.emit_single rebuild ~rank e;
+        Merge.push b ~rank (Event.narrow ~ranks:singletons.(rank) ~rank ~nranks e);
         true)
-      ~complete:(fun c ->
-        Traversal.emit_group rebuild ~ranks:c.members (merge_collective c))
+      ~complete:(fun c -> Merge.anchor b (merge_collective c))
   in
   let stall = if finished then None else Some (stall_of walk) in
+  let cut () =
+    let out, anchors = Frontier.cut b ~comms in
+    {
+      out;
+      stall;
+      cut_anchors = Some anchors;
+      dropped_events = Trace.event_count trace - Trace.event_count out;
+    }
+  in
   match (stall, policy) with
   | Some st, `Strict -> raise (Incomplete st)
-  | Some st, `Best_effort ->
-      let out, anchors = Frontier.cut ~rebuild () in
-      {
-        out;
-        stall = Some st;
-        cut_anchors = Some anchors;
-        dropped_events = Trace.event_count trace - Trace.event_count out;
-      }
+  | Some _, `Best_effort -> cut ()
   | None, _ ->
-      let out = Traversal.rebuild_finish rebuild in
-      if policy = `Best_effort && not (Frontier.balanced out) then
-        (* no collective ever went unanswered, but a p2p conversation was
-           cut mid-flight (pure point-to-point truncation) *)
-        let out', anchors = Frontier.cut ~rebuild () in
-        {
-          out = out';
-          stall = None;
-          cut_anchors = Some anchors;
-          dropped_events = Trace.event_count trace - Trace.event_count out';
-        }
+      let out = Merge.finish b ~comms in
+      (* no collective ever went unanswered, but best-effort still cuts a
+         p2p conversation left mid-flight (pure point-to-point truncation) *)
+      if policy = `Best_effort && not (Frontier.balanced out) then cut ()
       else { out; stall = None; cut_anchors = None; dropped_events = 0 }
 
 let run trace =

@@ -6,9 +6,11 @@
     parking each rank at each collective until all other members of the
     communicator arrive, then re-emits a single RSD covering the full
     participant set — the trace-level equivalent of hoisting the collective
-    out of rank conditionals.  Point-to-point events pass through
-    unchanged; per-rank event order is preserved; the output is
-    recompressed.  Complexity O(p·e); use {!Scalatrace.Trace.has_unaligned_collectives}
+    out of rank conditionals.  Point-to-point events pass through,
+    narrowed to their rank ({!Scalatrace.Event.narrow}); per-rank event
+    order is preserved.  The output is built by a {!Scalatrace.Merge}
+    builder, the tracer's: each merged collective is an anchor.
+    Complexity O(p·e); use {!Scalatrace.Trace.has_unaligned_collectives}
     (O(r)) to decide whether the pass is needed.
 
     The pass runs on the shared walk ({!Traversal.run}), which ends by

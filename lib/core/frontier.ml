@@ -116,11 +116,9 @@ let balanced (trace : Trace.t) =
   in
   Hashtbl.fold (fun _ l acc -> acc && check_ledger l) ledgers true
 
-let cut ~(rebuild : Traversal.rebuild) () =
+let cut b ~comms =
   let rec probe k =
-    if k <= 0 then (Traversal.rebuild_finish ~upto_world_anchor:0 rebuild, 0)
-    else
-      let t = Traversal.rebuild_finish ~upto_world_anchor:k rebuild in
-      if balanced t then (t, k) else probe (k - 1)
+    let t = Merge.finish ~upto_world_anchor:k b ~comms in
+    if k <= 0 || balanced t then (t, k) else probe (k - 1)
   in
-  probe (Traversal.world_anchor_count rebuild)
+  probe (Merge.world_anchors b)

@@ -3,7 +3,8 @@
     When a salvaged trace cannot be fully aligned (a rank's stream ended
     early), the benchmark must be cut so that no message crosses the cut
     — otherwise replay hangs on a receive whose sender was lost.  The
-    frontier rule: truncate to the last world-spanning collective anchor
+    frontier rule: truncate Algorithm 1's output to the last
+    world-spanning collective anchor of its {!Scalatrace.Merge} builder
     and verify the result by loop-weighted channel accounting; probe
     earlier anchors until the accounting closes. *)
 
@@ -13,7 +14,11 @@
     wildcards, greedily most-specific-first) and no send is left over. *)
 val balanced : Scalatrace.Trace.t -> bool
 
-(** [cut ~rebuild ()] — the latest world-anchor truncation of [rebuild]
-    that passes {!balanced}, with the number of anchors kept (0 means the
-    empty trace). *)
-val cut : rebuild:Traversal.rebuild -> unit -> Scalatrace.Trace.t * int
+(** [cut b ~comms] — the latest world-anchor truncation of the builder
+    [b] ({!Scalatrace.Merge.finish} [~upto_world_anchor]) that passes
+    {!balanced}, with the number of anchors kept (0 means the empty
+    trace). *)
+val cut :
+  Scalatrace.Merge.t ->
+  comms:(int * Util.Rank_set.t) list ->
+  Scalatrace.Trace.t * int

@@ -372,13 +372,14 @@ let run cfg source =
               match cfg.defect with
               | Some D_skip_wildcard -> (trace, false)
               | _ ->
-                  (* Tracing and alignment leave the heap mostly garbage
-                     (LU at 256 ranks: ~5 MB live in ~120 MB), and certified
-                     resolution allocates too little to drive the major GC
-                     through it.  The sweep then lags into codegen and the
-                     heap grows instead: peak RSS 148-162 MB against 125 MB
-                     with this collection, which costs ~80 ms there on a
-                     2-vCPU x86 VM. *)
+                  (* Tracing and alignment leave the heap mostly garbage,
+                     and certified resolution allocates too little to drive
+                     the major GC through it.  The sweep then lags into
+                     codegen and the heap grows instead.  LU class C at 256
+                     ranks, in a fresh process on a 2-vCPU x86 VM: peak RSS
+                     18.9-19.0 MB with this collection, 20.2-20.3 MB
+                     without, at the same wall time (0.37-0.49 s; three
+                     runs each). *)
                   if Scalatrace.Trace.has_wildcards trace then Gc.full_major ();
                   Wildcard.resolve_if_needed ?net:cfg.net
                     ~on_fallback:(fun msg -> warn (W_wildcard_fallback msg))

@@ -6,7 +6,9 @@
     PRSD loops lazily (so traversal is O(events), not O(trace size)) and
     can be stored in per-rank contexts and advanced independently — the
     "traversal context" of Algorithm 1.  The {!walk} drives one cursor per
-    rank for both algorithms. *)
+    rank for both algorithms.  The walk builds nothing: Algorithm 1's
+    output goes to a {!Scalatrace.Merge} builder, and Algorithm 2 rewrites
+    its trace in place. *)
 
 type cursor
 
@@ -88,35 +90,3 @@ val finished : walk -> int -> bool
 
 (** The collective instances some members reached and others did not. *)
 val pending : walk -> collective list
-
-(** {1 Output rebuilding}
-
-    Algorithm 1 rewrites the trace by re-emitting events in traversal
-    order into a single output queue (the paper's [T_out]), compressed on
-    the fly ("Compress T_out").  Every event instance is appended exactly
-    once — shared collectives with their full participant set — so the
-    per-rank projections of the result are correct by construction. *)
-
-type rebuild
-
-val rebuild_create : nranks:int -> comms:(int * Util.Rank_set.t) list -> rebuild
-
-(** Emit an event instance executed by a single rank (peers are narrowed
-    to that rank's concrete value). *)
-val emit_single : rebuild -> rank:int -> Scalatrace.Event.t -> unit
-
-(** Emit one collective RSD covering all of [ranks]; call it exactly once
-    per collective instance, when all participants have arrived. *)
-val emit_group : rebuild -> ranks:Util.Rank_set.t -> Scalatrace.Event.t -> unit
-
-(** Number of world-spanning collective anchors emitted so far — the
-    candidate cut points for degraded-mode truncation. *)
-val world_anchor_count : rebuild -> int
-
-(** Build the output trace.  With [upto_world_anchor:k], keep only the
-    emission prefix up to and including the [k]-th world-spanning anchor
-    and drop the open per-rank segments beyond it — the "globally
-    consistent frontier" cut of degraded-mode generation.  May be called
-    more than once on the same rebuild (e.g. probing successively earlier
-    frontiers). *)
-val rebuild_finish : ?upto_world_anchor:int -> rebuild -> Scalatrace.Trace.t

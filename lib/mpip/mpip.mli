@@ -20,7 +20,6 @@ val hook : t -> Mpisim.Hooks.t
 (** Aggregates sorted by operation name. *)
 val entries : t -> entry list
 
-val total_calls : t -> int
 val total_bytes : t -> int
 
 (** [diff a b] lists human-readable discrepancies between two profiles;

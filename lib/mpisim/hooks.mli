@@ -5,8 +5,8 @@
     makes, with virtual timestamps.  [on_enter] fires when the application
     invokes the call; [on_return] fires when the call completes and the
     application resumes.  [Compute] and [Wtime] pseudo-calls are reported
-    too; clients that only care about MPI events filter them with
-    {!Call.is_compute}.
+    too; clients that only care about MPI events skip an op that matches
+    [Compute _ | Wtime].
 
     When fault injection is active ({!Fault}), [on_fault] additionally
     reports transport-level incidents invisible to the application: a

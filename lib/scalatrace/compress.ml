@@ -63,8 +63,9 @@ let pows_upto k =
     q
   end
 
-(* The arrays stay empty until the first push: the wildcard traversal
-   creates one compressor per rank per collective anchor. *)
+(* The arrays stay empty until the first push: Algorithm 1's builder
+   ({!Merge.anchor}) creates one compressor per participant per
+   collective anchor. *)
 let create ?(window = default_window) ~nranks () =
   if window < 1 then invalid_arg "Compress.create: window < 1";
   { window; nranks; pows = pows_upto window; nodes = [||];

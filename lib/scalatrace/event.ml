@@ -360,6 +360,15 @@ let peer_of e ~rank ~nranks =
 (* [vec], [parts] and the rank set are never mutated, so they are shared. *)
 let copy e = { e with dtime = Util.Histogram.copy e.dtime }
 
+let narrow ~ranks ~rank ~nranks e =
+  let peer =
+    match e.peer with
+    | P_map _ | P_rel _ -> (
+        match peer_of e ~rank ~nranks with Some p -> P_abs p | None -> P_none)
+    | (P_none | P_any | P_abs _) as p -> p
+  in
+  { e with peer; ranks; dtime = Util.Histogram.copy e.dtime }
+
 let pp_peer ppf = function
   | P_none -> ()
   | P_abs a -> Format.fprintf ppf " peer=%d" a

@@ -127,4 +127,12 @@ val kind_name : kind -> string
     which are never mutated, are shared. *)
 val copy : t -> t
 
+(** [narrow ~ranks ~rank ~nranks e] — [e] as its participant [rank]
+    executed it: a {!copy} whose participant set is [ranks] and whose
+    [P_rel] or [P_map] peer becomes [rank]'s {!peer_of}, as [P_abs], or
+    [P_none] when the map does not cover [rank].  Pass the one
+    [Rank_set.singleton rank] the caller keeps for the rank, as for
+    {!of_call}. *)
+val narrow : ranks:Util.Rank_set.t -> rank:int -> nranks:int -> t -> t
+
 val pp : Format.formatter -> t -> unit

@@ -11,8 +11,6 @@ let nranks t = t.nranks
 let nodes t = t.nodes
 let comms t = t.comms
 
-let comm_members t id = List.assoc id t.comms
-
 let with_nodes t nodes = { t with nodes }
 
 let rsd_count t = Tnode.rsd_count t.nodes
@@ -81,4 +79,3 @@ let pp ppf t =
 
 let to_text t = Format.asprintf "%a" pp t
 
-let text_size t = String.length (to_text t)

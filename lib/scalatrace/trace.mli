@@ -16,9 +16,6 @@ val nodes : t -> Tnode.t list
 (** Communicator memberships, sorted by id; id 0 is the world. *)
 val comms : t -> (int * Util.Rank_set.t) list
 
-(** Members of one communicator. @raise Not_found for unknown ids. *)
-val comm_members : t -> int -> Util.Rank_set.t
-
 (** Replace the node sequence (trace-rewriting passes). *)
 val with_nodes : t -> Tnode.t list -> t
 
@@ -26,10 +23,6 @@ val with_nodes : t -> Tnode.t list -> t
 
 val rsd_count : t -> int
 val event_count : t -> int
-
-(** Serialized size in bytes of {!to_text} — the "trace file size" proxy
-    used by the scaling experiments. *)
-val text_size : t -> int
 
 (** Every rank's projection, indexed by rank: the event-node sequence
     each rank executes, built in one walk of the trace

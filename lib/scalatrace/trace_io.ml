@@ -527,9 +527,12 @@ type scan = {
 (* The frame scanner.  Each frame whose header parses and whose checksum
    verifies is kept.  At damage it goes on where it can: past a payload
    whose length it trusts, else from the next line that starts with
-   "frame ".  A garbled header line that the resync skips lines past
-   counts as one dropped frame, and so does a missing end-of-trace frame:
-   the file was cut even if every frame before the cut is intact. *)
+   "frame ".  A header line that does not parse — no "frame " prefix,
+   too few or too many fields, a length or checksum that is not a number
+   — goes to that resync, and counts as one frame seen and dropped when
+   the resync skips lines past it (its payload).  So does a missing
+   end-of-trace frame: the file was cut even if every frame before the
+   cut is intact. *)
 let scan_frames ~damage ?src text =
   let n = String.length text in
   let line_end pos = match String.index_from_opt text pos '\n' with Some i -> i | None -> n in
@@ -550,56 +553,50 @@ let scan_frames ~damage ?src text =
       let e = line_end !pos in
       let header = String.sub text !pos (e - !pos) in
       let bad fmt = Printf.ksprintf (fun s -> damage (where ?src !lineno s)) fmt in
-      let skip_line () =
-        incr dropped;
-        incr lineno;
-        pos := e + 1
-      in
-      if not (String.starts_with ~prefix:"frame " header) then begin
-        bad "bad frame header %S" header;
-        let rec resync p = if p >= n || is_header p then p else resync (line_end p + 1) in
-        let p = resync (e + 1) in
-        if p > e + 1 then begin
-          incr seen;
-          incr dropped
-        end;
-        lineno := !lineno + 1 + newlines (e + 1) (min p n);
-        pos := p
-      end
-      else
+      let fields =
         match String.split_on_char ' ' header with
-        | [ "frame"; "end"; "0"; _ ] ->
-            terminated := true;
-            finished := true
+        | [ "frame"; "end"; "0"; _ ] -> `End
         | [ "frame"; kind; len_s; crc_s ] -> (
-            incr seen;
             match (int_of_string_opt len_s, Util.Crc32.of_hex crc_s) with
-            | Some len, Some crc when len >= 0 && e + 1 + len <= n ->
-                let payload = String.sub text (e + 1) len in
-                if Util.Crc32.string payload <> crc then begin
-                  bad "frame %s: checksum mismatch" kind;
-                  incr dropped
-                end
-                else begin
-                  if e + 1 + len < n && text.[e + 1 + len] <> '\n' then
-                    bad "frame %s: missing separator" kind;
-                  frames := (kind, payload, !lineno + 1) :: !frames
-                end;
-                lineno := !lineno + 2 + newlines (e + 1) (e + 1 + len);
-                pos := e + 1 + len + 1
-            | Some len, Some _ ->
-                bad "frame %s: truncated payload" kind;
-                if len >= 0 then begin
-                  incr dropped;
-                  finished := true
-                end
-                else skip_line ()
-            | _ ->
-                bad "bad frame header %S" header;
-                skip_line ())
-        | _ ->
-            bad "bad frame header %S" header;
-            skip_line ()
+            | Some len, Some crc when len >= 0 -> `Frame (kind, len, crc)
+            | _ -> `Bad)
+        | _ -> `Bad
+      in
+      match fields with
+      | `End ->
+          terminated := true;
+          finished := true
+      | `Bad ->
+          bad "bad frame header %S" header;
+          let rec resync p = if p >= n || is_header p then p else resync (line_end p + 1) in
+          let p = resync (e + 1) in
+          if p > e + 1 then begin
+            incr seen;
+            incr dropped
+          end;
+          lineno := !lineno + 1 + newlines (e + 1) (min p n);
+          pos := p
+      | `Frame (kind, len, crc) ->
+          incr seen;
+          if e + 1 + len <= n then begin
+            let payload = String.sub text (e + 1) len in
+            if Util.Crc32.string payload <> crc then begin
+              bad "frame %s: checksum mismatch" kind;
+              incr dropped
+            end
+            else begin
+              if e + 1 + len < n && text.[e + 1 + len] <> '\n' then
+                bad "frame %s: missing separator" kind;
+              frames := (kind, payload, !lineno + 1) :: !frames
+            end;
+            lineno := !lineno + 2 + newlines (e + 1) (e + 1 + len);
+            pos := e + 1 + len + 1
+          end
+          else begin
+            bad "frame %s: truncated payload" kind;
+            incr dropped;
+            finished := true
+          end
   done;
   if not !terminated then begin
     damage (where ?src !lineno "missing end frame");
@@ -650,28 +647,19 @@ let index_of_kind prefix kind =
 (* ------------------------------------------------------------------ *)
 (* Format v2: one singleton projection per rank                         *)
 
-(* Rank [rank]'s serializable stream: its projection with participant
-   sets narrowed to the singleton and generalized peers resolved to the
-   concrete value — the same shape the tracer's per-rank collectors
-   produce, which is what lets the loader re-merge streams with the
-   production {!Merge} path.  Compute-time summaries ride on the lowest
-   participating rank only ("owner"), so re-merging does not double-count
-   timing. *)
+(* Rank [rank]'s serializable stream: its projection, each event
+   narrowed to [rank] ({!Event.narrow}) — the same shape the tracer's
+   per-rank collectors produce, which is what lets the loader re-merge
+   streams with the production {!Merge} path.  Compute-time summaries
+   ride on the lowest participating rank only ("owner"), so re-merging
+   does not double-count timing. *)
 let rank_stream ~nranks ~rank projection =
+  let ranks = Util.Rank_set.singleton rank in
   Tnode.map_leaves
     (fun (e : Event.t) ->
-      let owner = Util.Rank_set.min_elt e.ranks = Some rank in
-      let e' = Event.copy e in
-      e'.Event.ranks <- Util.Rank_set.singleton rank;
-      (match e'.Event.peer with
-      | Event.P_map _ | Event.P_rel _ -> (
-          match Event.peer_of e ~rank ~nranks with
-          | Some p -> e'.Event.peer <- Event.P_abs p
-          | None -> e'.Event.peer <- Event.P_none)
-      | Event.P_none | Event.P_any | Event.P_abs _ -> ());
-      if not owner then
-        { e' with Event.dtime = Util.Histogram.create (); hcache = 0 }
-      else e')
+      let e' = Event.narrow ~ranks ~rank ~nranks e in
+      if Util.Rank_set.min_elt e.ranks = Some rank then e'
+      else { e' with Event.dtime = Util.Histogram.create (); hcache = 0 })
     projection
 
 let to_framed trace =

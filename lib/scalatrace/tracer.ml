@@ -9,7 +9,7 @@ type recorder = {
 
 type t = {
   nranks : int;
-  compressors : Compress.t array;
+  builder : Merge.t;
   recording : recorder;
   mutable comms : (int * Util.Rank_set.t) list; (* comm id -> world members *)
 }
@@ -24,7 +24,7 @@ let recorder ~nranks =
 let create ~nranks () =
   {
     nranks;
-    compressors = Array.init nranks (fun _ -> Compress.create ~nranks ());
+    builder = Merge.create ~nranks;
     recording = recorder ~nranks;
     comms = [ (0, Util.Rank_set.all nranks) ];
   }
@@ -50,7 +50,7 @@ let note_return rc ~world_rank ~time (call : Mpisim.Call.t) =
 let on_enter t ~world_rank ~time call =
   match event_of t.recording ~world_rank ~time call with
   | None -> ()
-  | Some e -> Compress.push t.compressors.(world_rank) e
+  | Some e -> Merge.push t.builder ~rank:world_rank e
 
 let on_return t ~world_rank ~time call (v : Mpisim.Call.value) =
   note_return t.recording ~world_rank ~time call;
@@ -71,12 +71,8 @@ let hook t =
       (fun ~world_rank ~time call v -> on_return t ~world_rank ~time call v);
   }
 
-let local_traces t = Array.map Compress.contents t.compressors
-
-let finish t =
-  let locals = local_traces t in
-  let comms = List.sort compare t.comms in
-  Merge.merge ~nranks:t.nranks ~comms locals
+let local_traces t = Array.init t.nranks (Merge.stream t.builder)
+let finish t = Merge.finish t.builder ~comms:(List.sort compare t.comms)
 
 let trace_run ?net ?fault ?max_events ?max_virtual_time ?coll_alg ?obs
     ?(extra_hooks = []) ~nranks program =

@@ -1,8 +1,8 @@
 (** The ScalaTrace collection layer.
 
     A {!Mpisim.Hooks.t} client that records every MPI call of every rank
-    into per-rank compressed traces (intra-rank loop compression happens
-    on the fly), measures inter-call computation time, and captures the
+    into a {!Merge} builder, which compresses each rank's events on the
+    fly.  It measures inter-call computation time and captures the
     membership of every communicator created during the run.  At
     [MPI_Finalize] time — i.e., after {!Mpisim.Mpi.run} returns — call
     {!finish} to perform the inter-rank merge and obtain the global
@@ -18,9 +18,9 @@ val hook : t -> Mpisim.Hooks.t
 val local_traces : t -> Tnode.t list array
 
 (** Inter-rank merge (the work the paper's ScalaTrace does inside the
-    [MPI_Finalize] wrapper): returns the global trace.  Per-rank traces
-    are left untouched, so [finish] can run more than once on the same
-    recording. *)
+    [MPI_Finalize] wrapper): {!Merge.finish} of the recording.  Per-rank
+    traces are left untouched, so [finish] can run more than once on the
+    same recording. *)
 val finish : t -> Trace.t
 
 (** [trace_run ?net ~nranks program] — convenience: run [program]
@@ -42,6 +42,6 @@ val trace_run :
 
 (** [streams ~nranks program] — run [program] and return each rank's
     uncompressed event stream, oldest first: exactly the events the
-    tracer pushes into that rank's compressor.  For measuring and
+    tracer pushes into the builder for that rank.  For measuring and
     testing {!Compress} on recorded traffic. *)
 val streams : nranks:int -> (Mpisim.Mpi.ctx -> unit) -> Event.t list array

@@ -12,16 +12,3 @@ let earliest a b =
   match (a, b) with
   | None, x | x, None -> x
   | Some x, Some y -> Some (Float.min x y)
-
-let sleep_s s =
-  if s > 0. then begin
-    let until = monotonic_s () +. s in
-    let rec go remaining =
-      if remaining > 0. then begin
-        (try Unix.sleepf remaining
-         with Unix.Unix_error (Unix.EINTR, _, _) -> ());
-        go (until -. monotonic_s ())
-      end
-    in
-    go s
-  end

@@ -19,8 +19,3 @@ val monotonic_s : unit -> float
     deadlines (pool wakeups, connection idle expiries) into one
     [select] timeout. *)
 val earliest : float option -> float option -> float option
-
-(** [sleep_s s] blocks the calling thread for [s] wall-clock seconds
-    ([s <= 0.] returns immediately); restarts after [EINTR] so the full
-    duration always elapses. *)
-val sleep_s : float -> unit

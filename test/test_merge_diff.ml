@@ -266,4 +266,80 @@ let stuck_tests =
         | None -> Alcotest.fail "best-effort reported no stall");
   ]
 
-let suite = registry_tests @ gen_props @ align_tests @ hirsd_tests @ stuck_tests
+(* Algorithm 1 where the benchmark runs it.  At 64 ranks class C these
+   registry apps need alignment (hirsd does too, but its raw trace is too
+   slow to record here), so the aligned trace is pinned by the MD5 of its
+   v3 bytes.  Best-effort alignment is pinned on salvaged v2 and v3 files
+   cut at a third and at two thirds of their length: the anchors the cut
+   kept, the events it dropped, the ranks the stall names and the
+   output's digest. *)
+let pinned_alignments =
+  [
+    ("cg", "dcc51a36b3405b1786607543dd6a681d");
+    ("is", "61fdd7b209161e22a0c4c0cb639ef594");
+    ("lu", "3d99e39119098bcc98fce098a94760fe");
+    ("sweep3d", "63d10391b3fc15ed26d25ea57233759b");
+    ("amg", "d7a15bdab04e1927d480ddb757cf4123");
+    ("kripke", "f7e37c3cb694da2933afc599525c9130");
+    ("laghos", "8b01ce1354dd3fc1cd62766afe6a6b37");
+  ]
+
+let empty = "e8c22c3b653c8f99c1b40c1addff0a3c"
+
+(* (app, format, cut as num/den of the file): cut anchors, dropped
+   events, missing ranks, output digest *)
+let pinned_best_effort =
+  [
+    ("cg", "v2", (1, 3), (Some 0, 86, [ 2; 3; 4; 5; 6; 7 ], empty));
+    ("cg", "v2", (2, 3), (Some 0, 215, [ 5; 6; 7 ], empty));
+    ("cg", "v3", (1, 3), (None, 0, [], "3fa335b6fa85f7e63373ccbdb223fa41"));
+    ("cg", "v3", (2, 3), (Some 1, 160, [], "3fa335b6fa85f7e63373ccbdb223fa41"));
+    ("lu", "v2", (1, 3), (Some 0, 80, [ 2; 3; 4; 5; 6; 7 ], empty));
+    ("lu", "v2", (2, 3), (Some 0, 254, [ 5; 6; 7 ], empty));
+    ("lu", "v3", (1, 3), (Some 1, 128, [], "38151596888a6c13dae0ded9ec208aa7"));
+    ("lu", "v3", (2, 3), (Some 1, 304, [], "38151596888a6c13dae0ded9ec208aa7"));
+  ]
+
+let v3_digest t = Digest.to_hex (Digest.string (Trace_io.to_string t))
+
+let app_trace ~nranks cls name =
+  let app = Option.get (Apps.Registry.find name) in
+  fst (Tracer.trace_run ~nranks (app.program ~cls ()))
+
+let pinned_alignment_tests =
+  [
+    t "alignment at 64 ranks class C matches its pinned traces" (fun () ->
+        List.iter
+          (fun (name, expected) ->
+            let trace = app_trace ~nranks:64 Apps.Params.C name in
+            Alcotest.(check bool)
+              (name ^ ": needs alignment") true
+              (Trace.has_unaligned_collectives trace);
+            let aligned = Benchgen.Align.run_policy ~policy:`Strict trace in
+            Alcotest.(check string)
+              (name ^ ": aligned trace digest") expected (v3_digest aligned.out))
+          pinned_alignments);
+    t "best-effort alignment of cut files matches its pins" (fun () ->
+        List.iter
+          (fun (name, fmt, (num, den), (cut, dropped, missing, digest)) ->
+            let trace = app_trace ~nranks:8 Apps.Params.S name in
+            let bytes =
+              if fmt = "v2" then Trace_io.to_framed trace else Trace_io.to_string trace
+            in
+            let what = Printf.sprintf "%s %s cut at %d/%d" name fmt num den in
+            match Salvage.of_string (String.sub bytes 0 (String.length bytes * num / den)) with
+            | Error m -> Alcotest.fail (what ^ ": " ^ m)
+            | Ok (salvaged, _) ->
+                let o = Benchgen.Align.run_policy ~policy:`Best_effort salvaged in
+                Alcotest.(check (option int)) (what ^ ": cut anchors") cut o.cut_anchors;
+                Alcotest.(check int) (what ^ ": dropped events") dropped o.dropped_events;
+                Alcotest.(check (list int))
+                  (what ^ ": missing ranks") missing
+                  (match o.stall with None -> [] | Some st -> st.st_missing);
+                Alcotest.(check string) (what ^ ": output digest") digest (v3_digest o.out))
+          pinned_best_effort);
+  ]
+
+let suite =
+  registry_tests @ gen_props @ align_tests @ hirsd_tests @ stuck_tests
+  @ pinned_alignment_tests

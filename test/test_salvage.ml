@@ -469,9 +469,30 @@ let garbled_header_test =
                 (report.frames_seen, report.frames_dropped))
         [ ("garbled header", garbled, 5, 1); ("junk line", junk, 5, 0) ])
 
+(* A header line that keeps its "frame " prefix but does not parse — cut
+   short, a length that is not a number, a checksum that is not hex —
+   takes the same resync: one frame seen and dropped, and its payload
+   line ("nranks 4") is skipped, not read as a second bad header. *)
+let unparseable_header_test =
+  t "a frame header that does not parse counts as one dropped frame" (fun () ->
+      let lines = String.split_on_char '\n' (Trace_io.to_string (app_trace ~nranks:4 "ring")) in
+      let with_header h = String.concat "\n" (List.mapi (fun i l -> if i = 1 then h else l) lines) in
+      List.iter
+        (fun header ->
+          match Salvage.of_string (with_header header) with
+          | Error m -> Alcotest.fail m
+          | Ok (_, report) ->
+              Alcotest.(check (pair int int))
+                (header ^ ": frames seen, dropped") (5, 1)
+                (report.frames_seen, report.frames_dropped);
+              Alcotest.(check bool)
+                (header ^ ": payload not read as a header") false
+                (List.exists (fun n -> Test_fault.contains ~sub:"nranks 4" n) report.notes))
+        [ "frame header 8"; "frame header x8 30becf2d"; "frame header 8 3zbecf2d" ])
+
 let suite =
   unit_tests
   @ List.map framed_roundtrip all_app_names
   @ List.map migration all_app_names
   @ List.map v3_boundary_sweep [ "bt"; "is"; "lu"; "mg" ]
-  @ v3_tests @ [ notes_test; garbled_header_test ]
+  @ v3_tests @ [ notes_test; garbled_header_test; unparseable_header_test ]

@@ -401,4 +401,26 @@ let analysis_tests =
         Alcotest.(check bool) "non-empty" true (String.length s > 40));
   ]
 
-let suite = suite @ analysis_tests
+(* The one narrowing, shared by Algorithm 1's output and the v2 writer:
+   a copy on the rank's own set whose generalized peer is resolved to the
+   rank's concrete one, or dropped when a map does not cover the rank. *)
+let narrow_test =
+  t "narrow resolves peers to P_abs, or P_none outside a map" (fun () ->
+      let ranks = Util.Rank_set.singleton 2 in
+      let narrowed peer =
+        let e = mk_event ~peer () in
+        e.ranks <- Util.Rank_set.all 4;
+        let n = Event.narrow ~ranks ~rank:2 ~nranks:4 e in
+        Alcotest.(check bool) "source unchanged" true (Event.peer_equal e.peer peer);
+        Alcotest.(check bool) "own set" true (n.ranks == ranks);
+        n.peer
+      in
+      let check what expected peer =
+        Alcotest.(check bool) what true (Event.peer_equal expected (narrowed peer))
+      in
+      check "P_rel" (Event.P_abs 1) (Event.P_rel 3);
+      check "covering P_map" (Event.P_abs 0) (Event.P_map [ (1, 3); (2, 0) ]);
+      check "P_map without the rank" Event.P_none (Event.P_map [ (0, 1); (1, 3) ]);
+      check "P_any" Event.P_any Event.P_any)
+
+let suite = suite @ analysis_tests @ [ narrow_test ]
