@@ -2,7 +2,8 @@
    Run with no arguments for the full sequence, or name experiments:
 
      dune exec bench/main.exe                 # everything
-     dune exec bench/main.exe -- fig6 fig7    # a subset *)
+     dune exec bench/main.exe -- fig6 fig7    # a subset
+     dune exec bench/main.exe -- perf-smoke   # the in-tree perf gate *)
 
 let experiments =
   [
@@ -31,20 +32,17 @@ let () =
         "Reproduction harness for 'Automatic Generation of Executable\n\
          Communication Specifications from Parallel Applications'";
       List.iter (fun (name, _, f) -> wall name f) experiments
-  | "perf" :: rest -> wall "perf" (Perf.run ~quick:(List.mem "--quick" rest))
   | [ "perf-smoke" ] -> wall "perf-smoke" Perf.smoke
   | [ "list" ] ->
       List.iter (fun (n, d, _) -> Printf.printf "%-12s %s\n" n d) experiments;
-      print_endline
-        "perf         engine/compressor perf-regression suite -> \
-         BENCH_engine.json (add --quick for the smoke-test mode)";
       print_endline
         "perf-smoke   guards on the merge's cost against the traced run, on \
          Lower's speed against the application, on v3 against v2 load time, \
          on the engine's per-event cost at 1024 against 64 ranks, on \
          compression at the default window against window 64, on the \
          words the engine allocates per event, and on the words recording \
-         allocates per event (runs under dune runtest)"
+         allocates per event, after a self-check of the word count (runs \
+         under dune runtest)"
   | names ->
       List.iter
         (fun n ->

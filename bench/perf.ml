@@ -1,21 +1,9 @@
-(* Perf-regression harness for the engine hot paths.
-
-   Four sections, all wall-clock timed:
-
-   - an engine microbenchmark that floods one receiver's matching queues
-     (unexpected queue drained out of arrival order, then a deep pre-posted
-     receive queue) — the worst case for the matcher's front-to-back scan,
-     far deeper than any queue the registry applications build;
-   - a merge stress: the high-RSD [hirsd] app traced once, then its
-     inter-rank merge ([Tracer.finish]) timed against the traced run;
-   - the collective-algorithm and neighborhood-collective schedule
-     expansions.
-
-   Results go to BENCH_engine.json in the working directory.  [--quick]
-   shrinks every dimension and then re-parses the emitted JSON — that mode
-   runs under [dune runtest] as a bitrot smoke test, so it must stay fast
-   and must not assert anything about timings.  The end-to-end pipeline is
-   measured by the repository benchmark ([benchmark/]), on the path
+(* Perf smoke: the repository's in-tree perf gate, run under
+   [dune runtest].  Seven guards: five compare two timings taken in this
+   process, so none depends on how fast or loaded the machine is, and two
+   count allocated words, which repeat exactly; a self-check first makes
+   sure the word count sees everything a run allocates.  End-to-end
+   numbers come from the repository benchmark ([benchmark/]), on the path
    [Pipeline.run] takes. *)
 
 let wall f =
@@ -23,68 +11,12 @@ let wall f =
   let r = f () in
   (r, Unix.gettimeofday () -. t0)
 
-(* ------------------------------------------------------------------ *)
-(* Engine microbenchmark                                               *)
-
-(* Generous buffers: the point is queue search cost, not flow control. *)
-let micro_net =
-  { Mpisim.Netmodel.bluegene_l with unexpected_buffer_bytes = max_int / 2 }
-
-(* Phase 1: every sender floods rank 0 while it computes, so all messages
-   land in the unexpected queue; rank 0 then drains newest-senders-first,
-   so each receive scans most of the queue.  Phase 2: rank 0 pre-posts
-   every receive, senders fire only after a delay, so each arrival
-   searches a deep posted queue. *)
-let matching_stress ~msgs_per_rank (ctx : Mpisim.Mpi.ctx) =
-  let module Mpi = Mpisim.Mpi in
-  let n = ctx.nranks and k = msgs_per_rank in
-  if ctx.rank = 0 then begin
-    Mpi.compute ctx 1.0;
-    for r = n - 1 downto 1 do
-      for i = k - 1 downto 0 do
-        ignore
-          (Mpi.recv ctx ~src:(Mpisim.Call.Rank r) ~tag:(Mpisim.Call.Tag (1000 + i))
-             ~bytes:32)
-      done
-    done;
-    let reqs = ref [] in
-    for r = 1 to n - 1 do
-      for i = 0 to k - 1 do
-        reqs :=
-          Mpi.irecv ctx ~src:(Mpisim.Call.Rank r) ~tag:(Mpisim.Call.Tag (2000 + i))
-            ~bytes:32
-          :: !reqs
-      done
-    done;
-    ignore (Mpi.waitall ctx (List.rev !reqs));
-    Mpi.finalize ctx
-  end
-  else begin
-    for i = 0 to k - 1 do
-      Mpi.send ctx ~dst:0 ~tag:(1000 + i) ~bytes:32
-    done;
-    (* later ranks go first, so arrivals match late posts *)
-    Mpi.compute ctx (2.0 +. (float_of_int (n - ctx.rank) *. 1e-4));
-    for i = 0 to k - 1 do
-      Mpi.send ctx ~dst:0 ~tag:(2000 + i) ~bytes:32
-    done;
-    Mpi.finalize ctx
-  end
-
-type micro_run = { wall_s : float; events : int; events_per_s : float }
-
-let run_micro ~nranks ~msgs_per_rank =
-  let outcome, dt =
-    wall (fun () ->
-        Mpisim.Mpi.run ~net:micro_net ~nranks (matching_stress ~msgs_per_rank))
-  in
-  { wall_s = dt; events = outcome.Mpisim.Engine.events;
-    events_per_s = float_of_int outcome.Mpisim.Engine.events /. Float.max dt 1e-9 }
-
-(* ------------------------------------------------------------------ *)
-(* Merge stress: the inter-rank merge against the run it comes from     *)
-
 let best_of_3 f = List.fold_left Float.min infinity (List.init 3 (fun _ -> snd (wall f)))
+
+(* [fail_if cond fmt ...] fails the smoke run with the message when [cond]
+   holds. *)
+let fail_if cond fmt =
+  Printf.ksprintf (fun msg -> if cond then failwith ("perf smoke: " ^ msg)) fmt
 
 (* The high-RSD regime that made MG fall off a cliff, distilled: the
    [hirsd] stress app is traced under {!Scalatrace.Tracer} ([Mpi.run]
@@ -96,17 +28,12 @@ let best_of_3 f = List.fold_left Float.min infinity (List.init 3 (fun _ -> snd (
 type merge_run = {
   g_nranks : int;
   g_rsds : int;
-  g_events : int;
   traced_run_s : float;
   merge_s : float;
 }
 
 let run_merge_stress ~nranks ~cls =
-  let app =
-    match Apps.Registry.find "hirsd" with
-    | Some a -> a
-    | None -> failwith "hirsd app missing from registry"
-  in
+  let app = Option.get (Apps.Registry.find "hirsd") in
   let program = app.program ~cls () in
   (* Each repetition drops the previous result first, so at most one
      recording and one merged trace are live. *)
@@ -130,261 +57,9 @@ let run_merge_stress ~nranks ~cls =
   {
     g_nranks = nranks;
     g_rsds = Scalatrace.Trace.rsd_count merged;
-    g_events = Scalatrace.Trace.event_count merged;
     traced_run_s;
     merge_s;
   }
-
-let merge_json m =
-  Obs.Json.Obj
-    [
-      ("nranks", Obs.Json.Num (float_of_int m.g_nranks));
-      ("rsds", Obs.Json.Num (float_of_int m.g_rsds));
-      ("events", Obs.Json.Num (float_of_int m.g_events));
-      ("traced_run_s", Obs.Json.Num m.traced_run_s);
-      ("merge_s", Obs.Json.Num m.merge_s);
-    ]
-
-(* ------------------------------------------------------------------ *)
-(* Collective-algorithm microbenchmark                                  *)
-
-(* One allreduce per iteration under each schedule strategy, at the
-   suite's rank counts and a latency-bound/bandwidth-bound payload pair.
-   The virtual column is the model's verdict (deterministic — the number
-   selection tuning cares about); the wall column is the expansion
-   overhead of the schedule path itself. *)
-
-type collalg_run = {
-  c_alg : string;
-  c_nranks : int;
-  c_bytes : int;
-  c_virtual_s : float;  (** simulated seconds per allreduce *)
-  c_wall_s : float;  (** host seconds for the whole run *)
-}
-
-let run_collalg ~coll_alg ~nranks ~bytes ~iters =
-  let program (ctx : Mpisim.Mpi.ctx) =
-    for _ = 1 to iters do
-      Mpisim.Mpi.allreduce ctx ~bytes
-    done;
-    Mpisim.Mpi.finalize ctx
-  in
-  let outcome, dt =
-    wall (fun () -> Mpisim.Mpi.run ~net:micro_net ~coll_alg ~nranks program)
-  in
-  {
-    c_alg = Mpisim.Coll_alg.name coll_alg;
-    c_nranks = nranks;
-    c_bytes = bytes;
-    c_virtual_s = outcome.Mpisim.Engine.elapsed /. float_of_int iters;
-    c_wall_s = dt;
-  }
-
-let run_collalg_suite ~rank_counts ~iters =
-  List.concat_map
-    (fun nranks ->
-      List.concat_map
-        (fun bytes ->
-          List.map
-            (fun coll_alg ->
-              let r = run_collalg ~coll_alg ~nranks ~bytes ~iters in
-              Printf.printf
-                "  %-19s p=%-5d %7dB  %.2f us/allreduce  (%.3fs wall)\n%!"
-                r.c_alg r.c_nranks r.c_bytes (r.c_virtual_s *. 1e6) r.c_wall_s;
-              r)
-            Mpisim.Coll_alg.all)
-        [ 64; 65536 ])
-    rank_counts
-
-let collalg_json c =
-  Obs.Json.Obj
-    [
-      ("alg", Obs.Json.Str c.c_alg);
-      ("nranks", Obs.Json.Num (float_of_int c.c_nranks));
-      ("bytes", Obs.Json.Num (float_of_int c.c_bytes));
-      ("virtual_s", Obs.Json.Num c.c_virtual_s);
-      ("wall_s", Obs.Json.Num c.c_wall_s);
-    ]
-
-(* ------------------------------------------------------------------ *)
-(* Neighborhood-collective microbenchmark                               *)
-
-(* A sparse stencil exchange (power-of-two offsets) timed under both
-   schedule expansions: the message-combining isomorphic form (one round
-   per offset) and the naive single-round per-link expansion.  The two
-   move identical bytes — checked here — so the virtual columns isolate
-   what the round structure costs, and the wall columns what the
-   expansion itself costs at scale. *)
-
-type neighbor_run = {
-  n_nranks : int;
-  n_degree : int;
-  n_bytes : int;
-  n_combined_virtual_s : float;
-  n_naive_virtual_s : float;
-  n_combined_wall_s : float;
-  n_naive_wall_s : float;
-}
-
-let run_neighbor ~nranks ~degree ~bytes =
-  let offsets = List.init degree (fun i -> 1 lsl i) in
-  let per_rank = Array.make nranks (Array.of_list offsets, bytes) in
-  let net = Mpisim.Netmodel.bluegene_l in
-  let start () = Array.make nranks 0. in
-  let combined, combined_wall_s =
-    wall (fun () ->
-        Mpisim.Coll_alg.timings net
-          (Mpisim.Coll_alg.neighbor_combined ~p:nranks ~offsets ~bytes)
-          ~start:(start ()))
-  in
-  let naive, naive_wall_s =
-    wall (fun () ->
-        Mpisim.Coll_alg.timings net
-          (Mpisim.Coll_alg.neighbor_naive ~per_rank)
-          ~start:(start ()))
-  in
-  let sent sched = Mpisim.Coll_alg.bytes_sent_per_rank ~p:nranks sched in
-  let total a = Array.fold_left ( + ) 0 a in
-  let cb = total (sent (Mpisim.Coll_alg.neighbor_combined ~p:nranks ~offsets ~bytes)) in
-  let nb = total (sent (Mpisim.Coll_alg.neighbor_naive ~per_rank)) in
-  if cb <> nb then
-    failwith
-      (Printf.sprintf
-         "neighbor schedules disagree on bytes moved: combined=%d naive=%d" cb
-         nb);
-  let vmax a = Array.fold_left Float.max 0. a in
-  {
-    n_nranks = nranks;
-    n_degree = degree;
-    n_bytes = bytes;
-    n_combined_virtual_s = vmax combined;
-    n_naive_virtual_s = vmax naive;
-    n_combined_wall_s = combined_wall_s;
-    n_naive_wall_s = naive_wall_s;
-  }
-
-let run_neighbor_suite ~rank_counts =
-  List.concat_map
-    (fun nranks ->
-      List.map
-        (fun (degree, bytes) ->
-          let r = run_neighbor ~nranks ~degree ~bytes in
-          Printf.printf
-            "  p=%-5d deg=%d %7dB  combined %.2f us  naive %.2f us  (wall \
-             %.4fs / %.4fs)\n%!"
-            r.n_nranks r.n_degree r.n_bytes
-            (r.n_combined_virtual_s *. 1e6)
-            (r.n_naive_virtual_s *. 1e6)
-            r.n_combined_wall_s r.n_naive_wall_s;
-          r)
-        [ (2, 512); (4, 65536) ])
-    rank_counts
-
-let neighbor_json r =
-  Obs.Json.Obj
-    [
-      ("nranks", Obs.Json.Num (float_of_int r.n_nranks));
-      ("degree", Obs.Json.Num (float_of_int r.n_degree));
-      ("bytes", Obs.Json.Num (float_of_int r.n_bytes));
-      ("combined_virtual_s", Obs.Json.Num r.n_combined_virtual_s);
-      ("naive_virtual_s", Obs.Json.Num r.n_naive_virtual_s);
-      ("combined_wall_s", Obs.Json.Num r.n_combined_wall_s);
-      ("naive_wall_s", Obs.Json.Num r.n_naive_wall_s);
-    ]
-
-(* ------------------------------------------------------------------ *)
-(* JSON out, via the observability layer's shared value type            *)
-
-let jint i = Obs.Json.Num (float_of_int i)
-
-let emit ~path ~mode ~micro_nranks ~msgs_per_rank ~micro ~merge ~collalg
-    ~neighbor =
-  let doc =
-    Obs.Json.Obj
-      [
-        ("schema", Obs.Json.Str "bench-engine/2");
-        ("mode", Obs.Json.Str mode);
-        ( "micro",
-          Obs.Json.Obj
-            [
-              ("nranks", jint micro_nranks);
-              ("msgs_per_rank", jint msgs_per_rank);
-              ("wall_s", Obs.Json.Num micro.wall_s);
-              ("events", jint micro.events);
-              ("events_per_s", Obs.Json.Num micro.events_per_s);
-            ] );
-        ("merge", merge_json merge);
-        ("collalg", Obs.Json.Arr (List.map collalg_json collalg));
-        ("neighbor", Obs.Json.Arr (List.map neighbor_json neighbor));
-      ]
-  in
-  let oc = open_out path in
-  output_string oc (Obs.Json.to_string doc);
-  output_char oc '\n';
-  close_out oc
-
-(* ------------------------------------------------------------------ *)
-(* JSON self-check: re-parse our own output                             *)
-
-exception Bad_json of string
-
-let validate_json path =
-  let ic = open_in_bin path in
-  let len = in_channel_length ic in
-  let s = really_input_string ic len in
-  close_in ic;
-  match Obs.Json.parse (String.trim s) with
-  | exception Obs.Json.Parse_error msg -> raise (Bad_json msg)
-  | Obs.Json.Obj _ as j ->
-      List.iter
-        (fun k ->
-          if Obs.Json.member k j = None then
-            raise (Bad_json ("missing top-level key: " ^ k)))
-        [ "schema"; "micro"; "merge"; "collalg"; "neighbor" ]
-  | _ -> raise (Bad_json "top level is not an object")
-
-(* ------------------------------------------------------------------ *)
-
-let run ~quick () =
-  let micro_nranks = if quick then 64 else 256 in
-  let msgs_per_rank = if quick then 4 else 32 in
-  Printf.printf "engine microbenchmark: %d ranks x %d msgs/rank\n%!"
-    micro_nranks msgs_per_rank;
-  let micro = run_micro ~nranks:micro_nranks ~msgs_per_rank in
-  Printf.printf "  %8.0f events/s (%d events, %.3fs)\n%!" micro.events_per_s
-    micro.events micro.wall_s;
-  let merge_nranks = if quick then 8 else 64 in
-  let merge_cls = if quick then Apps.Params.S else Apps.Params.C in
-  Printf.printf "merge stress: hirsd at %d ranks, traced run vs merge\n%!"
-    merge_nranks;
-  let merge = run_merge_stress ~nranks:merge_nranks ~cls:merge_cls in
-  Printf.printf "  %d rsds / %d events; traced run %.3fs, merge %.3fs\n%!"
-    merge.g_rsds merge.g_events merge.traced_run_s merge.merge_s;
-  let collalg_counts = if quick then [ 64 ] else [ 64; 256; 1024 ] in
-  let collalg_iters = if quick then 1 else 4 in
-  Printf.printf
-    "collective algorithms: allreduce per strategy, p in {%s}\n%!"
-    (String.concat ", " (List.map string_of_int collalg_counts));
-  let collalg =
-    run_collalg_suite ~rank_counts:collalg_counts ~iters:collalg_iters
-  in
-  let neighbor_counts = if quick then [ 64 ] else [ 64; 256; 1024 ] in
-  Printf.printf
-    "neighborhood collectives: sparse exchange, combined vs naive schedules, \
-     p in {%s}\n%!"
-    (String.concat ", " (List.map string_of_int neighbor_counts));
-  let neighbor = run_neighbor_suite ~rank_counts:neighbor_counts in
-  let path = "BENCH_engine.json" in
-  emit ~path ~mode:(if quick then "quick" else "full") ~micro_nranks
-    ~msgs_per_rank ~micro ~merge ~collalg ~neighbor;
-  Printf.printf "wrote %s\n%!" path;
-  if quick then begin
-    validate_json path;
-    Printf.printf "quick mode: JSON parses and has the expected shape\n%!"
-  end
-
-(* ------------------------------------------------------------------ *)
-(* Perf smoke: guards on the merge, Lower, loading and rank scaling     *)
 
 (* A generated benchmark must run in about the time of the application
    it came from.  CG class W at 256 ranks is generated once, then run as
@@ -414,12 +89,10 @@ let lower_smoke () =
     "perf smoke: cg W %d ranks, original %.3fs, Lower %.3fs (%.2fx, limit \
      %.0fx)\n%!"
     nranks original_s lower_s ratio max_ratio;
-  if ratio > max_ratio then
-    failwith
-      (Printf.sprintf
-         "perf smoke: Lower ran the generated benchmark %.1fx slower than the \
-          application, over the %.0fx limit"
-         ratio max_ratio)
+  fail_if (ratio > max_ratio)
+    "Lower ran the generated benchmark %.1fx slower than the application, \
+     over the %.0fx limit"
+    ratio max_ratio
 
 (* A v3 file holds the merged trace, so loading it parses the top-level
    nodes and skips v2's per-rank parsing and re-merge.  MG class C at 32
@@ -450,17 +123,14 @@ let load_smoke () =
          (%.2fx, limit %.2fx)\n%!"
         nranks v2_s (Unix.stat v2).Unix.st_size v3_s (Unix.stat v3).Unix.st_size
         ratio max_ratio;
-      if ratio > max_ratio then
-        failwith
-          (Printf.sprintf
-             "perf smoke: loading the v3 file took %.2fx the v2 load, over \
-              the %.2fx limit"
-             ratio max_ratio))
+      fail_if (ratio > max_ratio)
+        "loading the v3 file took %.2fx the v2 load, over the %.2fx limit"
+        ratio max_ratio)
 
 (* The inter-rank merge must cost about what recording the trace did.
    hirsd class A at 32 ranks (about 2.7 MB of merged text) is traced and
    merged best of 3 each in this process; the merge must take at most 4x
-   the traced run (it reads under 1x).  A merge that falls back into a
+   the traced run (it reads 0.8-1.2x).  A merge that falls back into a
    superlinear scan would take many times the run. *)
 let merge_smoke () =
   let max_ratio = 4. in
@@ -470,12 +140,9 @@ let merge_smoke () =
     "perf smoke: hirsd A %d ranks, %d rsds; traced run %.3fs, merge %.3fs \
      (%.2fx, limit %.0fx)\n%!"
     m.g_nranks m.g_rsds m.traced_run_s m.merge_s ratio max_ratio;
-  if ratio > max_ratio then
-    failwith
-      (Printf.sprintf
-         "perf smoke: the inter-rank merge took %.1fx the traced run, over \
-          the %.0fx limit"
-         ratio max_ratio)
+  fail_if (ratio > max_ratio)
+    "the inter-rank merge took %.1fx the traced run, over the %.0fx limit"
+    ratio max_ratio
 
 (* The simulator's cost per event must not grow with the rank count.
    Untraced FT class C, whose events are mostly all-to-all arrivals, runs
@@ -514,12 +181,9 @@ let scale_smoke () =
     "perf smoke: ft C, %.2f us/event at 64 ranks, %.2f us/event at 1024 \
      (%.2fx, limit %.0fx)\n%!"
     (!small *. 1e6) (!large *. 1e6) ratio max_ratio;
-  if ratio > max_ratio then
-    failwith
-      (Printf.sprintf
-         "perf smoke: an event at 1024 ranks cost %.1fx one at 64 ranks, over \
-          the %.0fx limit"
-         ratio max_ratio)
+  fail_if (ratio > max_ratio)
+    "an event at 1024 ranks cost %.1fx one at 64 ranks, over the %.0fx limit"
+    ratio max_ratio
 
 (* Finding loop bodies must not cost O(window) per push.  hirsd class A
    at 32 ranks leaves per-rank tails of about 4300 nodes that never fold,
@@ -580,83 +244,105 @@ let compress_smoke () =
     (Array.fold_left Float.min infinity ratios)
     (Array.fold_left Float.max 0. ratios)
     max_ratio;
-  if ratio > max_ratio then
-    failwith
-      (Printf.sprintf
-         "perf smoke: compressing at window %d took %.1fx window 64, over the \
-          %.0fx limit"
-         default ratio max_ratio)
+  fail_if (ratio > max_ratio)
+    "compressing at window %d took %.1fx window 64, over the %.0fx limit"
+    default ratio max_ratio
 
-(* Words allocated by one [Mpi.run] of [program] ([Gc.quick_stat]: minor
-   plus major, less promoted), and the run's events.  The minor heap is
-   emptied first, so the promoted words subtracted are the run's own and
-   the count repeats exactly: a guard on it is a count, not a timing.
+(* Words [f ()] allocates (minor plus major, less promoted), and its
+   result.  Minor words come from [Gc.minor_words], which counts the
+   current minor heap; [Gc.quick_stat]'s [minor_words] leaves that heap
+   out under OCaml 5.1, so each run lost its last partial minor heap.  The
+   heap is collected first, so the promoted words subtracted are [f]'s own
+   and the count repeats exactly: a guard on it is a count, not a timing.
    Without that it moved by a word per event from run to run, and by
    three with the heap state an earlier guard left. *)
-let allocated ?(hooks = []) ~nranks program =
+let allocated f =
   let words () =
     let s = Gc.quick_stat () in
-    s.Gc.minor_words +. s.Gc.major_words -. s.Gc.promoted_words
+    Gc.minor_words () +. s.Gc.major_words -. s.Gc.promoted_words
   in
   Gc.full_major ();
   let before = words () in
-  let outcome = Mpisim.Mpi.run ~hooks ~nranks program in
-  (words () -. before, outcome.Mpisim.Engine.events)
+  let r = f () in
+  (words () -. before, r)
+
+(* Words and events of one [Mpi.run] of [program]. *)
+let run_words ?(hooks = []) ~nranks program =
+  let words, outcome =
+    allocated (fun () -> Mpisim.Mpi.run ~hooks ~nranks program)
+  in
+  (words, outcome.Mpisim.Engine.events)
+
+(* The word count must see everything a run allocates, the last partial
+   minor heap included.  Consing 1000 list cells of 3 words each, far
+   less than one minor heap, must read at least 3000 words; through
+   [Gc.quick_stat]'s minor count alone it read 0. *)
+let alloc_probe_smoke () =
+  let cells = 1000 in
+  let least = float_of_int (3 * cells) in
+  let words, _ =
+    allocated (fun () ->
+        let l = ref [] in
+        for i = 1 to cells do
+          l := i :: !l
+        done;
+        Sys.opaque_identity !l)
+  in
+  Printf.printf
+    "perf smoke: consing %d list cells reads %.0f allocated words (at least \
+     %.0f)\n%!"
+    cells words least;
+  fail_if (words < least)
+    "consing %d list cells read %.0f allocated words, under the %.0f they \
+     take"
+    cells words least
 
 (* Simulating an event must allocate only the simulation state.  MG
    class C at 64 ranks runs untraced; its allocated words per simulated
-   event must be at most 60 (it reads 49.1).  An engine with boxed
+   event must be at most 60 (it reads 49.6).  An engine with boxed
    clocks, a heap of boxed entries, an option and a closure per call and
    generic hash lookups read 99.1. *)
 let engine_smoke () =
   let max_words = 60. and nranks = 64 in
   let app = Option.get (Apps.Registry.find "mg") in
-  let words, events = allocated ~nranks (app.program ~cls:Apps.Params.C ()) in
+  let words, events = run_words ~nranks (app.program ~cls:Apps.Params.C ()) in
   let per_event = words /. float_of_int events in
   Printf.printf
     "perf smoke: mg C %d ranks, %d events, the untraced run allocates %.1f \
      words per event (limit %.0f)\n%!"
     nranks events per_event max_words;
-  if per_event > max_words then
-    failwith
-      (Printf.sprintf
-         "perf smoke: the engine allocated %.1f words per event, over the %.0f \
-          limit"
-         per_event max_words)
+  fail_if (per_event > max_words)
+    "the engine allocated %.1f words per event, over the %.0f limit"
+    per_event max_words
 
 (* Recording a call must not copy it.  MG class C at 64 ranks runs
    untraced, then under the tracer (recording only, no merge); the words
    the tracer adds per simulated event, the difference of the two runs'
    allocated words divided by the run's events, must be at most 40 (it
-   reads 21.9; 25.6 while each timing summary also kept a bucket array).
-   An event built with closures, boxed floats and hash tuples, a fresh
-   singleton rank set per call and a copy of every count vector read
-   86. *)
+   reads 21.8; 25.6 while each timing summary also kept a bucket
+   array).  An event built with closures, boxed floats and hash tuples, a
+   fresh singleton rank set per call and a copy of every count vector
+   read 86. *)
 let record_smoke () =
   let max_words = 40. and nranks = 64 in
   let app = Option.get (Apps.Registry.find "mg") in
   let program = app.program ~cls:Apps.Params.C () in
-  let untraced, events = allocated ~nranks program in
+  let untraced, events = run_words ~nranks program in
   let tracer = Scalatrace.Tracer.create ~nranks () in
   let traced, _ =
-    allocated ~hooks:[ Scalatrace.Tracer.hook tracer ] ~nranks program
+    run_words ~hooks:[ Scalatrace.Tracer.hook tracer ] ~nranks program
   in
   let per_event = (traced -. untraced) /. float_of_int events in
   Printf.printf
     "perf smoke: mg C %d ranks, %d events, recording allocates %.1f words \
      per event (limit %.0f)\n%!"
     nranks events per_event max_words;
-  if per_event > max_words then
-    failwith
-      (Printf.sprintf
-         "perf smoke: recording allocated %.1f words per event, over the %.0f \
-          limit"
-         per_event max_words)
+  fail_if (per_event > max_words)
+    "recording allocated %.1f words per event, over the %.0f limit"
+    per_event max_words
 
-(* Runs under [dune runtest].  Every timing guard is a ratio of two
-   timings taken in this process, so none depends on the machine's speed
-   or load; the engine and recording guards count allocated words. *)
 let smoke () =
+  alloc_probe_smoke ();
   lower_smoke ();
   load_smoke ();
   merge_smoke ();

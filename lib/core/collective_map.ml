@@ -59,27 +59,14 @@ let map ~p (e : Event.t) =
   | Event.E_neighbor_alltoall | Event.E_neighbor_allgather ->
       if p <= 1 then T_skip
       else
-        (* The offset vector survives RSD merging exactly when the
-           neighborhood is a rank-relative stencil; a lossy merge drops
-           it, leaving only the degree (in [tag]), for which we
-           substitute a ring stencil of the same degree — fan-out shape
-           and per-rank volume are preserved, the precise topology is
-           not. *)
-        let sanitize v =
-          Array.to_list v
-          |> List.map (fun o -> ((o mod p) + p) mod p)
-          |> List.filter (fun o -> o <> 0)
-          |> List.sort_uniq compare
-        in
-        let offsets =
-          match Option.map sanitize e.vec with
-          | Some (_ :: _ as l) -> Array.of_list l
-          | Some [] | None ->
-              let deg = min (max e.tag 1) (p - 1) in
-              Array.init deg (fun i -> i + 1)
-        in
+        (* the traced stencil, or a ring of the traced degree when a merge
+           lost it *)
         T_neighbor
-          { gather = e.kind = Event.E_neighbor_allgather; bytes = e.bytes; offsets }
+          {
+            gather = e.kind = Event.E_neighbor_allgather;
+            bytes = e.bytes;
+            offsets = Event.neighbor_offsets ~p e;
+          }
   | Event.E_comm_split | Event.E_comm_dup | Event.E_finalize -> T_skip
   | Event.E_send | Event.E_isend | Event.E_recv | Event.E_irecv | Event.E_wait
   | Event.E_waitall _ ->

@@ -672,32 +672,37 @@ let complete_recv st (m : Mq.msg) recv_req ~time =
   recv_req.r_status <- recv_status st m;
   complete_req st recv_req ~time
 
+(* Message [m] meets the posted receive [p] at [ready]: when the message
+   arrives at a posted receive, or when the receive finds it waiting.  An
+   eager payload is processed from [ready], paying the copy out of the
+   unexpected queue when it waited there ([unexpected]).  A rendezvous
+   handshake completes at [ready]; then the payload moves, completing the
+   send on arrival. *)
+let[@inline] match_msg st (m : Mq.msg) (p : Mq.posted) ~ready ~unexpected =
+  let recv_req = find_req st p.p_req in
+  match m.m_protocol with
+  | Mq.Eager ->
+      let tc = rx_complete st m.m_dst ~ready ~bytes:m.m_bytes ~unexpected in
+      (* the receive buffer holds the payload until it is processed *)
+      if m.m_reserved then
+        release_buffer st st.ranks.(m.m_dst) ~bytes:m.m_bytes ~time:tc;
+      complete_recv st m recv_req ~time:tc
+  | Mq.Rendezvous ->
+      let data_arrival = wire_arrival st m.m_dst ~depart:ready ~bytes:m.m_bytes in
+      complete_req st (find_req st m.m_send_req) ~time:data_arrival;
+      let tc =
+        rx_complete st m.m_dst ~ready:data_arrival ~bytes:m.m_bytes
+          ~unexpected:false
+      in
+      complete_recv st m recv_req ~time:tc
+
 (* A message has physically arrived at its destination, at the delivery
    event's time. *)
 let deliver st (m : Mq.msg) =
   st.n_inflight_bytes <- st.n_inflight_bytes - m.m_bytes;
   let d = st.ranks.(m.m_dst) in
-  let ta = st.vt.now in
   match Mq.Posted.take d.rs_posted ~src:m.m_src ~tag:m.m_tag ~comm:m.m_comm with
-  | Some p -> (
-      let recv_req = find_req st p.p_req in
-      match m.m_protocol with
-      | Mq.Eager ->
-          let tc =
-            rx_complete st m.m_dst ~ready:ta ~bytes:m.m_bytes ~unexpected:false
-          in
-          (* the receive buffer holds the payload until it is processed *)
-          if m.m_reserved then release_buffer st d ~bytes:m.m_bytes ~time:tc;
-          complete_recv st m recv_req ~time:tc
-      | Mq.Rendezvous ->
-          (* Handshake completes on RTS arrival; then the payload moves. *)
-          let data_arrival = wire_arrival st m.m_dst ~depart:ta ~bytes:m.m_bytes in
-          complete_req st (find_req st m.m_send_req) ~time:data_arrival;
-          let tc =
-            rx_complete st m.m_dst ~ready:data_arrival ~bytes:m.m_bytes
-              ~unexpected:false
-          in
-          complete_recv st m recv_req ~time:tc)
+  | Some p -> match_msg st m p ~ready:st.vt.now ~unexpected:false
   | None ->
       Mq.Unexpected.add d.rs_unexpected m;
       st.n_unexpected <- st.n_unexpected + 1
@@ -708,25 +713,7 @@ let deliver st (m : Mq.msg) =
 let post_recv st rank (p : Mq.posted) =
   let d = st.ranks.(rank) in
   match Mq.Unexpected.take d.rs_unexpected p with
-  | Some m -> (
-      let recv_req = find_req st p.p_req in
-      match m.m_protocol with
-      | Mq.Eager ->
-          let tc =
-            rx_complete st rank ~ready:p.p_time ~bytes:m.m_bytes ~unexpected:true
-          in
-          if m.m_reserved then release_buffer st d ~bytes:m.m_bytes ~time:tc;
-          complete_recv st m recv_req ~time:tc
-      | Mq.Rendezvous ->
-          let data_arrival =
-            wire_arrival st rank ~depart:p.p_time ~bytes:m.m_bytes
-          in
-          complete_req st (find_req st m.m_send_req) ~time:data_arrival;
-          let tc =
-            rx_complete st rank ~ready:data_arrival ~bytes:m.m_bytes
-              ~unexpected:false
-          in
-          complete_recv st m recv_req ~time:tc)
+  | Some m -> match_msg st m p ~ready:p.p_time ~unexpected:true
   | None ->
       Mq.Posted.add d.rs_posted p;
       (* Liveness: if the message this receive is waiting for is parked at

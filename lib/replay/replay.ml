@@ -159,9 +159,8 @@ let run ?(net = Mpisim.Netmodel.bluegene_l) ?(hooks = []) ?fault ?max_events
           Mpisim.Mpi.reduce_scatter ~site ~comm ctx ~bytes_per_rank:v
       | Event.E_neighbor_alltoall | Event.E_neighbor_allgather ->
           (* Reconstruct this rank's neighbor list from the participant
-             set and the offset vector; a merged trace that lost the
-             stencil (vec = None) falls back to a ring of the traced
-             degree, preserving participant set and per-rank volume. *)
+             set and the offsets (a ring of the traced degree when a merge
+             lost the stencil). *)
           let parts_world =
             match e.parts with
             | Some ps -> ps
@@ -178,26 +177,9 @@ let run ?(net = Mpisim.Netmodel.bluegene_l) ?(hooks = []) ?fault ?max_events
               in
               find 0
             in
-            let offsets =
-              let sanitized =
-                match e.vec with
-                | None -> []
-                | Some v ->
-                    Array.to_list v
-                    |> List.map (fun o -> ((o mod q) + q) mod q)
-                    |> List.filter (fun o -> o <> 0)
-                    |> List.sort_uniq compare
-              in
-              match sanitized with
-              | _ :: _ -> sanitized
-              | [] ->
-                  let deg = min (max e.tag 1) (q - 1) in
-                  List.init deg (fun i -> i + 1)
-            in
             let neighbors =
-              List.map
-                (fun o -> local comm parts_world.((me + o) mod q))
-                offsets
+              Array.to_list (Event.neighbor_offsets ~p:q e)
+              |> List.map (fun o -> local comm parts_world.((me + o) mod q))
               |> List.sort_uniq compare |> Array.of_list
             in
             let parts_local =

@@ -40,6 +40,8 @@ val push_node : t -> Tnode.t -> unit
 val contents : t -> Tnode.t list
 
 (** [compress_list ~nranks nodes] — run the same tail compression over an
-    existing node list (used by the generator when appending RSDs to its
-    output queue, cf. "Compress T_out" in Algorithm 1). *)
+    existing node list: the {!contents} of a fresh compressor after
+    pushing every node.  Only tests call it; the generator compresses
+    Algorithm 1's output ("Compress T_out") by pushing into {!Merge}'s
+    builder. *)
 val compress_list : ?window:int -> nranks:int -> Tnode.t list -> Tnode.t list

@@ -369,6 +369,20 @@ let narrow ~ranks ~rank ~nranks e =
   in
   { e with peer; ranks; dtime = Util.Histogram.copy e.dtime }
 
+let neighbor_offsets ~p e =
+  let traced =
+    match e.vec with
+    | None -> []
+    | Some v ->
+        Array.to_list v
+        |> List.map (fun o -> ((o mod p) + p) mod p)
+        |> List.filter (fun o -> o <> 0)
+        |> List.sort_uniq compare
+  in
+  match traced with
+  | _ :: _ -> Array.of_list traced
+  | [] -> Array.init (min (max e.tag 1) (p - 1)) (fun i -> i + 1)
+
 let pp_peer ppf = function
   | P_none -> ()
   | P_abs a -> Format.fprintf ppf " peer=%d" a

@@ -135,4 +135,16 @@ val copy : t -> t
     {!of_call}. *)
 val narrow : ranks:Util.Rank_set.t -> rank:int -> nranks:int -> t -> t
 
+(** [neighbor_offsets ~p e] — the offsets at which each of the [p >= 2]
+    participants of the neighbourhood collective [e] reaches its
+    neighbours (offset [o] from participant [i] reaches participant
+    [(i + o) mod p]): [e.vec] reduced modulo [p], without 0, sorted and
+    distinct.  The offsets survive RSD merging exactly when the
+    neighbourhood is a rank-relative stencil; a merge that lost them
+    leaves [vec = None] and only the degree, in [tag], and then the
+    offsets are a ring of that degree, [1 .. min (max tag 1) (p - 1)]:
+    fan-out and per-rank volume are kept, the topology is not.  Replay and
+    code generation both take a neighbourhood from here. *)
+val neighbor_offsets : p:int -> t -> int array
+
 val pp : Format.formatter -> t -> unit

@@ -356,4 +356,90 @@ let walk_tests =
           [ `Auto; `Traversal ]);
   ]
 
-let suite = align_tests @ wildcard_tests @ map_tests @ walk_tests
+(* ---------------------------------------------------------------- *)
+(* One neighbourhood-offset rule for replay and code generation         *)
+
+let neighbor_tests =
+  [
+    t "replay and codegen reach the same neighbours" (fun () ->
+        let nranks = 6 in
+        (* (vec, degree, declared participants, offsets): a merged event
+           that lost its stencil (vec = None); offsets that are negative,
+           out of range, 0 or repeated; offsets that all reduce to 0, so
+           the ring of the degree applies; the same over a declared
+           participant set of 4 *)
+        let cases =
+          [
+            (None, 2, None, [| 1; 2 |]);
+            (Some [| -1; 7; 0; 13; -7 |], 4, None, [| 1; 5 |]);
+            (Some [| 0; 6; -12 |], 3, None, [| 1; 2; 3 |]);
+            (None, 2, Some [| 0; 2; 3; 5 |], [| 1; 2 |]);
+            (Some [| -1; 6; 9 |], 3, Some [| 0; 2; 3; 5 |], [| 1; 2; 3 |]);
+          ]
+        in
+        List.iter
+          (fun (vec, tag, parts, expected) ->
+            let members =
+              match parts with
+              | Some ps -> ps
+              | None -> Array.init nranks Fun.id
+            in
+            let q = Array.length members in
+            let h = Util.Histogram.create () in
+            Util.Histogram.add h 0.;
+            let e =
+              Event.
+                {
+                  site = s1; kind = E_neighbor_alltoall; peer = P_none;
+                  bytes = 8; vec; tag; comm = 0; parts; dtime = h;
+                  ranks = Util.Rank_set.of_list (Array.to_list members);
+                  hcache = 0;
+                }
+            in
+            let finalize =
+              Event.
+                {
+                  e with
+                  kind = E_finalize; vec = None; tag = 0; parts = None;
+                  ranks = Util.Rank_set.all nranks;
+                }
+            in
+            let offsets =
+              match Benchgen.Collective_map.map ~p:q e with
+              | Benchgen.Collective_map.T_neighbor { offsets; _ } -> offsets
+              | _ -> Alcotest.fail "not a neighbourhood mapping"
+            in
+            Alcotest.(check (array int)) "offsets" expected offsets;
+            let seen = Array.make nranks [||] in
+            let hook =
+              {
+                Hooks.nil with
+                on_enter =
+                  (fun ~world_rank ~time:_ (call : Call.t) ->
+                    match call.op with
+                    | Call.Neighbor_alltoall { neighbors; _ } ->
+                        seen.(world_rank) <- neighbors
+                    | _ -> ());
+              }
+            in
+            let trace =
+              Trace.make ~nranks
+                ~comms:[ (0, Util.Rank_set.all nranks) ]
+                ~nodes:[ Tnode.Leaf e; Tnode.Leaf finalize ]
+            in
+            ignore (Replay.run ~hooks:[ hook ] trace);
+            Array.iteri
+              (fun me r ->
+                let want =
+                  Array.to_list offsets
+                  |> List.map (fun o -> members.((me + o) mod q))
+                  |> List.sort_uniq compare |> Array.of_list
+                in
+                Alcotest.(check (array int))
+                  (Printf.sprintf "rank %d, degree %d" r tag)
+                  want seen.(r))
+              members)
+          cases);
+  ]
+
+let suite = align_tests @ wildcard_tests @ map_tests @ walk_tests @ neighbor_tests
